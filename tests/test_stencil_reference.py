@@ -1,0 +1,174 @@
+"""The matrix-free face-edge stencil against an independently assembled matrix.
+
+The reference operator is built here, cell by cell, with no package stencil
+code: on a region R of in-mask cells, ``A = -lap_R + c`` has, per cell and
+per axis direction, ``1/h**2`` on the diagonal and ``-1/h**2`` to an in-region
+neighbor for every in-mask neighbor, and ``2/h**2`` on the diagonal for every
+wall slot (box face or unmasked neighbor: the zero sits at half spacing).
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+sparse = pytest.importorskip("scipy.sparse")
+
+from phasemin.elliptic import solve_landscape, solve_phase
+from phasemin.functional import FREE, PowerLaw, make_functional_spec, make_partition
+from phasemin.grid import gradient_energy, laplacian_apply, make_field, make_grid
+from phasemin.minimize import _release_energy
+
+CASES = [(dim, seed) for dim in (1, 2) for seed in range(4)]
+
+
+def assemble(grid, region, coeff):
+    """Sparse ``-lap + coeff`` on the boolean cell set ``region``, zero outside."""
+    h2 = grid.spacing**2
+    shape = grid.shape
+    rows, cols, vals = [], [], []
+    for cell in itertools.product(*(range(n) for n in shape)):
+        if not region[cell]:
+            continue
+        k = np.ravel_multi_index(cell, shape)
+        diag = coeff[cell]
+        for axis in range(grid.dim):
+            for step in (-1, 1):
+                nbr = list(cell)
+                nbr[axis] += step
+                nbr = tuple(nbr)
+                if not 0 <= nbr[axis] < shape[axis] or not grid.mask[nbr]:
+                    diag += 2.0 / h2
+                    continue
+                diag += 1.0 / h2
+                if region[nbr]:
+                    rows.append(k)
+                    cols.append(np.ravel_multi_index(nbr, shape))
+                    vals.append(-1.0 / h2)
+        rows.append(k)
+        cols.append(k)
+        vals.append(diag)
+    n = grid.num_cells
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def random_grid(dim, seed):
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        shape = (int(rng.integers(5, 20)),)
+    else:
+        shape = tuple(int(s) for s in rng.integers(3, 8, size=dim))
+    mask = rng.random(shape) < 0.8
+    mask.flat[rng.integers(mask.size)] = True
+    return make_grid(dim, shape, float(rng.uniform(0.05, 0.5)), mask=mask), rng
+
+
+def restricted(a, keep):
+    """Rows and columns of ``a`` on the flat cell set ``keep``."""
+    idx = np.flatnonzero(keep.ravel())
+    return a[idx][:, idx].toarray()
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_laplacian_apply_matches_assembled(dim, seed):
+    grid, rng = random_grid(dim, seed)
+    a = assemble(grid, grid.mask, np.zeros(grid.shape))
+    v = make_field(grid, rng.normal(size=grid.shape))
+    expected = -(a @ v.values.ravel()).reshape(grid.shape)
+    got = laplacian_apply(v).values
+    scale = np.max(np.abs(expected)) + 1.0
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_gradient_energy_is_the_quadratic_form(dim, seed):
+    grid, rng = random_grid(dim, seed)
+    a = assemble(grid, grid.mask, np.zeros(grid.shape))
+    v = make_field(grid, rng.normal(size=grid.shape)).values.ravel()
+    form = grid.spacing**dim * float(v @ (a @ v))
+    assert gradient_energy(make_field(grid, v.reshape(grid.shape))) == pytest.approx(
+        form, rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_region_operator_symmetric_positive_definite(dim, seed):
+    grid, rng = random_grid(dim, seed)
+    region = grid.mask & (rng.random(grid.shape) < 0.7)
+    region.flat[np.flatnonzero(grid.mask.ravel())[0]] = True
+    coeff = rng.uniform(0.0, 3.0, size=grid.shape)
+    dense = restricted(assemble(grid, region, coeff), region)
+    assert np.array_equal(dense, dense.T)
+    assert np.linalg.eigvalsh(dense)[0] > 0.0
+
+    # the package Laplacian, probed column by column on the mask
+    cells = np.flatnonzero(grid.mask.ravel())
+    columns = []
+    for k in cells:
+        e = np.zeros(grid.num_cells)
+        e[k] = 1.0
+        lap = laplacian_apply(make_field(grid, e.reshape(grid.shape)))
+        columns.append(-lap.values.ravel()[cells])
+    probed = np.stack(columns, axis=1)
+    reference = restricted(assemble(grid, grid.mask, np.zeros(grid.shape)), grid.mask)
+    assert np.allclose(probed, probed.T, rtol=0.0, atol=1e-9 * np.max(np.abs(probed)))
+    assert np.allclose(probed, reference, rtol=1e-12, atol=0.0)
+    assert np.linalg.eigvalsh(0.5 * (probed + probed.T))[0] > 0.0
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_solve_phase_residual(dim, seed):
+    grid, rng = random_grid(dim, seed)
+    labels = np.where(grid.mask, rng.integers(0, 3, size=grid.shape), 0)
+    labels.flat[np.flatnonzero(grid.mask.ravel())[0]] = 1
+    w = make_partition(grid, 2, labels)
+    f = rng.uniform(0.0, 3.0, size=grid.shape)
+    g = rng.uniform(-2.0, 2.0, size=grid.shape)
+    spec = make_functional_spec(
+        grid,
+        [make_field(grid, f), 0.0],
+        [make_field(grid, g), 1.0],
+        FREE,
+        PowerLaw(0.1, 0.0),
+    )
+    region = labels == 1
+    x = solve_phase(spec, w, 1, tol=1e-12).values
+    assert np.all(x[~region] == 0.0)
+    a = assemble(grid, region, spec.f[0].values)
+    b = np.where(region, 0.5 * spec.g[0].values, 0.0).ravel()
+    residual = np.linalg.norm(a @ x.ravel() - b) / np.linalg.norm(b)
+    assert residual <= 1e-10
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_solve_landscape_residual(dim, seed):
+    grid, rng = random_grid(dim, seed)
+    potential = make_field(grid, rng.uniform(0.0, 5.0, size=grid.shape))
+    x = solve_landscape(grid, potential, tol=1e-12).values
+    a = assemble(grid, grid.mask, potential.values)
+    b = grid.mask.astype(float).ravel()
+    residual = np.linalg.norm(a @ x.ravel() - b) / np.linalg.norm(b)
+    assert residual <= 1e-10
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_release_energy_matches_zeroing_one_cell(dim, seed):
+    grid, rng = random_grid(dim, seed)
+    a = assemble(grid, grid.mask, np.zeros(grid.shape))
+    hn = grid.spacing**dim
+    v = make_field(grid, rng.normal(size=grid.shape)).values
+    release = _release_energy(grid, v)
+
+    def energy(vals):
+        flat = vals.ravel()
+        return hn * float(flat @ (a @ flat))
+
+    base = energy(v)
+    for cell in zip(*np.nonzero(grid.mask)):
+        zeroed = v.copy()
+        zeroed[cell] = 0.0
+        expected = energy(zeroed) - base
+        tol = 1e-12 * (1.0 + abs(base))
+        assert release[cell] == pytest.approx(expected, rel=1e-9, abs=tol)
