@@ -9,7 +9,7 @@ competitor audits.
 
 Layered modules:
 
-    grid         uniform grids, scalar fields, discrete energy/Laplacian
+    grid         grids, fields, the face-edge stencil, sampling, distances
     functional   the objective J(u, W) and its admissibility rules
     elliptic     conjugate-gradient field and landscape solves
     minimize     alternating field-solve / label-sweep descent
@@ -17,178 +17,25 @@ Layered modules:
     diagnostics  radial profiles, slope checks, densities, blow-ups
     oracle       closed-form references for validation
     cli          batch runner producing text/CSV/graymap artifacts
+
+The top level re-exports only what a short library session needs (the
+README example); everything else is imported from its module.
 """
 
-from .competitors import (
-    AuditEntry,
-    AuditReport,
-    AuditSkip,
-    audit,
-    audit_report_csv,
-    cutoff_competitor,
-    harmonic_competitor,
-    seeded_probes,
-)
-from .diagnostics import (
-    InterfaceReport,
-    Phase,
-    RadialProfile,
-    acf_product,
-    acf_profile,
-    blowup_rescale,
-    density_report,
-    el_interface_check,
-    flatness,
-    free_boundary_cells,
-    interface_measure,
-    lipschitz_estimate,
-    phase_count_at,
-    phase_count_map,
-    profile_csv,
-    radial_energy,
-    report_text,
-    weiss_profile,
-)
-from .elliptic import SolverError, solve_landscape, solve_phase
-from .functional import (
-    FREE,
-    NONNEGATIVE,
-    FunctionalSpec,
-    MarginalCosts,
-    Partition,
-    PerRegion,
-    PhaseField,
-    PowerLaw,
-    energy,
-    make_functional_spec,
-    make_partition,
-    make_phase_field,
-    mass_term,
-    partition_from_supports,
-    region_volumes,
-    restrict_support,
-    support_mask,
-    total,
-    volume_marginal,
-    volume_value,
-)
-from .grid import (
-    BallIndex,
-    Grid,
-    ScalarField,
-    axis_centers,
-    ball_cells,
-    bounding_box,
-    cell_centers,
-    format_float,
-    gradient_energy,
-    laplacian_apply,
-    load_field,
-    load_mask,
-    make_field,
-    make_grid,
-    sample,
-    save_field,
-    save_mask,
-)
-from .minimize import (
-    SolveReport,
-    initial_partition,
-    minimize,
-    update_fields,
-    update_partition,
-    zero_set_fraction,
-)
-from .oracle import (
-    ConeOnePhase,
-    ConeTwoPhase,
-    OracleResult,
-    make_cone,
-    oracle_two_phase_1d,
-    torsion_square_reference,
-    torsion_square_value,
-)
+from .competitors import audit, seeded_probes
+from .functional import NONNEGATIVE, PowerLaw, make_functional_spec
+from .grid import make_field, make_grid
+from .minimize import minimize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditEntry",
-    "AuditReport",
-    "AuditSkip",
-    "BallIndex",
-    "ConeOnePhase",
-    "ConeTwoPhase",
-    "FREE",
-    "FunctionalSpec",
-    "Grid",
-    "InterfaceReport",
-    "MarginalCosts",
     "NONNEGATIVE",
-    "OracleResult",
-    "Partition",
-    "PerRegion",
-    "Phase",
-    "PhaseField",
     "PowerLaw",
-    "RadialProfile",
-    "ScalarField",
-    "SolveReport",
-    "SolverError",
-    "acf_product",
-    "acf_profile",
     "audit",
-    "audit_report_csv",
-    "axis_centers",
-    "ball_cells",
-    "blowup_rescale",
-    "bounding_box",
-    "cell_centers",
-    "cutoff_competitor",
-    "density_report",
-    "el_interface_check",
-    "energy",
-    "flatness",
-    "format_float",
-    "free_boundary_cells",
-    "gradient_energy",
-    "harmonic_competitor",
-    "initial_partition",
-    "interface_measure",
-    "laplacian_apply",
-    "lipschitz_estimate",
-    "load_field",
-    "load_mask",
-    "make_cone",
     "make_field",
     "make_functional_spec",
     "make_grid",
-    "make_partition",
-    "make_phase_field",
-    "mass_term",
     "minimize",
-    "oracle_two_phase_1d",
-    "partition_from_supports",
-    "phase_count_at",
-    "phase_count_map",
-    "profile_csv",
-    "radial_energy",
-    "region_volumes",
-    "report_text",
-    "restrict_support",
-    "sample",
-    "save_field",
-    "save_mask",
     "seeded_probes",
-    "solve_landscape",
-    "solve_phase",
-    "support_mask",
-    "torsion_square_reference",
-    "torsion_square_value",
-    "total",
-    "update_fields",
-    "update_partition",
-    "volume_marginal",
-    "volume_value",
-    "weiss_profile",
-    "zero_set_fraction",
 ]

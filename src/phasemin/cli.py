@@ -39,14 +39,22 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .competitors import AuditReport, audit, audit_report_csv, seeded_probes
+from .competitors import (
+    AuditReport,
+    audit,
+    audit_report_csv,
+    seeded_probes,
+    summarize_audit,
+)
 from .diagnostics import (
     InterfaceReport,
     Phase,
+    _check_radii,
     acf_product,
     acf_profile,
     density_report,
@@ -175,38 +183,34 @@ class _Reader:
         raw = self._raw(key, default)
         if not isinstance(raw, str):
             return tuple(raw)
-        toks = raw.replace(",", " ").split()
-        if not toks:
+        vals = self.get_floats_text(key, raw)
+        if not vals:
             raise ConfigError(f"{key}: expected at least one number")
-        try:
-            return tuple(float(t) for t in toks)
-        except ValueError as err:
-            raise ConfigError(f"{key}: expected numbers, got {raw!r}") from err
+        return vals
 
     def get_ints(self, key: str, default=_REQUIRED) -> tuple[int, ...]:
         vals = self.get_floats(key, default)
-        out = tuple(int(v) for v in vals)
-        if any(float(i) != v for i, v in zip(out, vals)):
+        if not all(float(v).is_integer() for v in vals):
             raise ConfigError(f"{key}: expected integers")
-        return out
+        return tuple(int(v) for v in vals)
 
-    def get_coeff(self, key: str, grid: Grid, default=_REQUIRED):
-        """A scalar constant, or ``file:<path>`` loading a ScalarField."""
+    def get_coeff(self, key: str, grid: Grid, default=_REQUIRED) -> ScalarField:
+        """A field from a constant or from ``file:<path>``."""
         raw = self._raw(key, default)
-        if not isinstance(raw, str):
-            return raw
-        if raw.startswith("file:"):
-            path = self.base_dir / raw[len("file:") :].strip()
+        if isinstance(raw, str):
+            if raw.startswith("file:"):
+                path = self.base_dir / raw[len("file:") :].strip()
+                try:
+                    return load_field(path, grid)
+                except (OSError, ValueError) as err:
+                    raise ConfigError(f"{key}: {err}") from err
             try:
-                return load_field(path, grid)
-            except (OSError, ValueError) as err:
-                raise ConfigError(f"{key}: {err}") from err
-        try:
-            return float(raw)
-        except ValueError as err:
-            raise ConfigError(
-                f"{key}: expected a number or 'file:<path>', got {raw!r}"
-            ) from err
+                raw = float(raw)
+            except ValueError as err:
+                raise ConfigError(
+                    f"{key}: expected a number or 'file:<path>', got {raw!r}"
+                ) from err
+        return _construct(key, make_field, grid, raw)
 
     def get_points(self, key: str, dim: int, default=_REQUIRED):
         """A ';'-separated list of points, each with ``dim`` coordinates."""
@@ -236,40 +240,41 @@ class _Reader:
             raise ConfigError(f"{unknown[0]}: unknown key")
 
 
+def _construct(key: str, build, *args):
+    """Call a validating constructor; its ValueError becomes a ConfigError."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from err
+
+
+@dataclass(frozen=True)
 class RunPlan:
     """Everything a run needs, assembled and validated from one config."""
 
-    def __init__(
-        self,
-        grid: Grid,
-        spec: FunctionalSpec,
-        stages: tuple[str, ...],
-        max_outer: int,
-        tol_j: float,
-        tol_solve: float,
-        seeds,
-        potential,
-        diag_point,
-        diag_radii: tuple[float, ...],
-        probe_count: int,
-        probe_radius: float,
-        probe_seed: int,
-        config_name: str,
-    ):
-        self.grid = grid
-        self.spec = spec
-        self.stages = stages
-        self.max_outer = max_outer
-        self.tol_j = tol_j
-        self.tol_solve = tol_solve
-        self.seeds = seeds
-        self.potential = potential
-        self.diag_point = diag_point
-        self.diag_radii = diag_radii
-        self.probe_count = probe_count
-        self.probe_radius = probe_radius
-        self.probe_seed = probe_seed
-        self.config_name = config_name
+    grid: Grid
+    spec: FunctionalSpec
+    stages: tuple[str, ...]
+    max_outer: int
+    tol_j: float
+    tol_solve: float
+    seeds: list[tuple[float, ...]] | None
+    potential: ScalarField
+    diag_point: tuple[float, ...] | None
+    diag_radii: tuple[float, ...]
+    probe_count: int
+    probe_radius: float
+    probe_seed: int
+    config_name: str
+
+    def initial_pair(self) -> tuple[PhaseField, Partition] | None:
+        """Zero fields on the seeds' Voronoi partition; None without seeds."""
+        if self.seeds is None:
+            return None
+        num_phases = self.spec.num_phases
+        w0 = initial_partition(self.grid, num_phases, self.seeds)
+        zeros = [np.zeros(self.grid.shape) for _ in range(num_phases)]
+        return make_phase_field(self.grid, zeros), w0
 
 
 def build_plan(config_path) -> RunPlan:
@@ -282,15 +287,11 @@ def build_plan(config_path) -> RunPlan:
     reader = _Reader(parse_config(path), path.parent)
 
     dim = reader.get_int("grid.dim")
-    if dim not in (1, 2):
-        raise ConfigError(f"grid.dim: must be 1 or 2, got {dim}")
     shape = reader.get_ints("grid.shape")
-    if len(shape) != dim or any(s < 2 for s in shape):
-        raise ConfigError(f"grid.shape: need {dim} sizes >= 2, got {shape}")
     spacing = reader.get_float("grid.spacing")
-    if spacing <= 0:
-        raise ConfigError(f"grid.spacing: must be > 0, got {spacing}")
-    grid = make_grid(dim, shape, spacing)
+    grid = _construct(
+        "grid.dim, grid.shape, grid.spacing", make_grid, dim, shape, spacing
+    )
 
     num_phases = reader.get_int("spec.num_phases")
     if num_phases < 1:
@@ -300,8 +301,7 @@ def build_plan(config_path) -> RunPlan:
     default_sign = reader.get_str("spec.signs", NONNEGATIVE)
     for i in range(1, num_phases + 1):
         fi = reader.get_coeff(f"spec.f.{i}", grid, 0.0)
-        vals = fi.values if isinstance(fi, ScalarField) else fi
-        if np.any(np.asarray(vals) < 0.0):
+        if np.any(fi.values < 0.0):
             raise ConfigError(f"spec.f.{i}: must be nonnegative")
         f_list.append(fi)
         g_list.append(reader.get_coeff(f"spec.g.{i}", grid, 0.0))
@@ -317,21 +317,15 @@ def build_plan(config_path) -> RunPlan:
         a = reader.get_float("volume_term.a")
         b = reader.get_float("volume_term.b", 0.0)
         alpha = reader.get_float("volume_term.alpha", 1.0)
-        if a < 0:
-            raise ConfigError(f"volume_term.a: must be >= 0, got {a}")
-        if b < 0:
-            raise ConfigError(f"volume_term.b: must be >= 0, got {b}")
-        if alpha <= 0:
-            raise ConfigError(f"volume_term.alpha: must be > 0, got {alpha}")
-        volume_term = PowerLaw(a, b, alpha)
+        volume_term = _construct(
+            "volume_term.a, volume_term.b, volume_term.alpha", PowerLaw, a, b, alpha
+        )
     elif kind == "per_region":
-        weights = []
-        for i in range(1, num_phases + 1):
-            qi = reader.get_coeff(f"volume_term.q.{i}", grid)
-            if not isinstance(qi, ScalarField):
-                qi = make_field(grid, float(qi))
-            weights.append(qi)
-        volume_term = PerRegion(tuple(weights))
+        weights = tuple(
+            reader.get_coeff(f"volume_term.q.{i}", grid)
+            for i in range(1, num_phases + 1)
+        )
+        volume_term = PerRegion(weights)
     else:
         raise ConfigError(
             f"volume_term.kind: must be 'power_law' or 'per_region', got {kind!r}"
@@ -354,19 +348,17 @@ def build_plan(config_path) -> RunPlan:
         raise ConfigError(f"pipeline.max_outer: must be >= 1, got {max_outer}")
     tol_j = reader.get_float("pipeline.tol_j", 1e-8)
     tol_solve = reader.get_float("pipeline.tol_solve", 1e-8)
-    if tol_j <= 0 or tol_solve <= 0:
-        key = "pipeline.tol_j" if tol_j <= 0 else "pipeline.tol_solve"
-        raise ConfigError(f"{key}: must be > 0")
+    if not tol_j > 0:
+        raise ConfigError("pipeline.tol_j: must be > 0")
+    if not tol_solve > 0:
+        raise ConfigError("pipeline.tol_solve: must be > 0")
 
     seeds = reader.get_points("init.seeds", dim, None)
-    if seeds is not None and len(seeds) != num_phases:
-        raise ConfigError(
-            f"init.seeds: need {num_phases} points, got {len(seeds)}"
-        )
+    if seeds is not None:
+        _construct("init.seeds", initial_partition, grid, num_phases, seeds)
 
     potential = reader.get_coeff("landscape.potential", grid, 0.0)
-    pvals = potential.values if isinstance(potential, ScalarField) else potential
-    if np.any(np.asarray(pvals) < 0.0):
+    if np.any(potential.values < 0.0):
         raise ConfigError("landscape.potential: must be nonnegative")
 
     diag_point = reader.get_points("diagnose.point", dim, None)
@@ -375,18 +367,22 @@ def build_plan(config_path) -> RunPlan:
             raise ConfigError("diagnose.point: exactly one point expected")
         diag_point = diag_point[0]
     diag_radii = reader.get_floats("diagnose.radii", (0.05, 0.1, 0.2))
-    if any(r <= 0 for r in diag_radii) or any(
-        r2 <= r1 for r1, r2 in zip(diag_radii, diag_radii[1:])
-    ):
-        raise ConfigError("diagnose.radii: must be positive and increasing")
+    if "diagnose" in stages:
+        _construct("diagnose.radii", _check_radii, grid, diag_radii)
 
     probe_count = reader.get_int("probes.count", 20)
     if probe_count < 1:
         raise ConfigError(f"probes.count: must be >= 1, got {probe_count}")
     probe_radius = reader.get_float("probes.radius", 0.1)
-    if probe_radius <= 0:
+    if not probe_radius > 0:
         raise ConfigError(f"probes.radius: must be > 0, got {probe_radius}")
     probe_seed = reader.get_int("probes.seed", 0)
+    if probe_seed < 0:
+        raise ConfigError(f"probes.seed: must be >= 0, got {probe_seed}")
+    if "audit" in stages:
+        _construct(
+            "probes.radius", seeded_probes, grid, probe_count, probe_radius, probe_seed
+        )
 
     reader.reject_unknown()
     return RunPlan(
@@ -495,11 +491,10 @@ def _parallel_audit(
     """Audit probes concurrently, merging per-probe reports in probe order."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(lambda p: audit(u, w, spec, [p]), probes))
-    entries = tuple(e for part in parts for e in part.entries)
-    skipped = tuple(s for part in parts for s in part.skipped)
-    worst = min(entries, key=lambda e: e.delta_j) if entries else None
-    min_dj = worst.delta_j if worst is not None else 0.0
-    return AuditReport(entries, skipped, min_dj, worst)
+    return summarize_audit(
+        [e for part in parts for e in part.entries],
+        [s for part in parts for s in part.skipped],
+    )
 
 
 class _Run:
@@ -529,14 +524,9 @@ class _Run:
 
     def stage_minimize(self) -> None:
         plan = self.plan
-        init = None
-        if plan.seeds is not None:
-            w0 = initial_partition(plan.grid, plan.spec.num_phases, list(plan.seeds))
-            zeros = [np.zeros(plan.grid.shape) for _ in range(plan.spec.num_phases)]
-            init = (make_phase_field(plan.grid, zeros), w0)
         self.u, self.w, report = minimize(
             plan.spec,
-            init=init,
+            init=plan.initial_pair(),
             max_outer=plan.max_outer,
             tol_j=plan.tol_j,
             tol_solve=plan.tol_solve,
@@ -697,6 +687,9 @@ def run(config_path, out_dir, workers: int = 1, seed: int | None = None) -> int:
         return 2
     if workers < 1:
         print("phasemin: config error: --workers must be >= 1", file=sys.stderr)
+        return 2
+    if seed is not None and seed < 0:
+        print("phasemin: config error: --seed must be >= 0", file=sys.stderr)
         return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -35,7 +35,15 @@ from .functional import (
     make_phase_field,
     total,
 )
-from .grid import Grid, bounding_box, cell_centers, format_float
+from .grid import (
+    Grid,
+    as_point,
+    bounding_box,
+    cell_centers,
+    distances,
+    format_float,
+    neighbor_sum,
+)
 
 __all__ = [
     "AuditEntry",
@@ -44,6 +52,7 @@ __all__ = [
     "cutoff_competitor",
     "harmonic_competitor",
     "audit",
+    "summarize_audit",
     "audit_report_csv",
     "seeded_probes",
 ]
@@ -86,17 +95,6 @@ class AuditReport:
     skipped: tuple[AuditSkip, ...]
     min_delta_j: float
     worst: AuditEntry | None
-
-
-def _probe_point(grid: Grid, x0) -> NDArray:
-    pt = np.atleast_1d(np.asarray(x0, dtype=float))
-    if pt.shape != (grid.dim,):
-        raise ValueError(f"probe point {x0!r} does not match grid dimension {grid.dim}")
-    return pt
-
-
-def _distances(grid: Grid, pt: NDArray) -> NDArray:
-    return np.sqrt(np.sum((cell_centers(grid) - pt) ** 2, axis=-1))
 
 
 def _trash_benefit(spec: FunctionalSpec, labels: NDArray) -> NDArray[np.bool_]:
@@ -142,8 +140,8 @@ def cutoff_competitor(
     if not 0.0 < a < 1.0:
         raise ValueError(f"cutoff fraction a must lie in (0,1), got {a}")
     grid = spec.grid
-    pt = _probe_point(grid, x0)
-    d = _distances(grid, pt)
+    pt = as_point(grid, x0)
+    d = distances(grid, pt)
     if not np.any(grid.mask & (d < r)):
         raise ValueError(f"ball at {tuple(pt)} radius {r} misses every masked cell")
     chosen = sorted(set(int(i) for i in phases))
@@ -240,13 +238,13 @@ def harmonic_competitor(
         raise ValueError(f"main phase {main} out of range 1..{spec.num_phases}")
     grid = spec.grid
     h = grid.spacing
-    pt = _probe_point(grid, x0)
+    pt = as_point(grid, x0)
     lo, hi = bounding_box(grid)
     if np.any(pt - (r + h) < lo) or np.any(pt + (r + h) > hi):
         raise ValueError(
             f"ball at {tuple(pt)} radius {r} (+margin h) leaves the bounding box"
         )
-    d = _distances(grid, pt)
+    d = distances(grid, pt)
     near = d < r + h
     if not np.all(grid.mask[near]):
         raise ValueError(f"ball at {tuple(pt)} radius {r} (+margin h) leaves the mask")
@@ -273,15 +271,7 @@ def harmonic_competitor(
         fields.append(vals)
 
     if np.any(inner):
-        data = np.where(inner, 0.0, fields[main - 1])
-        nbr = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            left = [slice(None)] * grid.dim
-            right = [slice(None)] * grid.dim
-            left[ax] = slice(None, -1)
-            right[ax] = slice(1, None)
-            nbr[tuple(left)] += data[tuple(right)]
-            nbr[tuple(right)] += data[tuple(left)]
+        nbr = neighbor_sum(np.where(inner, 0.0, fields[main - 1]))
         extension, _, _ = _pcg(grid, inner, np.zeros(grid.shape), nbr / h**2, 1e-10)
         vals = fields[main - 1]
         vals[inner] = extension[inner]
@@ -335,13 +325,19 @@ def audit(
                     skipped.append(
                         AuditSkip(key, float(r), f"harmonic:{main}", str(err))
                     )
+    return summarize_audit(entries, skipped)
+
+
+def summarize_audit(entries, skipped) -> AuditReport:
+    """Bundle evaluations and skips, in order, with the first smallest ΔJ."""
+    entries = tuple(entries)
     if entries:
         worst = min(entries, key=lambda e: e.delta_j)
         min_dj = worst.delta_j
     else:
         worst = None
         min_dj = 0.0
-    return AuditReport(tuple(entries), tuple(skipped), min_dj, worst)
+    return AuditReport(entries, tuple(skipped), min_dj, worst)
 
 
 def audit_report_csv(report: AuditReport, dim: int | None = None) -> str:

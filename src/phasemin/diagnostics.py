@@ -34,13 +34,17 @@ from .functional import (
 from .grid import (
     Grid,
     ScalarField,
+    as_point,
     bounding_box,
     cell_centers,
+    distances,
+    edge_slices,
     format_float,
     gradient_energy,
     laplacian_apply,
     make_field,
     make_grid,
+    sample_many,
 )
 
 __all__ = [
@@ -136,17 +140,6 @@ class InterfaceReport:
 # ---------------------------------------------------------------------------
 
 
-def _probe_point(grid: Grid, x0) -> NDArray:
-    pt = np.atleast_1d(np.asarray(x0, dtype=float))
-    if pt.shape != (grid.dim,):
-        raise ValueError(f"probe point {x0!r} does not match grid dimension {grid.dim}")
-    return pt
-
-
-def _distances(grid: Grid, pt: NDArray) -> NDArray:
-    return np.sqrt(np.sum((cell_centers(grid) - pt) ** 2, axis=-1))
-
-
 def _check_radii(grid: Grid, radii) -> NDArray:
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if r.ndim != 1 or len(r) == 0:
@@ -184,12 +177,7 @@ def _grad_sq_cells(grid: Grid, vals: NDArray) -> NDArray:
     m = grid.mask
     h = grid.spacing
     out = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        left = [slice(None)] * grid.dim
-        right = [slice(None)] * grid.dim
-        left[a] = slice(None, -1)
-        right[a] = slice(1, None)
-        lt, rt = tuple(left), tuple(right)
+    for lt, rt, first, last in edge_slices(grid.dim):
         ml, mr = m[lt], m[rt]
         d2 = ((vals[rt] - vals[lt]) / h) ** 2
         out[lt] += np.where(ml & mr, 0.5 * d2, 0.0) + np.where(
@@ -198,30 +186,9 @@ def _grad_sq_cells(grid: Grid, vals: NDArray) -> NDArray:
         out[rt] += np.where(ml & mr, 0.5 * d2, 0.0) + np.where(
             ~ml & mr, 0.5 * (2.0 * vals[rt] / h) ** 2, 0.0
         )
-        for last in (False, True):
-            face = [slice(None)] * grid.dim
-            face[a] = slice(-1, None) if last else slice(0, 1)
-            fc = tuple(face)
+        for fc in (first, last):
             out[fc] += 0.5 * (2.0 * vals[fc] / h) ** 2
     out[~m] = 0.0
-    return out
-
-
-def _sample_many(f: ScalarField, pts: NDArray) -> NDArray:
-    """Vectorized multilinear interpolation (same stencil as grid.sample)."""
-    grid = f.grid
-    t = (pts - np.asarray(grid.origin)) / grid.spacing
-    i0 = np.clip(np.floor(t).astype(np.int64), 0, np.asarray(grid.shape) - 2)
-    w = np.clip(t - i0, 0.0, 1.0)
-    out = np.zeros(len(pts))
-    for corner in range(1 << grid.dim):
-        weight = np.ones(len(pts))
-        idx = []
-        for a in range(grid.dim):
-            bit = (corner >> a) & 1
-            idx.append(i0[:, a] + bit)
-            weight = weight * (w[:, a] if bit else 1.0 - w[:, a])
-        out += weight * f.values[tuple(idx)]
     return out
 
 
@@ -235,12 +202,7 @@ def free_boundary_cells(u, phase: Phase) -> NDArray[np.bool_]:
     support = vals > 0.0
     m = grid.mask
     out = np.zeros(grid.shape, dtype=bool)
-    for a in range(grid.dim):
-        left = [slice(None)] * grid.dim
-        right = [slice(None)] * grid.dim
-        left[a] = slice(None, -1)
-        right[a] = slice(1, None)
-        lt, rt = tuple(left), tuple(right)
+    for lt, rt, _, _ in edge_slices(grid.dim):
         out[lt] |= support[lt] & m[rt] & ~support[rt]
         out[rt] |= support[rt] & m[lt] & ~support[lt]
     return out & m
@@ -278,9 +240,9 @@ def radial_energy(u, x0, radii) -> RadialProfile:
         x0: ball center; radii: strictly increasing, all > 2h.
     """
     grid, fields = _as_fields(u)
-    pt = _probe_point(grid, x0)
+    pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
-    d = _distances(grid, pt)
+    d = distances(grid, pt)
     values = []
     for r in r_arr:
         region = d < r
@@ -297,9 +259,9 @@ def acf_profile(u, phase: Phase, x0, radii) -> RadialProfile:
     part by ``a`` multiplies the profile by ``a**2`` exactly.
     """
     grid, vals = _part_values(u, phase)
-    pt = _probe_point(grid, x0)
+    pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
-    d = _distances(grid, pt)
+    d = distances(grid, pt)
     gsq = _grad_sq_cells(grid, vals)
     keep = d >= 0.5 * grid.spacing
     weight = np.where(keep, np.where(d > 0, d, 1.0) ** (2 - grid.dim), 0.0)
@@ -342,10 +304,10 @@ def weiss_profile(u, i: int, lambda_i: float, x0, radii) -> RadialProfile:
     cells within h/2 of x0 excluded throughout.  Constant on exact cones.
     """
     grid, vals = _part_values(u, Phase(i, 1))
-    pt = _probe_point(grid, x0)
+    pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
     h = grid.spacing
-    d = _distances(grid, pt)
+    d = distances(grid, pt)
     keep = d >= 0.5 * h
     gsq = _grad_sq_cells(grid, vals)
     support = (vals > 0.0) & grid.mask
@@ -357,8 +319,8 @@ def weiss_profile(u, i: int, lambda_i: float, x0, radii) -> RadialProfile:
     rho_hat = (centers[sel] - pt) / d_flat[sel][:, None]
     lo, hi = bounding_box(grid)
     field = make_field(grid, vals)
-    up = _sample_many(field, np.clip(centers[sel] + h * rho_hat, lo, hi))
-    dn = _sample_many(field, np.clip(centers[sel] - h * rho_hat, lo, hi))
+    up = sample_many(field, np.clip(centers[sel] + h * rho_hat, lo, hi))
+    dn = sample_many(field, np.clip(centers[sel] - h * rho_hat, lo, hi))
     dr_sq = np.zeros(grid.num_cells)
     dr_sq[sel] = ((up - dn) / (2.0 * h)) ** 2
     dr_sq = dr_sq.reshape(grid.shape)
@@ -395,23 +357,21 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
     """
     del w  # labels do not enter: the ratios are support-based
     grid, vals = _part_values(u, Phase(i, 1))
-    pt = _probe_point(grid, x0)
+    pt = as_point(grid, x0)
     if not r > 2.0 * grid.spacing:
         raise ValueError(f"radius must exceed 2h = {2 * grid.spacing}")
     h = grid.spacing
     boundary = free_boundary_cells(u, Phase(i, 1))
     if not np.any(boundary):
         raise ValueError(f"part {i}+ has no boundary cells on this grid")
-    centers = cell_centers(grid).reshape(-1, grid.dim)
-    b_pts = centers[boundary.reshape(-1)]
-    gap = float(np.min(np.sqrt(np.sum((b_pts - pt) ** 2, axis=-1))))
+    d = distances(grid, pt)
+    gap = float(np.min(d[boundary]))
     if gap > h * (1.0 + 1e-9):
         raise ValueError(
             f"probe {tuple(pt)} is {format_float(gap)} from the nearest boundary "
             f"cell of part {i}+; within h = {format_float(h)} required"
         )
 
-    d = _distances(grid, pt)
     ball = (d < r) & grid.mask
     hn = grid.cell_volume
     mean_sq = float(np.sum(vals[ball] ** 2)) * hn / _ball_volume(grid.dim, r) / r**2
@@ -420,6 +380,7 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
     comp_vol = float(np.count_nonzero(ball & ~support)) * hn / r**grid.dim
 
     # distance of each in-ball support cell to the nearest non-support cell
+    centers = cell_centers(grid).reshape(-1, grid.dim)
     window = (d < r + 2.0 * h) & grid.mask
     zero_pts = centers[(window & ~support).reshape(-1)]
     sup_idx = np.flatnonzero((ball & support).reshape(-1))
@@ -457,7 +418,7 @@ def interface_measure(
     source is zero (synthetic fields).
     """
     grid, vals = _part_values(u, Phase(i, 1))
-    pt = _probe_point(grid, x0)
+    pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
     h = grid.spacing
     lap = laplacian_apply(make_field(grid, vals)).values
@@ -467,7 +428,7 @@ def interface_measure(
         gv = spec.g[i - 1].values
         bulk = np.where(vals > 0.0, fv * vals - 0.5 * gv, 0.0)
     dens = np.where(grid.mask, lap - bulk, 0.0) * grid.cell_volume
-    d = _distances(grid, pt)
+    d = distances(grid, pt)
     omega = 2.0 if grid.dim == 2 else 1.0
     mu_density = []
     h_density = None
@@ -519,11 +480,11 @@ def el_interface_check(
             a degenerate normal fit, or an empty regression window.
     """
     grid, fields = _as_fields(u)
-    pt = _probe_point(grid, x0)
+    pt = as_point(grid, x0)
     if not r_fit > 2.0 * grid.spacing:
         raise ValueError(f"r_fit must exceed 2h = {2 * grid.spacing}")
     h = grid.spacing
-    d = _distances(grid, pt)
+    d = distances(grid, pt)
     ball = (d < r_fit) & grid.mask
 
     present = []
@@ -594,7 +555,7 @@ def flatness(
         ValueError: as in el_interface_check, per radius.
     """
     grid, vals1 = _part_values(u, phi1)
-    pt = _probe_point(grid, x0)
+    pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
     vals2 = None
     if phi2 is not None:
@@ -603,7 +564,7 @@ def flatness(
     if phi2 is not None:
         boundary = boundary | free_boundary_cells(u, phi2)
     centers = cell_centers(grid).reshape(-1, grid.dim)
-    d = _distances(grid, pt)
+    d = distances(grid, pt)
     betas = []
     normals = []
     for r in r_arr:
@@ -652,7 +613,7 @@ def blowup_rescale(u: PhaseField, x0, rk: float) -> PhaseField:
         ValueError: if rk < 4h or the sampling window exits the bounding box.
     """
     grid = u.grid
-    pt = _probe_point(grid, x0)
+    pt = as_point(grid, x0)
     h = grid.spacing
     if rk < 4.0 * h:
         raise ValueError(f"rescale radius {rk} must be at least 4h = {4 * h}")
@@ -667,7 +628,7 @@ def blowup_rescale(u: PhaseField, x0, rk: float) -> PhaseField:
         )
     pts = np.clip(pts, lo, hi)
     fields = [
-        (_sample_many(f, pts) / rk).reshape(grid.shape) for f in u.fields
+        (sample_many(f, pts) / rk).reshape(grid.shape) for f in u.fields
     ]
     return make_phase_field(out_grid, fields)
 
@@ -682,10 +643,10 @@ def phase_count_at(u, x0, r: float) -> int:
         ValueError: if r < 4h.
     """
     grid, _ = _as_fields(u)
-    pt = _probe_point(grid, x0)
+    pt = as_point(grid, x0)
     if r < 4.0 * grid.spacing:
         raise ValueError(f"radius {r} must be at least 4h = {4 * grid.spacing}")
-    d = _distances(grid, pt)
+    d = distances(grid, pt)
     ball = (d < r) & grid.mask
     near = d <= 2.0 * grid.spacing * (1.0 + 1e-9)
     count = 0
@@ -754,12 +715,7 @@ def lipschitz_estimate(u, region=None) -> float:
     best = 0.0
     for f in fields:
         v = f.values
-        for a in range(grid.dim):
-            left = [slice(None)] * grid.dim
-            right = [slice(None)] * grid.dim
-            left[a] = slice(None, -1)
-            right[a] = slice(1, None)
-            lt, rt = tuple(left), tuple(right)
+        for lt, rt, _, _ in edge_slices(grid.dim):
             sel = m[lt] & m[rt]
             if np.any(sel):
                 q = float(np.max(np.abs(v[rt][sel] - v[lt][sel]))) / grid.spacing

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .functional import NONNEGATIVE, FunctionalSpec, Partition
-from .grid import Grid, ScalarField, make_field, wall_slot_count
+from .grid import Grid, ScalarField, make_field, neighbor_sum, wall_slot_count
 
 __all__ = ["SolverError", "solve_phase", "solve_landscape"]
 
@@ -36,19 +36,6 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-def _neighbor_sum(values: NDArray, dim: int) -> NDArray:
-    """Sum of face-neighbor values with zero padding outside the box."""
-    out = np.zeros_like(values)
-    for a in range(dim):
-        left = [slice(None)] * dim
-        right = [slice(None)] * dim
-        left[a] = slice(None, -1)
-        right[a] = slice(1, None)
-        out[tuple(left)] += values[tuple(right)]
-        out[tuple(right)] += values[tuple(left)]
-    return out
 
 
 def _pcg(
@@ -75,7 +62,7 @@ def _pcg(
     diag = np.where(region, deg / h2 + coeff, 1.0)
 
     def apply_op(v: NDArray) -> NDArray:
-        out = (deg * v - _neighbor_sum(v, grid.dim)) / h2 + coeff * v
+        out = (deg * v - neighbor_sum(v)) / h2 + coeff * v
         return np.where(region, out, 0.0)
 
     b = np.where(region, rhs, 0.0)

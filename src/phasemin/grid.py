@@ -2,9 +2,11 @@
 
 This module holds the spatial plumbing shared by every other module: the
 grid description (cell counts, spacing, origin, domain mask), scalar fields
-living on grid cells, discrete ball index sets, the five-point Laplacian,
-the edge-based gradient energy, multilinear sampling, and a plain-text
-serialization format for grids, masks, and fields.
+living on grid cells, probe points and their distance fields, discrete ball
+index sets, the face-edge stencil (its per-axis edge and face slices, the
+neighbor sum, the Laplacian and the gradient energy built on them),
+multilinear sampling, and a plain-text serialization format for grids,
+masks, and fields.
 
 Conventions
 -----------
@@ -24,7 +26,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,7 +42,12 @@ __all__ = [
     "axis_centers",
     "bounding_box",
     "ball_cells",
+    "as_point",
+    "distances",
     "sample",
+    "sample_many",
+    "edge_slices",
+    "neighbor_sum",
     "laplacian_apply",
     "gradient_energy",
     "wall_slot_count",
@@ -102,14 +109,6 @@ class BallIndex:
     center: tuple[float, ...]
     radius: float
     cells: NDArray[np.intp]
-
-
-def _as_point(grid_or_dim: Grid | int, x: float | Sequence[float]) -> NDArray[np.float64]:
-    dim = grid_or_dim.dim if isinstance(grid_or_dim, Grid) else grid_or_dim
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (dim,):
-        raise ValueError(f"point {x!r} does not have dimension {dim}")
-    return pt
 
 
 def make_grid(
@@ -197,6 +196,23 @@ def cell_centers(grid: Grid) -> NDArray[np.float64]:
     return np.stack(mesh, axis=-1)
 
 
+def as_point(grid: Grid, x: float | Sequence[float]) -> NDArray[np.float64]:
+    """A physical point as a float array of shape ``(dim,)``; 1D takes a scalar.
+
+    Raises:
+        ValueError: if the point does not have the grid's dimension.
+    """
+    pt = np.atleast_1d(np.asarray(x, dtype=float))
+    if pt.shape != (grid.dim,):
+        raise ValueError(f"point {x!r} does not match grid dimension {grid.dim}")
+    return pt
+
+
+def distances(grid: Grid, pt: NDArray) -> NDArray[np.float64]:
+    """Euclidean distance from every cell center to the point ``pt``."""
+    return np.sqrt(np.sum((cell_centers(grid) - pt) ** 2, axis=-1))
+
+
 def bounding_box(grid: Grid) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Physical bounding box ``(lo, hi)`` of the union of all cells."""
     lo = np.asarray(grid.origin) - grid.spacing / 2.0
@@ -220,7 +236,7 @@ def ball_cells(grid: Grid, x0: float | Sequence[float], r: float) -> BallIndex:
     """
     if not (r > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
-    pt = _as_point(grid, x0)
+    pt = as_point(grid, x0)
     dist2 = np.zeros(grid.shape)
     for a in range(grid.dim):
         coord = axis_centers(grid, a) - pt[a]
@@ -248,53 +264,75 @@ def sample(f: ScalarField, x: float | Sequence[float]) -> float:
         ValueError: if ``x`` lies outside the bounding box.
     """
     grid = f.grid
-    pt = _as_point(grid, x)
+    pt = as_point(grid, x)
     lo, hi = bounding_box(grid)
     eps = 1e-12 * (1.0 + np.abs(pt))
     if np.any(pt < lo - eps) or np.any(pt > hi + eps):
         raise ValueError(f"sample point {tuple(pt)} outside bounding box")
-    t = (pt - np.asarray(grid.origin)) / grid.spacing
-    i0 = np.floor(t).astype(int)
-    i0 = np.clip(i0, 0, np.asarray(grid.shape) - 2)
+    return float(sample_many(f, pt[np.newaxis, :])[0])
+
+
+def sample_many(f: ScalarField, pts: NDArray) -> NDArray[np.float64]:
+    """Multilinear interpolation of a field at each row of ``pts``.
+
+    Same stencil as :func:`sample`, vectorized over an array of shape
+    ``(k, dim)``; the points are not range-checked, so callers keep them
+    inside the bounding box.
+    """
+    grid = f.grid
+    t = (pts - np.asarray(grid.origin)) / grid.spacing
+    i0 = np.clip(np.floor(t).astype(np.int64), 0, np.asarray(grid.shape) - 2)
     w = np.clip(t - i0, 0.0, 1.0)
-    total = 0.0
+    out = np.zeros(len(pts))
     for corner in range(1 << grid.dim):
+        weight = np.ones(len(pts))
         idx = []
-        weight = 1.0
         for a in range(grid.dim):
             bit = (corner >> a) & 1
-            idx.append(i0[a] + bit)
-            weight *= w[a] if bit else (1.0 - w[a])
-        if weight != 0.0:
-            total += weight * float(f.values[tuple(idx)])
-    return float(total)
+            idx.append(i0[:, a] + bit)
+            weight = weight * (w[:, a] if bit else 1.0 - w[:, a])
+        out += weight * f.values[tuple(idx)]
+    return out
 
 
-def _axis_slices(dim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Index tuples selecting the left/right cells of every edge along an axis."""
-    left = [slice(None)] * dim
-    right = [slice(None)] * dim
-    left[axis] = slice(None, -1)
-    right[axis] = slice(1, None)
-    return tuple(left), tuple(right)
+def edge_slices(dim: int) -> Iterator[tuple[tuple[slice, ...], ...]]:
+    """Index tuples of the face-edge stencil, one 4-tuple per axis.
+
+    For each axis yields ``(left, right, first, last)``: ``left`` and
+    ``right`` select the two end cells of every in-box edge along the axis,
+    ``first`` and ``last`` the cell layers against its two box faces (each
+    such cell has a wall slot there).
+    """
+    for axis in range(dim):
+        left = [slice(None)] * dim
+        right = [slice(None)] * dim
+        first = [slice(None)] * dim
+        last = [slice(None)] * dim
+        left[axis] = slice(None, -1)
+        right[axis] = slice(1, None)
+        first[axis] = slice(0, 1)
+        last[axis] = slice(-1, None)
+        yield tuple(left), tuple(right), tuple(first), tuple(last)
 
 
-def _face_slice(dim: int, axis: int, last: bool) -> tuple[slice, ...]:
-    sl = [slice(None)] * dim
-    sl[axis] = slice(-1, None) if last else slice(0, 1)
-    return tuple(sl)
+def neighbor_sum(values: NDArray) -> NDArray:
+    """Sum of the face-neighbor values of every cell, zero beyond the box."""
+    out = np.zeros_like(values)
+    for left, right, _, _ in edge_slices(values.ndim):
+        out[left] += values[right]
+        out[right] += values[left]
+    return out
 
 
 def wall_slot_count(grid: Grid) -> NDArray[np.int64]:
     """Per-cell count of wall edges (box faces plus unmasked neighbors)."""
     count = np.zeros(grid.shape, dtype=np.int64)
     m = grid.mask
-    for a in range(grid.dim):
-        left, right = _axis_slices(grid.dim, a)
+    for left, right, first, last in edge_slices(grid.dim):
         count[left] += (~m[right]).astype(np.int64)
         count[right] += (~m[left]).astype(np.int64)
-        count[_face_slice(grid.dim, a, last=False)] += 1
-        count[_face_slice(grid.dim, a, last=True)] += 1
+        count[first] += 1
+        count[last] += 1
     count[~m] = 0
     return count
 
@@ -311,8 +349,7 @@ def laplacian_apply(f: ScalarField) -> ScalarField:
     v = f.values
     m = grid.mask
     acc = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        left, right = _axis_slices(grid.dim, a)
+    for left, right, first, last in edge_slices(grid.dim):
         ml, mr = m[left], m[right]
         both = ml & mr
         d = v[right] - v[left]
@@ -324,8 +361,6 @@ def laplacian_apply(f: ScalarField) -> ScalarField:
         contrib_right = contrib_right + np.where(~ml & mr, -2.0 * v[right], 0.0)
         acc[left] += contrib_left
         acc[right] += contrib_right
-        first = _face_slice(grid.dim, a, last=False)
-        last = _face_slice(grid.dim, a, last=True)
         acc[first] += -2.0 * v[first]
         acc[last] += -2.0 * v[last]
     acc /= grid.spacing**2
@@ -364,8 +399,7 @@ def gradient_energy(f: ScalarField, region=None) -> float:
     m = grid.mask
     reg = _normalize_region(grid, region)
     total = 0.0
-    for a in range(grid.dim):
-        left, right = _axis_slices(grid.dim, a)
+    for left, right, first, last in edge_slices(grid.dim):
         ml, mr = m[left], m[right]
         if reg is None:
             sel_full = ml & mr
@@ -381,8 +415,7 @@ def gradient_energy(f: ScalarField, region=None) -> float:
         total += float(np.sum(np.where(sel_full, d * d, 0.0)))
         total += 2.0 * float(np.sum(np.where(sel_wall_l, v[left] ** 2, 0.0)))
         total += 2.0 * float(np.sum(np.where(sel_wall_r, v[right] ** 2, 0.0)))
-        for last in (False, True):
-            face = _face_slice(grid.dim, a, last)
+        for face in (first, last):
             if reg is None:
                 sel_face = m[face]
             else:

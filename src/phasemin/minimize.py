@@ -32,15 +32,15 @@ from .functional import (
     Partition,
     PerRegion,
     PhaseField,
-    PowerLaw,
     make_partition,
     make_phase_field,
     region_volumes,
     restrict_support,
     total,
     truncate_to_sign,
+    volume_marginal,
 )
-from .grid import Grid, cell_centers
+from .grid import Grid, cell_centers, edge_slices
 
 __all__ = [
     "SolveReport",
@@ -101,7 +101,8 @@ def initial_partition(
             split into N equal index bands along axis 0.
 
     Raises:
-        ValueError: if the seed count does not match ``num_phases``.
+        ValueError: if the seed count does not match ``num_phases`` or a
+            seed coordinate is not finite.
     """
     if seeds is not None:
         if len(seeds) != num_phases:
@@ -111,6 +112,8 @@ def initial_partition(
         pts = np.asarray(seeds, dtype=float)
         if pts.shape != (num_phases, grid.dim):
             raise ValueError(f"seed array shape {pts.shape} does not fit dim {grid.dim}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("seed coordinates must be finite")
         centers = cell_centers(grid)
         d2 = np.sum(
             (centers[..., None, :] - pts[(None,) * grid.dim]) ** 2, axis=-1
@@ -157,42 +160,23 @@ def _release_energy(grid: Grid, values: NDArray) -> NDArray:
     m = grid.mask
     v = values
     out = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        left = [slice(None)] * grid.dim
-        right = [slice(None)] * grid.dim
-        left[a] = slice(None, -1)
-        right[a] = slice(1, None)
-        lt, rt = tuple(left), tuple(right)
+    for lt, rt, first, last in edge_slices(grid.dim):
         # contribution at the left cell of each edge, then at the right cell
         nbr_masked = m[rt]
         out[lt] += np.where(nbr_masked, v[rt] ** 2 - (v[lt] - v[rt]) ** 2, -2 * v[lt] ** 2)
         nbr_masked = m[lt]
         out[rt] += np.where(nbr_masked, v[lt] ** 2 - (v[rt] - v[lt]) ** 2, -2 * v[rt] ** 2)
-        first = [slice(None)] * grid.dim
-        first[a] = slice(0, 1)
-        last = [slice(None)] * grid.dim
-        last[a] = slice(-1, None)
-        out[tuple(first)] += -2 * v[tuple(first)] ** 2
-        out[tuple(last)] += -2 * v[tuple(last)] ** 2
+        out[first] += -2 * v[first] ** 2
+        out[last] += -2 * v[last] ** 2
     return out * grid.spacing ** (grid.dim - 2)
 
 
 def _marginal_arrays(spec: FunctionalSpec, w: Partition) -> list[NDArray]:
     """Per-phase cellwise volume marginals, frozen at the sweep volumes."""
-    grid = spec.grid
     term = spec.volume_term
-    out = []
-    if isinstance(term, PowerLaw):
-        vols = region_volumes(w)
-        for i in range(spec.num_phases):
-            lam = term.a + term.b * (1.0 + term.alpha) * vols[i] ** term.alpha
-            out.append(np.full(grid.shape, lam))
-    elif isinstance(term, PerRegion):
-        for i in range(spec.num_phases):
-            out.append(term.weights[i].values.copy())
-    else:  # pragma: no cover - constructor forbids other types
-        raise TypeError(f"unknown volume term {term!r}")
-    return out
+    if isinstance(term, PerRegion):
+        return [q.values for q in term.weights]
+    return [np.full(spec.grid.shape, lam) for lam in volume_marginal(w, term).lam]
 
 
 def update_partition(spec: FunctionalSpec, u: PhaseField, w: Partition) -> Partition:

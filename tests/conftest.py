@@ -41,11 +41,7 @@ class ConvergedRun:
 
 
 def _minimize_plan(plan: RunPlan) -> ConvergedRun:
-    init = None
-    if plan.seeds is not None:
-        w0 = initial_partition(plan.grid, plan.spec.num_phases, list(plan.seeds))
-        zeros = [np.zeros(plan.grid.shape) for _ in range(plan.spec.num_phases)]
-        init = (make_phase_field(plan.grid, zeros), w0)
+    init = plan.initial_pair()
     t0 = time.perf_counter()
     u, w, report = minimize(
         plan.spec,

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from phasemin.cli import (
     ConfigError,
+    RunPlan,
     build_plan,
     export_raster,
     main,
@@ -22,6 +25,13 @@ from phasemin.minimize import SolveReport
 def write_config(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def with_line(text, line):
+    """Config text with ``line`` replacing any line that sets the same key."""
+    key = line.split("=", 1)[0].strip()
+    kept = [row for row in text.splitlines() if row.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
 
 
 BASE = """
@@ -79,10 +89,19 @@ class TestBuildPlan:
             ("pipeline.max_outer = 0", "pipeline.max_outer"),
             ("probes.radius = -0.1", "probes.radius"),
             ("nonsense.key = 1", "nonsense.key"),
+            ("grid.shape = 2 2", "grid.shape"),
+            ("grid.spacing = inf", "grid.spacing"),
+            ("volume_term.a = inf", "volume_term.a"),
+            ("spec.f.1 = nan", "spec.f.1"),
+            ("landscape.potential = inf", "landscape.potential"),
+            ("grid.shape = 16 inf", "grid.shape"),
+            ("pipeline.tol_j = nan", "pipeline.tol_j"),
+            ("probes.seed = -1", "probes.seed"),
+            ("init.seeds = nan 0.5", "init.seeds"),
         ],
     )
     def test_errors_name_the_key(self, tmp_path, override, key):
-        p = write_config(tmp_path / "c.txt", BASE + override + "\n")
+        p = write_config(tmp_path / "c.txt", with_line(BASE, override))
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             build_plan(p)
 
@@ -128,6 +147,90 @@ class TestBuildPlan:
         text = BASE + "init.seeds = 0.5 0.5 ; 0.2 0.2\n"
         with pytest.raises(ConfigError, match=r"init\.seeds"):
             build_plan(write_config(tmp_path / "c.txt", text))
+
+    def test_initial_pair_without_seeds_is_none(self, tmp_path):
+        plan = build_plan(write_config(tmp_path / "c.txt", BASE))
+        assert plan.initial_pair() is None
+
+    def test_initial_pair_from_seeds(self, tmp_path):
+        text = with_line(BASE, "spec.num_phases = 2")
+        text = with_line(text, "init.seeds = 0.2 0.5 ; 0.8 0.5")
+        plan = build_plan(write_config(tmp_path / "c.txt", text))
+        u, w = plan.initial_pair()
+        assert all(np.all(f.values == 0.0) for f in u.fields)
+        x = cell_centers(plan.grid)[..., 0]
+        assert np.array_equal(w.labels, np.where(x < 0.5, 1, 2))
+
+    @pytest.mark.parametrize(
+        "stages,override,key",
+        [
+            ("minimize audit", "probes.radius = 0.6", "probes.radius"),
+            ("minimize diagnose", "diagnose.radii = 0.1 0.2", "diagnose.radii"),
+        ],
+    )
+    def test_stage_values_checked_when_requested(self, tmp_path, stages, override, key):
+        text = with_line(BASE, override)
+        plan = build_plan(write_config(tmp_path / "a.txt", text))
+        assert plan.stages == ("minimize",)
+        text = with_line(text, f"pipeline.stages = {stages}")
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            build_plan(write_config(tmp_path / "b.txt", text))
+
+
+# Each key with a value that builds a plan together with the others.
+FUZZ_VALID = {
+    "grid.dim": "2",
+    "grid.shape": "8 8",
+    "grid.spacing": "0.125",
+    "spec.num_phases": "2",
+    "spec.f.1": "1.5",
+    "spec.g.1": "4",
+    "spec.g.2": "4",
+    "spec.signs": "nonnegative",
+    "spec.sign.2": "free",
+    "volume_term.kind": "power_law",
+    "volume_term.a": "0.05",
+    "volume_term.b": "0.5",
+    "volume_term.alpha": "1",
+    "volume_term.q.1": "0.5",
+    "pipeline.stages": "landscape minimize diagnose audit",
+    "pipeline.max_outer": "5",
+    "pipeline.tol_j": "1e-8",
+    "pipeline.tol_solve": "1e-8",
+    "init.seeds": "0.25 0.5 ; 0.75 0.5",
+    "landscape.potential": "1",
+    "diagnose.point": "0.5 0.5",
+    "diagnose.radii": "0.3 0.4",
+    "probes.count": "3",
+    "probes.radius": "0.1",
+    "probes.seed": "1",
+}
+FUZZ_BAD = ("0", "-1", "-0.5", "inf", "-inf", "nan", "abc", "1 x")
+
+
+@st.composite
+def fuzz_configs(draw):
+    lines = []
+    for key, valid in FUZZ_VALID.items():
+        value = draw(st.one_of(st.just(valid), st.none(), st.sampled_from(FUZZ_BAD)))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=fuzz_configs())
+def test_fuzzed_config_builds_or_raises_config_error(tmp_path, text):
+    path = write_config(tmp_path / "fuzz.txt", text)
+    try:
+        plan = build_plan(path)
+    except ConfigError:
+        return
+    assert isinstance(plan, RunPlan)
 
 
 class TestExportRaster:
@@ -202,6 +305,46 @@ class TestRun:
         assert run(cfg, tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "volume_term.alpha" in err
+
+    @pytest.mark.parametrize(
+        "lines,key",
+        [
+            (["grid.shape = 2 2"], "grid.shape"),
+            (["grid.spacing = inf"], "grid.spacing"),
+            (["volume_term.a = inf"], "volume_term.a"),
+            (["spec.f.1 = nan"], "spec.f.1"),
+            (
+                ["pipeline.stages = landscape", "landscape.potential = inf"],
+                "landscape.potential",
+            ),
+            (
+                ["pipeline.stages = minimize audit", "probes.radius = 0.6"],
+                "probes.radius",
+            ),
+            (
+                [
+                    "grid.shape = 32 32",
+                    "grid.spacing = 0.03125",
+                    "pipeline.stages = minimize diagnose audit",
+                ],
+                "diagnose.radii",
+            ),
+        ],
+    )
+    def test_bad_values_exit_2_naming_the_key(self, tmp_path, capsys, lines, key):
+        text = BASE
+        for line in lines:
+            text = with_line(text, line)
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path / "c.txt", text), out) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.txt", BASE)
+        args = ["run", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]
+        assert main(args) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_main_cli_surface(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", BASE)

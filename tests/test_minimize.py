@@ -49,6 +49,12 @@ class TestInitialPartition:
         with pytest.raises(ValueError):
             initial_partition(grid, 2, seeds=[(0.5,)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_seed(self, bad):
+        grid = make_grid(2, (8, 8), 1 / 8)
+        with pytest.raises(ValueError, match="finite"):
+            initial_partition(grid, 2, seeds=[(bad, 0.5), (0.75, 0.5)])
+
 
 class TestUpdateFields:
     def test_all_trash_gives_zero(self):
