@@ -4,8 +4,26 @@ Both entry points assemble the same symmetric positive-definite operator
 ``-lap + coefficient`` restricted to a cell set, with homogeneous Dirichlet
 data outside it: zero at the neighbor center for in-mask cells outside the
 set (full edge), and zero at the cell face for box faces and unmasked
-neighbors (half-spacing wall, weight 2).  The system is solved matrix-free
-with preconditioned conjugate gradients.
+neighbors (half-spacing wall, weight 2).  The system is solved matrix-free,
+on the bounding box of the cell set, by conjugate gradients preconditioned
+with one symmetric geometric multigrid V-cycle per iteration (MGCG).
+
+Multigrid levels
+----------------
+A coarse cell merges ``2**dim`` children and belongs to the coarse region
+only if every child does; an odd trailing layer of cells along an axis has
+no coarse parent, which is the same as padding the box with cells outside
+the region.  A coarse cell's wall slots are its children's summed wall
+slots over ``2**(dim-1)`` (exact at box faces and corners), its coefficient
+is the children's mean, and its spacing is doubled.  Coarsening stops when
+a side is at most 2 cells, when at most ``MIN_COARSE_CELLS`` region cells
+remain, or when the coarse region would be empty.  The cycle smooths with
+``SWEEPS`` damped Jacobi sweeps before the coarse correction and as many
+after it, restricts residuals by averaging the children and prolongs corrections by
+copying them to the children; the coarsest level only smooths.
+Restriction is ``2**-dim`` times the transpose of prolongation and
+Jacobi sweeps from a zero guess apply a polynomial in ``D^-1 A`` times
+``D^-1``, so the V-cycle is a symmetric positive-definite preconditioner.
 """
 
 from __future__ import annotations
@@ -19,6 +37,19 @@ from .functional import NONNEGATIVE, FunctionalSpec, Partition
 from .grid import Grid, ScalarField, make_field, neighbor_sum, wall_slot_count
 
 __all__ = ["SolverError", "solve_phase", "solve_landscape"]
+
+OMEGA = 0.8
+"""Damping factor of the Jacobi smoother."""
+
+SWEEPS = 2
+"""Jacobi sweeps before the coarse correction, and again after it; equal
+counts keep the V-cycle symmetric."""
+
+COARSEST_EXTRA_SWEEPS = 16
+"""Sweeps on the coarsest level on top of its ``2 * SWEEPS``."""
+
+MIN_COARSE_CELLS = 8
+"""Coarsening stops once a level has at most this many region cells."""
 
 
 class SolverError(RuntimeError):
@@ -38,6 +69,124 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
+class _Level:
+    """One multigrid level on the bounding box, with its work buffers.
+
+    ``diag`` is the operator diagonal on the region and 1 off it; ``off``
+    marks the cells outside the region.  ``rhs`` and ``out`` hold the
+    right-hand side and the V-cycle output of this level (on the finest
+    level they are CG's ``r`` and ``z``); ``work`` is a spare buffer.
+    """
+
+    __slots__ = ("off", "diag", "h2", "rhs", "out", "work")
+
+    def __init__(
+        self, region: NDArray[np.bool_], walls: NDArray, coeff: NDArray, h2: float
+    ):
+        self.off = ~region
+        self.diag = np.where(region, (2 * region.ndim + walls) / h2 + coeff, 1.0)
+        self.h2 = h2
+        self.rhs = np.zeros(region.shape)
+        self.out = np.zeros(region.shape)
+        self.work = np.zeros(region.shape)
+
+
+def _bounding_box(region: NDArray[np.bool_]) -> tuple[slice, ...]:
+    """Index box of the region's cells; ``region`` must be non-empty."""
+    box = []
+    for axis in range(region.ndim):
+        others = tuple(a for a in range(region.ndim) if a != axis)
+        cells = np.flatnonzero(region.any(axis=others))
+        box.append(slice(int(cells[0]), int(cells[-1]) + 1))
+    return tuple(box)
+
+
+def _blocks(a: NDArray, coarse_shape: tuple[int, ...]) -> NDArray:
+    """View of ``a`` with each axis split into (coarse cell, child) pairs.
+
+    An odd trailing layer, which has no coarse parent, is left out.
+    """
+    even = tuple(slice(0, 2 * n) for n in coarse_shape)
+    return a[even].reshape([m for n in coarse_shape for m in (n, 2)])
+
+
+def _child_axes(dim: int) -> tuple[int, ...]:
+    return tuple(range(1, 2 * dim, 2))
+
+
+def _levels(
+    grid: Grid, region: NDArray[np.bool_], coeff: NDArray
+) -> tuple[tuple[slice, ...], list[_Level]]:
+    """Crop the solve to the region's bounding box and build its levels.
+
+    Returns the box and the levels, finest first.  The box holds every
+    region cell, and fields vanish off the region, so the box operator with
+    zero beyond its edges equals the full-grid one.
+    """
+    box = _bounding_box(region)
+    dim = grid.dim
+    region = region[box]
+    walls = wall_slot_count(grid)[box].astype(float)
+    coeff = coeff[box]
+    h2 = grid.spacing**2
+    levels = [_Level(region, walls, coeff, h2)]
+    axes = _child_axes(dim)
+    while min(region.shape) > 2 and np.count_nonzero(region) > MIN_COARSE_CELLS:
+        shape = tuple(n // 2 for n in region.shape)
+        region = _blocks(region, shape).all(axis=axes)
+        if not np.any(region):
+            break
+        walls = _blocks(walls, shape).sum(axis=axes) / 2 ** (dim - 1)
+        coeff = _blocks(coeff, shape).mean(axis=axes)
+        h2 *= 4.0
+        levels.append(_Level(region, walls, coeff, h2))
+    return box, levels
+
+
+def _apply(level: _Level, v: NDArray, out: NDArray) -> None:
+    """``out = A v`` on the level's region, zero off it; ``v`` is zero off it."""
+    nbr = neighbor_sum(v)
+    nbr /= level.h2
+    np.multiply(level.diag, v, out=out)
+    out -= nbr
+    np.copyto(out, 0.0, where=level.off)
+
+
+def _smooth(level: _Level, sweeps: int) -> None:
+    """Damped Jacobi sweeps on ``level.out`` for ``level.rhs``."""
+    b, x, t = level.rhs, level.out, level.work
+    for _ in range(sweeps):
+        _apply(level, x, t)
+        np.subtract(b, t, out=t)
+        t /= level.diag
+        t *= OMEGA
+        x += t
+
+
+def _vcycle(levels: list[_Level], k: int = 0) -> None:
+    """``levels[k].out = M levels[k].rhs``: one V-cycle from a zero guess."""
+    level = levels[k]
+    b, x, t = level.rhs, level.out, level.work
+    np.divide(b, level.diag, out=x)  # the first sweep, from x = 0
+    x *= OMEGA
+    if k == len(levels) - 1:
+        _smooth(level, 2 * SWEEPS + COARSEST_EXTRA_SWEEPS - 1)
+        return
+    _smooth(level, SWEEPS - 1)
+    coarse = levels[k + 1]
+    shape = coarse.rhs.shape
+    _apply(level, x, t)
+    np.subtract(b, t, out=t)
+    b_c = coarse.rhs
+    np.sum(_blocks(t, shape), axis=_child_axes(t.ndim), out=b_c)
+    b_c *= 0.5**t.ndim
+    np.copyto(b_c, 0.0, where=coarse.off)
+    _vcycle(levels, k + 1)
+    children = _blocks(x, shape)
+    children += coarse.out.reshape([m for n in shape for m in (n, 1)])
+    _smooth(level, SWEEPS)
+
+
 def _pcg(
     grid: Grid,
     region: NDArray[np.bool_],
@@ -46,39 +195,55 @@ def _pcg(
     tol: float,
     x0: NDArray | None = None,
 ) -> tuple[NDArray, float, int]:
-    """Solve (-lap + coeff) x = rhs on ``region`` by preconditioned CG.
+    """Solve (-lap + coeff) x = rhs on ``region`` by multigrid-preconditioned CG.
 
     ``coeff`` and ``rhs`` are full-shape arrays read on the region only.
-    Returns ``(x, relative_residual, iterations)``; ``x`` is full-shape and
-    zero off the region.  Convergence is decided on the recursively updated
-    residual, which in finite precision can fall below the true one once the
-    latter reaches its rounding floor; the returned residual is the true
+    The iteration runs on the region's bounding box, with one V-cycle (see
+    the module docstring) as preconditioner, on the system scaled by the
+    power of two that brings ``max |rhs|`` into [1/2, 1), so tiny or huge
+    but finite sources neither underflow nor overflow ``r.z``; the scaling
+    is exact and undone on exit.  Returns ``(x, relative_residual,
+    iterations)``; ``x`` is full-shape and zero off the region.
+    Convergence is decided on the recursively updated residual, which in
+    finite precision can fall below the true one once the latter reaches
+    its rounding floor; the returned residual is the true
     ``||b - Ax|| / ||b||``, so it can sit slightly above ``tol``.  Raises
     SolverError, carrying that true residual, past the iteration cap
     ``ceil(50 * sqrt(#region cells))`` or on breakdown.
     """
-    h2 = grid.spacing**2
-    deg = (2 * grid.dim + wall_slot_count(grid)).astype(float)
-    diag = np.where(region, deg / h2 + coeff, 1.0)
-
-    def apply_op(v: NDArray) -> NDArray:
-        out = (deg * v - neighbor_sum(v)) / h2 + coeff * v
-        return np.where(region, out, 0.0)
-
-    b = np.where(region, rhs, 0.0)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
+    if not np.any(region):
         return np.zeros(grid.shape), 0.0, 0
+    box, levels = _levels(grid, region, coeff)
+    fine = levels[0]
+    r, z, t = fine.rhs, fine.out, fine.work
 
-    if x0 is None:
-        x = np.zeros(grid.shape)
-        r = b.copy()
-    else:
-        x = np.where(region, x0, 0.0)
-        r = b - apply_op(x)
-    z = r / diag
+    def load_rhs(dst: NDArray, scale: int) -> None:
+        # b, the source times 2**-scale on the region; rebuilt for the
+        # final residual instead of held through the iteration
+        np.copyto(dst, rhs[box])
+        np.copyto(dst, 0.0, where=fine.off)
+        np.ldexp(dst, -scale, out=dst)
+
+    load_rhs(r, 0)
+    b_max = float(np.max(np.abs(r)))
+    if b_max == 0.0:
+        return np.zeros(grid.shape), 0.0, 0
+    scale = int(np.frexp(b_max)[1])
+    np.ldexp(r, -scale, out=r)
+    b_norm = float(np.linalg.norm(r))
+
+    out = np.zeros(grid.shape)
+    x = out[box]
+    if x0 is not None:
+        np.copyto(x, x0[box], where=~fine.off)
+        np.ldexp(x, -scale, out=x)
+        _apply(fine, x, t)
+        r -= t
+    _vcycle(levels)
     p = z.copy()
-    rz = float(np.sum(r * z))
+    ap = np.empty_like(p)
+    np.multiply(r, z, out=t)
+    rz = float(np.sum(t))
     cap = math.ceil(50.0 * math.sqrt(int(np.count_nonzero(region))))
     res = float(np.linalg.norm(r)) / b_norm
     it = 0
@@ -88,30 +253,39 @@ def _pcg(
         if it == cap:
             failure = f"did not reach tol={tol} within {cap} iterations"
             break
-        ap = apply_op(p)
-        pap = float(np.sum(p * ap))
+        _apply(fine, p, ap)
+        np.multiply(p, ap, out=t)
+        pap = float(np.sum(t))
         if not (rz > 0.0 and pap > 0.0 and math.isfinite(pap)):
             failure = f"broke down after {it} iterations"
             break
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
+        np.multiply(p, alpha, out=t)
+        x += t
+        ap *= alpha
+        r -= ap
         res = float(np.linalg.norm(r)) / b_norm
-        z = r / diag
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        _vcycle(levels)
+        np.multiply(r, z, out=t)
+        rz_new = float(np.sum(t))
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         it += 1
     # Before the first update r is b - Ax computed directly, so res is true.
     if it > 0:
-        res = float(np.linalg.norm(b - apply_op(x))) / b_norm
+        load_rhs(p, scale)
+        _apply(fine, x, t)
+        p -= t
+        res = float(np.linalg.norm(p)) / b_norm
     if failure is not None:
         raise SolverError(
             f"conjugate gradients {failure} (true relative residual {res:.3e})",
             residual=res,
             iterations=it,
         )
-    return x, res, it
+    np.ldexp(x, scale, out=x)
+    return out, res, it
 
 
 def solve_phase(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from phasemin import elliptic
 from phasemin.elliptic import SolverError, solve_landscape, solve_phase
 from phasemin.functional import (
     FREE,
@@ -134,13 +135,13 @@ class TestSolvePhase:
         warm = solve_phase(spec, w, 1, 1e-11, initial=cold)
         assert np.max(np.abs(cold.values - warm.values)) < 1e-9
 
-    def test_underflowing_source_breaks_down_with_solver_error(self):
-        # r.z underflows to zero on the first step
+    def test_tiny_source_solves_by_linearity(self):
+        # unscaled, r.z of this source underflows to zero on the first step
         grid = make_grid(2, (32, 32), 1 / 32)
-        spec = one_phase_spec(grid, 0.0, 2e-160)
-        with pytest.raises(SolverError) as exc:
-            solve_phase(spec, full_partition(grid), 1)
-        assert exc.value.iterations == 0
+        tiny = solve_phase(one_phase_spec(grid, 0.0, 2e-160), full_partition(grid), 1)
+        unit = solve_phase(one_phase_spec(grid, 0.0, 2.0), full_partition(grid), 1)
+        assert np.max(unit.values) > 0.0
+        np.testing.assert_allclose(tiny.values / 1e-160, unit.values, rtol=1e-6)
 
     def test_validation(self):
         grid = make_grid(1, (64,), 1 / 64)
@@ -214,3 +215,32 @@ class TestSolveLandscape:
             solve_landscape(grid, value)
         assert exc.value.iterations == 0
         assert exc.value.residual == 1.0
+
+
+class TestMultigridWork:
+    """CG iterations per solve do not grow with 1/h."""
+
+    @staticmethod
+    def landscape_iterations(monkeypatch, dim, sizes):
+        counts = []
+        pcg = elliptic._pcg
+
+        def counting(*args, **kwargs):
+            result = pcg(*args, **kwargs)
+            counts.append(result[2])
+            return result
+
+        monkeypatch.setattr(elliptic, "_pcg", counting)
+        for n in sizes:
+            solve_landscape(make_grid(dim, (n,) * dim, 1.0 / n), 0.0)
+        assert len(counts) == len(sizes)
+        return counts
+
+    def test_2d_landscape_iterations_bounded(self, monkeypatch):
+        its = self.landscape_iterations(monkeypatch, 2, (64, 128, 256))
+        assert max(its) <= 30
+        assert its[-1] <= 1.5 * its[0]
+
+    def test_1d_landscape_iterations_bounded(self, monkeypatch):
+        its = self.landscape_iterations(monkeypatch, 1, (256, 1024, 4096))
+        assert max(its) <= 30

@@ -16,12 +16,16 @@ import pytest
 
 sparse = pytest.importorskip("scipy.sparse")
 
-from phasemin.elliptic import solve_landscape, solve_phase
+from phasemin.elliptic import _levels, _pcg, _vcycle, solve_landscape, solve_phase
 from phasemin.functional import FREE, PowerLaw, make_functional_spec, make_partition
 from phasemin.grid import gradient_energy, laplacian_apply, make_field, make_grid
 from phasemin.minimize import _release_energy
 
 CASES = [(dim, seed) for dim in (1, 2) for seed in range(4)]
+REGION_KINDS = ("mask", "interior", "face", "cell", "strip")
+MG_CASES = [
+    (dim, kind, seed) for dim in (1, 2) for kind in REGION_KINDS for seed in range(2)
+]
 
 
 def assemble(grid, region, coeff):
@@ -69,6 +73,100 @@ def restricted(a, keep):
     """Rows and columns of ``a`` on the flat cell set ``keep``."""
     idx = np.flatnonzero(keep.ravel())
     return a[idx][:, idx].toarray()
+
+
+def odd_span(rng, n, at_face):
+    """An odd-length index range of ``0..n-1``, at the low face or inside."""
+    length = 2 * int(rng.integers(1, (n - 1) // 2)) + 1
+    start = 0 if at_face else int(rng.integers(1, n - length))
+    return slice(start, start + length)
+
+
+def multigrid_case(dim, kind, seed):
+    """A masked grid, a solve region whose bounding box has odd sides, a coefficient.
+
+    ``mask``: the whole mask, holes included, touching every box face;
+    ``interior``: the mask on an inner box; ``face``: a box at the low box
+    faces with extra holes; ``cell``: one cell; ``strip``: a run of cells
+    with no holes, one cell wide in 2D.
+    """
+    rng = np.random.default_rng(1000 * dim + 10 * REGION_KINDS.index(kind) + seed)
+    sides = rng.integers(10, 30, size=1) if dim == 1 else rng.integers(5, 12, size=2)
+    shape = tuple(2 * int(k) + 1 for k in sides)
+    mask = rng.random(shape) < 0.9
+    box = tuple(odd_span(rng, n, kind == "face") for n in shape)
+    if kind == "mask":
+        box = tuple(slice(0, n) for n in shape)
+    elif kind == "cell":
+        box = tuple(slice(k, k + 1) for k in (int(rng.integers(n)) for n in shape))
+    elif kind == "strip" and dim == 2:
+        thin = seed % 2
+        box = tuple(
+            slice(s.start, s.start + 1) if axis == thin else s
+            for axis, s in enumerate(box)
+        )
+    inside = np.zeros(shape, dtype=bool)
+    inside[box] = True
+    region = inside & mask
+    if kind == "face":
+        region &= rng.random(shape) < 0.85
+    if kind in ("cell", "strip"):
+        region = inside
+    for corner in ((s.start for s in box), (s.stop - 1 for s in box)):
+        region[tuple(corner)] = True
+    grid = make_grid(dim, shape, float(rng.uniform(0.05, 0.5)), mask=mask | region)
+    coeff = rng.uniform(0.0, 3.0, size=shape) if seed % 2 else np.zeros(shape)
+    return grid, region, coeff, rng
+
+
+def precondition(levels, v):
+    """The V-cycle applied to a box-shaped vector that is zero off the region."""
+    levels[0].rhs[...] = v
+    _vcycle(levels)
+    return levels[0].out.copy()
+
+
+@pytest.mark.parametrize("dim,kind,seed", MG_CASES)
+def test_vcycle_is_symmetric_positive_definite(dim, kind, seed):
+    grid, region, coeff, rng = multigrid_case(dim, kind, seed)
+    box, levels = _levels(grid, region, coeff)
+    inside = region[box]
+    assert inside.shape == tuple(s.stop - s.start for s in box)
+    assert all(n % 2 == 1 for n in inside.shape)
+    if kind == "mask":
+        assert len(levels) >= 2
+    for _ in range(5):
+        a = np.where(inside, rng.normal(size=inside.shape), 0.0)
+        b = np.where(inside, rng.normal(size=inside.shape), 0.0)
+        ma, mb = precondition(levels, a), precondition(levels, b)
+        assert np.all(ma[~inside] == 0.0)
+        ama = float(np.sum(a * ma))
+        assert ama > 0.0
+        assert abs(float(np.sum(a * mb)) - float(np.sum(b * ma))) <= 1e-12 * ama
+
+    columns = []
+    for k in np.flatnonzero(inside.ravel()):
+        e = np.zeros(inside.size)
+        e[k] = 1.0
+        columns.append(precondition(levels, e.reshape(inside.shape))[inside])
+    m = np.stack(columns, axis=1)
+    assert np.allclose(m, m.T, rtol=0.0, atol=1e-12 * np.max(np.abs(m)))
+    assert np.linalg.eigvalsh(0.5 * (m + m.T))[0] > 0.0
+
+
+@pytest.mark.parametrize("dim,kind,seed", MG_CASES)
+def test_cropped_pcg_residual(dim, kind, seed):
+    grid, region, coeff, rng = multigrid_case(dim, kind, seed)
+    rhs = rng.uniform(-1.0, 1.0, size=grid.shape)
+    x0 = rng.normal(size=grid.shape) if seed % 2 else None
+    x, res, _ = _pcg(grid, region, coeff, rhs, 1e-12, x0)
+    assert x.shape == grid.shape
+    assert np.all(x[~region] == 0.0)
+    a = assemble(grid, region, coeff)
+    b = np.where(region, rhs, 0.0).ravel()
+    residual = np.linalg.norm(a @ x.ravel() - b) / np.linalg.norm(b)
+    assert residual <= 1e-10
+    assert res <= 1e-10
 
 
 @pytest.mark.parametrize("dim,seed", CASES)
