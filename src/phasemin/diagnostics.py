@@ -41,10 +41,12 @@ from .grid import (
     edge_slices,
     format_float,
     gradient_energy,
+    index_box,
     laplacian_apply,
     make_field,
     make_grid,
     sample_many,
+    squared_distance_transform,
 )
 
 __all__ = [
@@ -352,6 +354,10 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
         the zero set) of v(c) / dist(c, zero set);
       * ``complement_volume``: |{v<=0} ∩ B ∩ mask| / r**n.
 
+    The zero set is searched locally, not globally: it is the set of
+    in-mask non-support cells of ``B(x0, r + 2h)``, and distances are
+    between cell centers.
+
     Raises:
         ValueError: if x0 is farther than h from the part's boundary cells.
     """
@@ -379,27 +385,18 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
     pos_vol = float(np.count_nonzero(ball & support)) * hn / r**grid.dim
     comp_vol = float(np.count_nonzero(ball & ~support)) * hn / r**grid.dim
 
-    # distance of each in-ball support cell to the nearest non-support cell
-    centers = cell_centers(grid).reshape(-1, grid.dim)
+    # distance of each in-ball support cell to the nearest zero-set cell,
+    # searched on the window's index box
     window = (d < r + 2.0 * h) & grid.mask
-    zero_pts = centers[(window & ~support).reshape(-1)]
-    sup_idx = np.flatnonzero((ball & support).reshape(-1))
-    floor = np.inf
-    if len(zero_pts) and len(sup_idx):
-        chunk = 256
-        delta = np.empty(len(sup_idx))
-        for start in range(0, len(sup_idx), chunk):
-            block = centers[sup_idx[start : start + chunk]]
-            d2 = np.sum((block[:, None, :] - zero_pts[None, :, :]) ** 2, axis=-1)
-            delta[start : start + chunk] = np.sqrt(np.min(d2, axis=1))
-        v_flat = vals.reshape(-1)[sup_idx]
-        ok = delta >= 2.0 * h
-        if np.any(ok):
-            floor = float(np.min(v_flat[ok] / delta[ok]))
+    box = index_box(window)
+    targets = (ball & support)[box]
+    delta = h * np.sqrt(squared_distance_transform((window & ~support)[box])[targets])
+    ok = delta >= 2.0 * h
+    floor = float(np.min(vals[box][targets][ok] / delta[ok])) if np.any(ok) else 0.0
     ratios = {
         "mean_square": mean_sq,
         "positive_volume": pos_vol,
-        "growth_floor": floor if np.isfinite(floor) else 0.0,
+        "growth_floor": floor,
         "complement_volume": comp_vol,
     }
     return InterfaceReport(density_ratios=ratios)
@@ -660,26 +657,8 @@ def phase_count_at(u, x0, r: float) -> int:
 def _dilate(mask: NDArray[np.bool_], grid: Grid, radius: float) -> NDArray[np.bool_]:
     """Cells within the given center distance of any set cell."""
     steps = int(np.floor(radius / grid.spacing + 1e-9))
-    out = np.zeros(grid.shape, dtype=bool)
-    ranges = [range(-steps, steps + 1)] * grid.dim
-    for offset in np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(
-        -1, grid.dim
-    ):
-        if float(np.sum(offset.astype(float) ** 2)) * grid.spacing**2 > radius**2 + 1e-12:
-            continue
-        src = [slice(None)] * grid.dim
-        dst = [slice(None)] * grid.dim
-        for a in range(grid.dim):
-            o = int(offset[a])
-            n = grid.shape[a]
-            if o >= 0:
-                src[a] = slice(0, n - o)
-                dst[a] = slice(o, n)
-            else:
-                src[a] = slice(-o, n)
-                dst[a] = slice(0, n + o)
-        out[tuple(dst)] |= mask[tuple(src)]
-    return out
+    sq = squared_distance_transform(mask, cap=steps)
+    return sq * grid.spacing**2 <= radius**2 + 1e-12
 
 
 def phase_count_map(u, r: float) -> NDArray[np.int64]:

@@ -34,7 +34,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .functional import NONNEGATIVE, FunctionalSpec, Partition
-from .grid import Grid, ScalarField, make_field, neighbor_sum, wall_slot_count
+from .grid import (
+    Grid,
+    ScalarField,
+    index_box,
+    make_field,
+    neighbor_sum,
+    wall_slot_count,
+)
 
 __all__ = ["SolverError", "solve_phase", "solve_landscape"]
 
@@ -91,16 +98,6 @@ class _Level:
         self.work = np.zeros(region.shape)
 
 
-def _bounding_box(region: NDArray[np.bool_]) -> tuple[slice, ...]:
-    """Index box of the region's cells; ``region`` must be non-empty."""
-    box = []
-    for axis in range(region.ndim):
-        others = tuple(a for a in range(region.ndim) if a != axis)
-        cells = np.flatnonzero(region.any(axis=others))
-        box.append(slice(int(cells[0]), int(cells[-1]) + 1))
-    return tuple(box)
-
-
 def _blocks(a: NDArray, coarse_shape: tuple[int, ...]) -> NDArray:
     """View of ``a`` with each axis split into (coarse cell, child) pairs.
 
@@ -123,7 +120,7 @@ def _levels(
     region cell, and fields vanish off the region, so the box operator with
     zero beyond its edges equals the full-grid one.
     """
-    box = _bounding_box(region)
+    box = index_box(region)
     dim = grid.dim
     region = region[box]
     walls = wall_slot_count(grid)[box].astype(float)

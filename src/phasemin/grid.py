@@ -4,9 +4,9 @@ This module holds the spatial plumbing shared by every other module: the
 grid description (cell counts, spacing, origin, domain mask), scalar fields
 living on grid cells, probe points and their distance fields, discrete ball
 index sets, the face-edge stencil (its per-axis edge and face slices, the
-neighbor sum, the Laplacian and the gradient energy built on them),
-multilinear sampling, and a plain-text serialization format for grids,
-masks, and fields.
+neighbor sum, the Laplacian and the gradient energy built on them), the
+exact squared distance transform of a cell set, multilinear sampling, and
+a plain-text serialization format for grids, masks, and fields.
 
 Conventions
 -----------
@@ -26,7 +26,8 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,6 +45,8 @@ __all__ = [
     "ball_cells",
     "as_point",
     "distances",
+    "index_box",
+    "squared_distance_transform",
     "sample",
     "sample_many",
     "edge_slices",
@@ -213,6 +216,56 @@ def distances(grid: Grid, pt: NDArray) -> NDArray[np.float64]:
     return np.sqrt(np.sum((cell_centers(grid) - pt) ** 2, axis=-1))
 
 
+def index_box(cells: NDArray[np.bool_]) -> tuple[slice, ...]:
+    """Index box of the set cells, one slice per axis; ``cells`` must be non-empty."""
+    box = []
+    for axis in range(cells.ndim):
+        others = tuple(a for a in range(cells.ndim) if a != axis)
+        hits = np.flatnonzero(cells.any(axis=others))
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
+
+
+def squared_distance_transform(
+    features: NDArray[np.bool_], cap: int | None = None
+) -> NDArray[np.float64]:
+    """Squared distance, in cells, from every cell to the nearest feature cell.
+
+    Exact and separable (Felzenszwalb & Huttenlocher, *Distance Transforms
+    of Sampled Functions*, 2012): a forward and a backward index scan along
+    axis 0 give each cell ``g``, its distance to the nearest feature in its
+    column; in 2D a min-plus over column shifts, ``min_s g[:, j+s]**2 +
+    s**2``, combines the columns.  Values are integers held as floats, and
+    ``inf`` where no feature is in reach.  Extra memory is a few arrays the
+    size of ``features``.
+
+    Args:
+        features: boolean array, 1D or 2D.
+        cap: if given, only features at most ``cap`` cells away along every
+            axis are searched.  Each squared distance up to ``cap**2`` is
+            still exact, and every larger one stays above ``cap**2``.
+    """
+    n0 = features.shape[0]
+    idx = np.arange(n0, dtype=float).reshape((n0,) + (1,) * (features.ndim - 1))
+    before = np.maximum.accumulate(np.where(features, idx, -np.inf), axis=0)
+    after = np.minimum.accumulate(np.where(features, idx, np.inf)[::-1], axis=0)[::-1]
+    g = np.minimum(idx - before, after - idx)
+    if cap is not None:
+        g[g > cap] = np.inf
+    g *= g
+    if features.ndim == 1:
+        return g
+    limit = features.shape[1] - 1 if cap is None else min(cap, features.shape[1] - 1)
+    out = g.copy()
+    for s in range(1, limit + 1):
+        s2 = float(s * s)
+        if s2 >= out.max():
+            break  # every farther column adds at least s**2
+        np.minimum(out[:, s:], g[:, :-s] + s2, out=out[:, s:])
+        np.minimum(out[:, :-s], g[:, s:] + s2, out=out[:, :-s])
+    return out
+
+
 def bounding_box(grid: Grid) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Physical bounding box ``(lo, hi)`` of the union of all cells."""
     lo = np.asarray(grid.origin) - grid.spacing / 2.0
@@ -295,14 +348,16 @@ def sample_many(f: ScalarField, pts: NDArray) -> NDArray[np.float64]:
     return out
 
 
-def edge_slices(dim: int) -> Iterator[tuple[tuple[slice, ...], ...]]:
+@cache
+def edge_slices(dim: int) -> tuple[tuple[tuple[slice, ...], ...], ...]:
     """Index tuples of the face-edge stencil, one 4-tuple per axis.
 
-    For each axis yields ``(left, right, first, last)``: ``left`` and
+    For each axis holds ``(left, right, first, last)``: ``left`` and
     ``right`` select the two end cells of every in-box edge along the axis,
     ``first`` and ``last`` the cell layers against its two box faces (each
-    such cell has a wall slot there).
+    such cell has a wall slot there).  Built once per dimension.
     """
+    out = []
     for axis in range(dim):
         left = [slice(None)] * dim
         right = [slice(None)] * dim
@@ -312,7 +367,8 @@ def edge_slices(dim: int) -> Iterator[tuple[tuple[slice, ...], ...]]:
         right[axis] = slice(1, None)
         first[axis] = slice(0, 1)
         last[axis] = slice(-1, None)
-        yield tuple(left), tuple(right), tuple(first), tuple(last)
+        out.append((tuple(left), tuple(right), tuple(first), tuple(last)))
+    return tuple(out)
 
 
 def neighbor_sum(values: NDArray) -> NDArray:
