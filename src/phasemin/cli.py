@@ -30,26 +30,22 @@ dotted section keys.  Recognized keys:
 
 File paths are relative to the config file.  Every artifact is plain text
 (field dumps, CSVs, a summary report) or a P2 graymap; nothing carries a
-timestamp, so a rerun with the same config and one worker reproduces every
-byte.
+timestamp, so a rerun with the same config reproduces every byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .competitors import (
-    AuditReport,
     audit,
     audit_report_csv,
     seeded_probes,
-    summarize_audit,
 )
 from .diagnostics import (
     InterfaceReport,
@@ -481,29 +477,12 @@ def _default_probe(u: PhaseField, grid: Grid) -> np.ndarray | None:
     return best
 
 
-def _parallel_audit(
-    u: PhaseField,
-    w: Partition,
-    spec: FunctionalSpec,
-    probes: list,
-    workers: int,
-) -> AuditReport:
-    """Audit probes concurrently, merging per-probe reports in probe order."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda p: audit(u, w, spec, [p]), probes))
-    return summarize_audit(
-        [e for part in parts for e in part.entries],
-        [s for part in parts for s in part.skipped],
-    )
-
-
 class _Run:
     """One pipeline execution: stage methods append artifacts and summary."""
 
-    def __init__(self, plan: RunPlan, out_dir: Path, workers: int, seed: int | None):
+    def __init__(self, plan: RunPlan, out_dir: Path, seed: int | None):
         self.plan = plan
         self.out = out_dir
-        self.workers = workers
         self.seed = plan.probe_seed if seed is None else seed
         self.lines: list[str] = []
         self.u: PhaseField | None = None
@@ -634,10 +613,7 @@ class _Run:
         probes = seeded_probes(
             plan.grid, plan.probe_count, plan.probe_radius, self.seed
         )
-        if self.workers > 1:
-            report = _parallel_audit(self.u, self.w, plan.spec, probes, self.workers)
-        else:
-            report = audit(self.u, self.w, plan.spec, probes)
+        report = audit(self.u, self.w, plan.spec, probes)
         self.write("audit_report.csv", audit_report_csv(report, dim=plan.grid.dim))
         self.say(f"audit entries {len(report.entries)}")
         self.say(f"audit skipped {len(report.skipped)}")
@@ -679,6 +655,8 @@ def run(config_path, out_dir, workers: int = 1, seed: int | None = None) -> int:
     Artifacts land in ``out_dir`` (created if needed).  Status 0 means all
     stages ran; 2 flags a config problem (reported with the offending key);
     1 flags a solver failure after a partial-artifact note is written.
+    ``workers`` must be at least 1 and has no other effect: the audit runs
+    its probes in order in this process.
     """
     try:
         plan = build_plan(config_path)
@@ -693,7 +671,7 @@ def run(config_path, out_dir, workers: int = 1, seed: int | None = None) -> int:
         return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _Run(plan, out, workers, seed).execute()
+    return _Run(plan, out, seed).execute()
 
 
 def main(argv=None) -> int:
@@ -706,7 +684,7 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="execute a run configuration")
     runp.add_argument("config", help="path to the run configuration file")
     runp.add_argument("--out", required=True, help="artifact output directory")
-    runp.add_argument("--workers", type=int, default=1, help="audit parallelism")
+    runp.add_argument("--workers", type=int, default=1, help="no effect; must be >= 1")
     runp.add_argument("--seed", type=int, default=None, help="probe RNG seed")
     args = parser.parse_args(argv)
     return run(args.config, args.out, workers=args.workers, seed=args.seed)

@@ -52,7 +52,6 @@ __all__ = [
     "cutoff_competitor",
     "harmonic_competitor",
     "audit",
-    "summarize_audit",
     "audit_report_csv",
     "seeded_probes",
 ]
@@ -325,19 +324,10 @@ def audit(
                     skipped.append(
                         AuditSkip(key, float(r), f"harmonic:{main}", str(err))
                     )
-    return summarize_audit(entries, skipped)
-
-
-def summarize_audit(entries, skipped) -> AuditReport:
-    """Bundle evaluations and skips, in order, with the first smallest ΔJ."""
-    entries = tuple(entries)
-    if entries:
-        worst = min(entries, key=lambda e: e.delta_j)
-        min_dj = worst.delta_j
-    else:
-        worst = None
-        min_dj = 0.0
-    return AuditReport(entries, tuple(skipped), min_dj, worst)
+    # the worst entry is the first with the smallest ΔJ
+    worst = min(entries, key=lambda e: e.delta_j) if entries else None
+    min_dj = 0.0 if worst is None else worst.delta_j
+    return AuditReport(tuple(entries), tuple(skipped), min_dj, worst)
 
 
 def audit_report_csv(report: AuditReport, dim: int | None = None) -> str:

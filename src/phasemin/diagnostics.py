@@ -38,6 +38,7 @@ from .grid import (
     bounding_box,
     cell_centers,
     distances,
+    edge_energies,
     edge_slices,
     format_float,
     gradient_energy,
@@ -45,6 +46,7 @@ from .grid import (
     laplacian_apply,
     make_field,
     make_grid,
+    neighbor_sum,
     sample_many,
     squared_distance_transform,
 )
@@ -170,28 +172,20 @@ def _part_values(u, phase: Phase) -> tuple[Grid, NDArray]:
 def _grad_sq_cells(grid: Grid, vals: NDArray) -> NDArray:
     """Cellwise squared-gradient estimate consistent with the edge energy.
 
-    Each cell averages the two slot differences per axis: a masked neighbor
-    contributes ``((v_n - v_c)/h)**2``, a wall (box face or unmasked
-    neighbor) contributes ``(v_c/(h/2))**2``.  Summing this over cells times
-    ``h**n`` reproduces the edge-sum energy with every interior edge split
-    evenly between its endpoints.
+    Each masked endpoint takes half the energy of an edge between masked
+    cells and all the energy of a wall edge (box face or unmasked
+    neighbor), divided by ``h**2``.  Summing this over cells times
+    ``h**n`` reproduces the edge-sum energy.
     """
     m = grid.mask
-    h = grid.spacing
     out = np.zeros(grid.shape)
-    for lt, rt, first, last in edge_slices(grid.dim):
-        ml, mr = m[lt], m[rt]
-        d2 = ((vals[rt] - vals[lt]) / h) ** 2
-        out[lt] += np.where(ml & mr, 0.5 * d2, 0.0) + np.where(
-            ml & ~mr, 0.5 * (2.0 * vals[lt] / h) ** 2, 0.0
-        )
-        out[rt] += np.where(ml & mr, 0.5 * d2, 0.0) + np.where(
-            ~ml & mr, 0.5 * (2.0 * vals[rt] / h) ** 2, 0.0
-        )
-        for fc in (first, last):
-            out[fc] += 0.5 * (2.0 * vals[fc] / h) ** 2
+    for cells, energy in edge_energies(vals, m):
+        if len(cells) == 2:
+            energy = np.where(m[cells[0]] & m[cells[1]], 0.5 * energy, energy)
+        for c in cells:
+            out[c] += energy
     out[~m] = 0.0
-    return out
+    return out / grid.spacing**2
 
 
 def free_boundary_cells(u, phase: Phase) -> NDArray[np.bool_]:
@@ -203,11 +197,7 @@ def free_boundary_cells(u, phase: Phase) -> NDArray[np.bool_]:
     grid, vals = _part_values(u, phase)
     support = vals > 0.0
     m = grid.mask
-    out = np.zeros(grid.shape, dtype=bool)
-    for lt, rt, _, _ in edge_slices(grid.dim):
-        out[lt] |= support[lt] & m[rt] & ~support[rt]
-        out[rt] |= support[rt] & m[lt] & ~support[lt]
-    return out & m
+    return support & m & (neighbor_sum((m & ~support).astype(np.int64)) > 0)
 
 
 def _phase_parts(u) -> list[Phase]:

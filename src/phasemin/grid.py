@@ -4,9 +4,10 @@ This module holds the spatial plumbing shared by every other module: the
 grid description (cell counts, spacing, origin, domain mask), scalar fields
 living on grid cells, probe points and their distance fields, discrete ball
 index sets, the face-edge stencil (its per-axis edge and face slices, the
-neighbor sum, the Laplacian and the gradient energy built on them), the
-exact squared distance transform of a cell set, multilinear sampling, and
-a plain-text serialization format for grids, masks, and fields.
+neighbor sum and the edge energy, and the wall count, the Laplacian and the
+gradient energy built on them), the exact squared distance transform of a
+cell set, multilinear sampling, and a plain-text serialization format for
+grids, masks, and fields.
 
 Conventions
 -----------
@@ -21,6 +22,17 @@ Conventions
   face-centered convention makes the discrete energy of smooth profiles
   second-order accurate and keeps summation by parts exact.  "Masked
   neighbor" below always means in-box and mask-true.
+
+The stencil is two pieces, ``N = neighbor_sum`` and one edge energy; with
+``v`` zero off the mask every stencil formula follows from them:
+``walls = 2*dim - N(mask)`` on the mask (0 off it), ``deg = 2*dim + walls``;
+the Laplacian is ``(N(v) - deg*v) / h**2``; zeroing a cell changes the
+energy by ``h**(n-2) * v * (2*N(v) - deg*v)``; the free boundary of a
+support ``S`` is ``S & mask & (N(mask & ~S) > 0)``.  An in-box edge with
+``d = v[right] - v[left]`` has energy ``(1 + (m[left] ^ m[right])) * d**2``
+and each box-face slot ``2 * v**2``: the gradient energy sums these times
+``h**(n-2)``; the cellwise squared gradient gives each masked endpoint half
+of an edge between masked cells and all of a wall edge.
 """
 
 from __future__ import annotations
@@ -54,6 +66,7 @@ __all__ = [
     "laplacian_apply",
     "gradient_energy",
     "wall_slot_count",
+    "edge_energies",
     "save_field",
     "load_field",
     "save_mask",
@@ -211,9 +224,15 @@ def as_point(grid: Grid, x: float | Sequence[float]) -> NDArray[np.float64]:
     return pt
 
 
+def _squared_offsets(grid: Grid, pt: NDArray) -> NDArray[np.float64]:
+    """Squared distance from every cell center to ``pt``, summed per axis."""
+    offsets = np.ix_(*(axis_centers(grid, a) - pt[a] for a in range(grid.dim)))
+    return sum(d**2 for d in offsets)
+
+
 def distances(grid: Grid, pt: NDArray) -> NDArray[np.float64]:
     """Euclidean distance from every cell center to the point ``pt``."""
-    return np.sqrt(np.sum((cell_centers(grid) - pt) ** 2, axis=-1))
+    return np.sqrt(_squared_offsets(grid, pt))
 
 
 def index_box(cells: NDArray[np.bool_]) -> tuple[slice, ...]:
@@ -290,13 +309,7 @@ def ball_cells(grid: Grid, x0: float | Sequence[float], r: float) -> BallIndex:
     if not (r > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
     pt = as_point(grid, x0)
-    dist2 = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        coord = axis_centers(grid, a) - pt[a]
-        shape = [1] * grid.dim
-        shape[a] = grid.shape[a]
-        dist2 = dist2 + (coord**2).reshape(shape)
-    inside = dist2 < r * r
+    inside = _squared_offsets(grid, pt) < r * r
     cells = np.flatnonzero(inside.ravel(order="C"))
     if cells.size == 0:
         raise ValueError(f"ball B({tuple(pt)}, {r}) contains no cell center")
@@ -381,16 +394,9 @@ def neighbor_sum(values: NDArray) -> NDArray:
 
 
 def wall_slot_count(grid: Grid) -> NDArray[np.int64]:
-    """Per-cell count of wall edges (box faces plus unmasked neighbors)."""
-    count = np.zeros(grid.shape, dtype=np.int64)
+    """Per-cell count of wall edges (box faces, unmasked neighbors); 0 off the mask."""
     m = grid.mask
-    for left, right, first, last in edge_slices(grid.dim):
-        count[left] += (~m[right]).astype(np.int64)
-        count[right] += (~m[left]).astype(np.int64)
-        count[first] += 1
-        count[last] += 1
-    count[~m] = 0
-    return count
+    return np.where(m, 2 * grid.dim - neighbor_sum(m.astype(np.int64)), 0)
 
 
 def laplacian_apply(f: ScalarField) -> ScalarField:
@@ -403,39 +409,26 @@ def laplacian_apply(f: ScalarField) -> ScalarField:
     """
     grid = f.grid
     v = f.values
-    m = grid.mask
-    acc = np.zeros(grid.shape)
-    for left, right, first, last in edge_slices(grid.dim):
-        ml, mr = m[left], m[right]
-        both = ml & mr
-        d = v[right] - v[left]
-        # masked-masked edges: +d to the left cell, -d to the right cell
-        contrib_left = np.where(both, d, 0.0)
-        contrib_right = np.where(both, -d, 0.0)
-        # masked cell with unmasked neighbor: wall at the face
-        contrib_left = contrib_left + np.where(ml & ~mr, -2.0 * v[left], 0.0)
-        contrib_right = contrib_right + np.where(~ml & mr, -2.0 * v[right], 0.0)
-        acc[left] += contrib_left
-        acc[right] += contrib_right
-        acc[first] += -2.0 * v[first]
-        acc[last] += -2.0 * v[last]
-    acc /= grid.spacing**2
-    acc[~m] = 0.0
-    return make_field(grid, acc)
+    deg = 2 * grid.dim + wall_slot_count(grid)
+    return make_field(grid, (neighbor_sum(v) - deg * v) / grid.spacing**2)
 
 
-def _normalize_region(grid: Grid, region) -> NDArray[np.bool_] | None:
-    if region is None:
-        return None
-    arr = np.asarray(region)
-    if arr.dtype == bool and arr.shape == grid.shape:
-        return arr
-    flat = np.zeros(grid.num_cells, dtype=bool)
-    flat[np.asarray(arr, dtype=np.intp)] = True
-    return flat.reshape(grid.shape)
+def edge_energies(values: NDArray, mask: NDArray[np.bool_]):
+    """The face-edge energy without its ``h**(n-2)`` factor, slot by slot.
+
+    ``values`` must vanish off ``mask``.  Per axis yields ``(cells, energy)``
+    for the in-box edges, with ``cells = (left, right)`` and energy
+    ``(1 + (m[left] ^ m[right])) * d**2``, then for the wall slots of each
+    box face, with ``cells = (first,)`` then ``(last,)`` and energy ``2 * v**2``.
+    """
+    for left, right, first, last in edge_slices(values.ndim):
+        d = values[right] - values[left]
+        yield (left, right), (1 + (mask[left] ^ mask[right])) * d * d
+        yield (first,), 2.0 * values[first] ** 2
+        yield (last,), 2.0 * values[last] ** 2
 
 
-def gradient_energy(f: ScalarField, region=None) -> float:
+def gradient_energy(f: ScalarField, region: NDArray[np.bool_] | None = None) -> float:
     """Edge-sum gradient energy ``sum (difference)**2 * h**(n-2)``.
 
     Edges between masked cells contribute ``(f_b - f_a)**2``; wall edges
@@ -444,39 +437,18 @@ def gradient_energy(f: ScalarField, region=None) -> float:
 
     Args:
         f: the field.
-        region: optional cell set (boolean mask over cells or flat indices);
-            only edges with at least one endpoint in the region are summed.
+        region: optional boolean cell mask; only edges with a masked
+            endpoint in the region are summed.
 
     Returns:
         Nonnegative energy value.
     """
     grid = f.grid
-    v = f.values
-    m = grid.mask
-    reg = _normalize_region(grid, region)
+    counted = grid.mask if region is None else grid.mask & region
     total = 0.0
-    for left, right, first, last in edge_slices(grid.dim):
-        ml, mr = m[left], m[right]
-        if reg is None:
-            sel_full = ml & mr
-            sel_wall_l = ml & ~mr
-            sel_wall_r = ~ml & mr
-        else:
-            rl, rr = reg[left], reg[right]
-            either = rl | rr
-            sel_full = ml & mr & either
-            sel_wall_l = ml & ~mr & rl
-            sel_wall_r = ~ml & mr & rr
-        d = v[right] - v[left]
-        total += float(np.sum(np.where(sel_full, d * d, 0.0)))
-        total += 2.0 * float(np.sum(np.where(sel_wall_l, v[left] ** 2, 0.0)))
-        total += 2.0 * float(np.sum(np.where(sel_wall_r, v[right] ** 2, 0.0)))
-        for face in (first, last):
-            if reg is None:
-                sel_face = m[face]
-            else:
-                sel_face = m[face] & reg[face]
-            total += 2.0 * float(np.sum(np.where(sel_face, v[face] ** 2, 0.0)))
+    for cells, energy in edge_energies(f.values, grid.mask):
+        hit = np.logical_or.reduce([counted[c] for c in cells])
+        total += float(np.sum(np.where(hit, energy, 0.0)))
     return total * grid.spacing ** (grid.dim - 2)
 
 

@@ -40,7 +40,7 @@ from .functional import (
     truncate_to_sign,
     volume_marginal,
 )
-from .grid import Grid, cell_centers, edge_slices
+from .grid import Grid, cell_centers, neighbor_sum, wall_slot_count
 
 __all__ = [
     "SolveReport",
@@ -154,21 +154,13 @@ def _release_energy(grid: Grid, values: NDArray) -> NDArray:
     """Energy change from zeroing the field at each cell, full-shape.
 
     Per full edge to a masked neighbor n the edge term goes from
-    (v_c - v_n)^2 to v_n^2; per wall slot 2 v_c^2 goes to 0.  The result
-    is meaningful on cells of the phase that owns ``values``.
+    (v_c - v_n)^2 to v_n^2; per wall slot 2 v_c^2 goes to 0.  Summed, that
+    is ``v_c * (2 * sum_n v_n - deg * v_c)`` with ``deg = 2 * dim + walls``.
+    The result is meaningful on cells of the phase that owns ``values``.
     """
-    m = grid.mask
-    v = values
-    out = np.zeros(grid.shape)
-    for lt, rt, first, last in edge_slices(grid.dim):
-        # contribution at the left cell of each edge, then at the right cell
-        nbr_masked = m[rt]
-        out[lt] += np.where(nbr_masked, v[rt] ** 2 - (v[lt] - v[rt]) ** 2, -2 * v[lt] ** 2)
-        nbr_masked = m[lt]
-        out[rt] += np.where(nbr_masked, v[lt] ** 2 - (v[rt] - v[lt]) ** 2, -2 * v[rt] ** 2)
-        out[first] += -2 * v[first] ** 2
-        out[last] += -2 * v[last] ** 2
-    return out * grid.spacing ** (grid.dim - 2)
+    deg = 2 * grid.dim + wall_slot_count(grid)
+    release = values * (2.0 * neighbor_sum(values) - deg * values)
+    return release * grid.spacing ** (grid.dim - 2)
 
 
 def _marginal_arrays(spec: FunctionalSpec, w: Partition) -> list[NDArray]:

@@ -5,6 +5,9 @@ code: on a region R of in-mask cells, ``A = -lap_R + c`` has, per cell and
 per axis direction, ``1/h**2`` on the diagonal and ``-1/h**2`` to an in-region
 neighbor for every in-mask neighbor, and ``2/h**2`` on the diagonal for every
 wall slot (box face or unmasked neighbor: the zero sits at half spacing).
+The edge energy, its region restriction and cellwise split, the wall count
+and the free boundary are checked against plain loops over each cell's
+face slots.
 """
 
 from __future__ import annotations
@@ -16,9 +19,16 @@ import pytest
 
 sparse = pytest.importorskip("scipy.sparse")
 
+from phasemin.diagnostics import Phase, _grad_sq_cells, free_boundary_cells
 from phasemin.elliptic import _levels, _pcg, _vcycle, solve_landscape, solve_phase
 from phasemin.functional import FREE, PowerLaw, make_functional_spec, make_partition
-from phasemin.grid import gradient_energy, laplacian_apply, make_field, make_grid
+from phasemin.grid import (
+    gradient_energy,
+    laplacian_apply,
+    make_field,
+    make_grid,
+    wall_slot_count,
+)
 from phasemin.minimize import _release_energy
 
 CASES = [(dim, seed) for dim in (1, 2) for seed in range(4)]
@@ -56,6 +66,17 @@ def assemble(grid, region, coeff):
         vals.append(diag)
     n = grid.num_cells
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def slots(grid, cell):
+    """``(neighbor, is_wall)`` for each of the cell's ``2 * dim`` face slots."""
+    for axis in range(grid.dim):
+        for step in (-1, 1):
+            nbr = list(cell)
+            nbr[axis] += step
+            nbr = tuple(nbr)
+            inside = 0 <= nbr[axis] < grid.shape[axis]
+            yield nbr, not inside or not grid.mask[nbr]
 
 
 def random_grid(dim, seed):
@@ -270,3 +291,77 @@ def test_release_energy_matches_zeroing_one_cell(dim, seed):
         expected = energy(zeroed) - base
         tol = 1e-12 * (1.0 + abs(base))
         assert release[cell] == pytest.approx(expected, rel=1e-9, abs=tol)
+
+
+def brute_force_energy(grid, v, region):
+    """Edge-sum energy over edges with a masked endpoint in ``region``.
+
+    An edge between masked cells counts if either end is in the region; a
+    wall slot (box face or unmasked neighbor) counts if its masked cell is.
+    """
+    total = 0.0
+    for cell in zip(*np.nonzero(grid.mask)):
+        for nbr, wall in slots(grid, cell):
+            if wall:
+                if region[cell]:
+                    total += 2.0 * v[cell] ** 2
+            elif nbr > cell and (region[cell] or region[nbr]):
+                total += (v[nbr] - v[cell]) ** 2
+    return total * grid.spacing ** (grid.dim - 2)
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_gradient_energy_region_matches_edge_brute_force(dim, seed):
+    grid, rng = random_grid(dim, seed)
+    f = make_field(grid, rng.normal(size=grid.shape))
+    everywhere = np.ones(grid.shape, dtype=bool)
+    assert gradient_energy(f) == pytest.approx(
+        brute_force_energy(grid, f.values, everywhere), rel=1e-12
+    )
+    for _ in range(4):
+        # the region reaches into the holes of the mask
+        region = rng.random(grid.shape) < 0.5
+        assert gradient_energy(f, region=region) == pytest.approx(
+            brute_force_energy(grid, f.values, region), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_wall_slot_count_matches_cell_loop(dim, seed):
+    grid, _ = random_grid(dim, seed)
+    expected = np.zeros(grid.shape, dtype=np.int64)
+    for cell in zip(*np.nonzero(grid.mask)):
+        expected[cell] = sum(wall for _, wall in slots(grid, cell))
+    assert np.array_equal(wall_slot_count(grid), expected)
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_free_boundary_cells_match_cell_loop(dim, seed):
+    grid, rng = random_grid(dim, seed)
+    f = make_field(grid, rng.normal(size=grid.shape) * (rng.random(grid.shape) < 0.7))
+    for sign in (1, -1):
+        support = sign * f.values > 0.0
+        expected = np.zeros(grid.shape, dtype=bool)
+        for cell in zip(*np.nonzero(support)):
+            expected[cell] = any(
+                not wall and not support[nbr] for nbr, wall in slots(grid, cell)
+            )
+        assert np.array_equal(free_boundary_cells(f, Phase(1, sign)), expected)
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_grad_sq_cells_split_the_gradient_energy(dim, seed):
+    grid, rng = random_grid(dim, seed)
+    f = make_field(grid, rng.normal(size=grid.shape))
+    v = f.values
+    expected = np.zeros(grid.shape)
+    for cell in zip(*np.nonzero(grid.mask)):
+        for nbr, wall in slots(grid, cell):
+            share = 2.0 * v[cell] ** 2 if wall else 0.5 * (v[nbr] - v[cell]) ** 2
+            expected[cell] += share
+    expected /= grid.spacing**2
+    gsq = _grad_sq_cells(grid, v)
+    assert np.allclose(gsq, expected, rtol=1e-12, atol=0.0)
+    assert grid.cell_volume * float(np.sum(gsq)) == pytest.approx(
+        gradient_energy(f), rel=1e-12
+    )
