@@ -74,12 +74,12 @@ from .functional import (
     PowerLaw,
     make_functional_spec,
     make_phase_field,
-    total,
     volume_marginal,
 )
 from .grid import (
     Grid,
     ScalarField,
+    as_point,
     axis_centers,
     bounding_box,
     cell_centers,
@@ -362,6 +362,7 @@ def build_plan(config_path) -> RunPlan:
         if len(diag_point) != 1:
             raise ConfigError("diagnose.point: exactly one point expected")
         diag_point = diag_point[0]
+        _construct("diagnose.point", as_point, grid, diag_point)
     diag_radii = reader.get_floats("diagnose.radii", (0.05, 0.1, 0.2))
     if "diagnose" in stages:
         _construct("diagnose.radii", _check_radii, grid, diag_radii)
@@ -515,7 +516,7 @@ class _Run:
             export_raster(field, self.out / f"u{i}.pgm")
         export_raster(self.w, self.out / "partition.pgm")
         self.write("solve_report.csv", solve_report_csv(report))
-        j_final = total(self.u, self.w, plan.spec)
+        j_final = report.outer_j[-1]
         self.say(f"minimize J {format_float(j_final)}")
         self.say(f"minimize iterations {report.iterations}")
         self.say(f"minimize converged {report.converged}")

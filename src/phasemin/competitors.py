@@ -28,7 +28,6 @@ from .functional import (
     NONNEGATIVE,
     FunctionalSpec,
     Partition,
-    PerRegion,
     PhaseField,
     PowerLaw,
     make_partition,
@@ -42,7 +41,8 @@ from .grid import (
     cell_centers,
     distances,
     format_float,
-    neighbor_sum,
+    laplacian_apply,
+    make_field,
 )
 
 __all__ = [
@@ -103,9 +103,8 @@ def _trash_benefit(spec: FunctionalSpec, labels: NDArray) -> NDArray[np.bool_]:
         gain = term.a > 0.0 or term.b > 0.0
         return (labels > 0) & gain
     out = np.zeros(labels.shape, dtype=bool)
-    if isinstance(term, PerRegion):
-        for i in range(1, spec.num_phases + 1):
-            out |= (labels == i) & (term.weights[i - 1].values > 0.0)
+    for i in range(1, spec.num_phases + 1):  # the other kind: PerRegion
+        out |= (labels == i) & (term.weights[i - 1].values > 0.0)
     return out
 
 
@@ -142,7 +141,7 @@ def cutoff_competitor(
     pt = as_point(grid, x0)
     d = distances(grid, pt)
     if not np.any(grid.mask & (d < r)):
-        raise ValueError(f"ball at {tuple(pt)} radius {r} misses every masked cell")
+        raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} misses every masked cell")
     chosen = sorted(set(int(i) for i in phases))
     for i in chosen:
         if not 1 <= i <= spec.num_phases:
@@ -151,12 +150,12 @@ def cutoff_competitor(
     fields = []
     for i in range(1, spec.num_phases + 1):
         vals = u.fields[i - 1].values
-        fields.append(ramp * vals if i in chosen else vals.copy())
+        fields.append(ramp * vals if i in chosen else vals)
     vacated = np.ones(grid.shape, dtype=bool)
     for vals in fields:
         vacated &= vals == 0.0
     labels = w.labels.copy()
-    trash = (d < a * r) & vacated & _trash_benefit(spec, labels) & grid.mask
+    trash = (d < a * r) & vacated & _trash_benefit(spec, labels)
     labels[trash] = 0
     u_star = make_phase_field(grid, fields)
     w_star = make_partition(grid, spec.num_phases, labels)
@@ -241,12 +240,12 @@ def harmonic_competitor(
     lo, hi = bounding_box(grid)
     if np.any(pt - (r + h) < lo) or np.any(pt + (r + h) > hi):
         raise ValueError(
-            f"ball at {tuple(pt)} radius {r} (+margin h) leaves the bounding box"
+            f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the bounding box"
         )
     d = distances(grid, pt)
     near = d < r + h
     if not np.all(grid.mask[near]):
-        raise ValueError(f"ball at {tuple(pt)} radius {r} (+margin h) leaves the mask")
+        raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the mask")
 
     inner = d < a * r
     annulus = (d >= a * r) & (d < r)
@@ -269,13 +268,13 @@ def harmonic_competitor(
         vals = np.where(labels == i, ramp * u.fields[i - 1].values, 0.0)
         fields.append(vals)
 
-    if np.any(inner):
-        nbr = neighbor_sum(np.where(inner, 0.0, fields[main - 1]))
-        extension, _, _ = _pcg(grid, inner, np.zeros(grid.shape), nbr / h**2, 1e-10)
-        vals = fields[main - 1]
-        vals[inner] = extension[inner]
-        if spec.sign_constraints[main - 1] == NONNEGATIVE:
-            np.maximum(vals, 0.0, out=vals)
+    # zero on the inner ball, so its Laplacian there is the outer data's pull
+    rhs = laplacian_apply(make_field(grid, np.where(inner, 0.0, main_vals)))
+    extension, _, _ = _pcg(grid, inner, np.zeros(grid.shape), rhs.values, 1e-10)
+    vals = fields[main - 1]
+    vals[inner] = extension[inner]
+    if spec.sign_constraints[main - 1] == NONNEGATIVE:
+        np.maximum(vals, 0.0, out=vals)
 
     u_star = make_phase_field(grid, fields)
     w_star = make_partition(grid, spec.num_phases, labels)

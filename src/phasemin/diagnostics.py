@@ -196,8 +196,7 @@ def free_boundary_cells(u, phase: Phase) -> NDArray[np.bool_]:
     """
     grid, vals = _part_values(u, phase)
     support = vals > 0.0
-    m = grid.mask
-    return support & m & (neighbor_sum((m & ~support).astype(np.int64)) > 0)
+    return support & (neighbor_sum((grid.mask & ~support).astype(np.int64)) > 0)
 
 
 def _phase_parts(u) -> list[Phase]:
@@ -302,7 +301,7 @@ def weiss_profile(u, i: int, lambda_i: float, x0, radii) -> RadialProfile:
     d = distances(grid, pt)
     keep = d >= 0.5 * h
     gsq = _grad_sq_cells(grid, vals)
-    support = (vals > 0.0) & grid.mask
+    support = vals > 0.0
 
     centers = cell_centers(grid).reshape(-1, grid.dim)
     d_flat = d.reshape(-1)
@@ -364,8 +363,8 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
     gap = float(np.min(d[boundary]))
     if gap > h * (1.0 + 1e-9):
         raise ValueError(
-            f"probe {tuple(pt)} is {format_float(gap)} from the nearest boundary "
-            f"cell of part {i}+; within h = {format_float(h)} required"
+            f"probe {tuple(pt.tolist())} is {format_float(gap)} from the nearest "
+            f"boundary cell of part {i}+; within h = {format_float(h)} required"
         )
 
     ball = (d < r) & grid.mask
@@ -414,7 +413,7 @@ def interface_measure(
         fv = spec.f[i - 1].values
         gv = spec.g[i - 1].values
         bulk = np.where(vals > 0.0, fv * vals - 0.5 * gv, 0.0)
-    dens = np.where(grid.mask, lap - bulk, 0.0) * grid.cell_volume
+    dens = (lap - bulk) * grid.cell_volume
     d = distances(grid, pt)
     omega = 2.0 if grid.dim == 2 else 1.0
     mu_density = []
@@ -545,10 +544,9 @@ def flatness(
     pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
     vals2 = None
-    if phi2 is not None:
-        _, vals2 = _part_values(u, phi2)
     boundary = free_boundary_cells(u, phi1)
     if phi2 is not None:
+        _, vals2 = _part_values(u, phi2)
         boundary = boundary | free_boundary_cells(u, phi2)
     centers = cell_centers(grid).reshape(-1, grid.dim)
     d = distances(grid, pt)
@@ -558,7 +556,7 @@ def flatness(
         ball = (d < r) & grid.mask
         b_sel = (boundary & ball).reshape(-1)
         if not np.any(b_sel):
-            raise ValueError(f"no boundary cells inside B({tuple(pt)}, {r})")
+            raise ValueError(f"no boundary cells inside B({tuple(pt.tolist())}, {r})")
         normal = _fit_normal(centers[b_sel], grid.dim)
         s = (centers - pt) @ normal
         sel1 = (ball & (vals1 > 0.0)).reshape(-1)
@@ -611,7 +609,7 @@ def blowup_rescale(u: PhaseField, x0, rk: float) -> PhaseField:
     eps = 1e-9 * h
     if np.any(pts < lo - eps) or np.any(pts > hi + eps):
         raise ValueError(
-            f"rescaled window from {tuple(pt)} at scale {rk} exits the bounding box"
+            f"rescaled window from {tuple(pt.tolist())} at scale {rk} exits the bounding box"
         )
     pts = np.clip(pts, lo, hi)
     fields = [
@@ -623,8 +621,9 @@ def blowup_rescale(u: PhaseField, x0, rk: float) -> PhaseField:
 def phase_count_at(u, x0, r: float) -> int:
     """Number of parts meeting the ball whose boundary passes near x0.
 
-    A part counts when its support intersects ``B(x0, r)`` and some of its
-    boundary cells lie within 2h of x0.
+    A part counts when some of its boundary cells lie within 2h of x0.  Its
+    support then meets ``B(x0, r)``: boundary cells are support cells, and
+    ``r >= 4h``.
 
     Raises:
         ValueError: if r < 4h.
@@ -633,13 +632,10 @@ def phase_count_at(u, x0, r: float) -> int:
     pt = as_point(grid, x0)
     if r < 4.0 * grid.spacing:
         raise ValueError(f"radius {r} must be at least 4h = {4 * grid.spacing}")
-    d = distances(grid, pt)
-    ball = (d < r) & grid.mask
-    near = d <= 2.0 * grid.spacing * (1.0 + 1e-9)
+    near = distances(grid, pt) <= 2.0 * grid.spacing * (1.0 + 1e-9)
     count = 0
     for part in _phase_parts(u):
-        _, vals = _part_values(u, part)
-        if np.any(vals[ball] > 0.0) and np.any(free_boundary_cells(u, part) & near):
+        if np.any(free_boundary_cells(u, part) & near):
             count += 1
     return count
 
@@ -652,19 +648,18 @@ def _dilate(mask: NDArray[np.bool_], grid: Grid, radius: float) -> NDArray[np.bo
 
 
 def phase_count_map(u, r: float) -> NDArray[np.int64]:
-    """Per-cell phase_count_at evaluated at every cell center at once."""
+    """Per-cell phase_count_at evaluated at every cell center at once.
+
+    Only each part's boundary cells are dilated, by 2h: as in
+    phase_count_at, that implies its support meets the radius-r ball.
+    """
     grid, _ = _as_fields(u)
     if r < 4.0 * grid.spacing:
         raise ValueError(f"radius {r} must be at least 4h = {4 * grid.spacing}")
     counts = np.zeros(grid.shape, dtype=np.int64)
+    near = 2.0 * grid.spacing * (1.0 + 1e-9)
     for part in _phase_parts(u):
-        _, vals = _part_values(u, part)
-        support = (vals > 0.0) & grid.mask
-        near_support = _dilate(support, grid, r * (1.0 - 1e-12))
-        near_boundary = _dilate(
-            free_boundary_cells(u, part), grid, 2.0 * grid.spacing * (1.0 + 1e-9)
-        )
-        counts += (near_support & near_boundary).astype(np.int64)
+        counts += _dilate(free_boundary_cells(u, part), grid, near)
     counts[~grid.mask] = 0
     return counts
 

@@ -200,10 +200,11 @@ def _pcg(
     power of two that brings ``max |rhs|`` into [1/2, 1), so tiny or huge
     but finite sources neither underflow nor overflow ``r.z``; the scaling
     is exact and undone on exit.  Returns ``(x, relative_residual,
-    iterations)``; ``x`` is full-shape and zero off the region.
-    Convergence is decided on the recursively updated residual, which in
-    finite precision can fall below the true one once the latter reaches
-    its rounding floor; the returned residual is the true
+    iterations)``; ``x`` is full-shape and zero off the region, and an
+    empty region or a zero source gives ``(zeros, 0.0, 0)``.  Convergence
+    is decided on the recursively updated residual, which in finite
+    precision can fall below the true one once the latter reaches its
+    rounding floor; the returned residual is the true
     ``||b - Ax|| / ||b||``, so it can sit slightly above ``tol``.  Raises
     SolverError, carrying that true residual, past the iteration cap
     ``ceil(50 * sqrt(#region cells))`` or on breakdown.
@@ -323,8 +324,6 @@ def solve_phase(
         raise ValueError(f"tol must be positive, got {tol}")
     grid = spec.grid
     region = w.labels == i
-    if not np.any(region):
-        return make_field(grid, np.zeros(grid.shape))
     f_vals = spec.f[i - 1].values
     rhs = 0.5 * spec.g[i - 1].values
     x0 = initial.values if initial is not None else None
@@ -336,9 +335,6 @@ def solve_phase(
                 break
             region = region & ~negative
             x = np.maximum(x, 0.0)
-            if not np.any(region):
-                x = np.zeros(grid.shape)
-                break
             x, _, _ = _pcg(grid, region, f_vals, rhs, tol, x)
         x = np.where(x > 0.0, x, 0.0)
     return make_field(grid, x)

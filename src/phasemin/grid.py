@@ -216,11 +216,14 @@ def as_point(grid: Grid, x: float | Sequence[float]) -> NDArray[np.float64]:
     """A physical point as a float array of shape ``(dim,)``; 1D takes a scalar.
 
     Raises:
-        ValueError: if the point does not have the grid's dimension.
+        ValueError: if the point does not have the grid's dimension or has
+            a non-finite coordinate.
     """
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     if pt.shape != (grid.dim,):
         raise ValueError(f"point {x!r} does not match grid dimension {grid.dim}")
+    if not np.all(np.isfinite(pt)):
+        raise ValueError(f"point {tuple(pt.tolist())} has a non-finite coordinate")
     return pt
 
 
@@ -312,7 +315,7 @@ def ball_cells(grid: Grid, x0: float | Sequence[float], r: float) -> BallIndex:
     inside = _squared_offsets(grid, pt) < r * r
     cells = np.flatnonzero(inside.ravel(order="C"))
     if cells.size == 0:
-        raise ValueError(f"ball B({tuple(pt)}, {r}) contains no cell center")
+        raise ValueError(f"ball B({tuple(pt.tolist())}, {r}) contains no cell center")
     return BallIndex(center=tuple(float(v) for v in pt), radius=float(r), cells=cells)
 
 
@@ -334,7 +337,7 @@ def sample(f: ScalarField, x: float | Sequence[float]) -> float:
     lo, hi = bounding_box(grid)
     eps = 1e-12 * (1.0 + np.abs(pt))
     if np.any(pt < lo - eps) or np.any(pt > hi + eps):
-        raise ValueError(f"sample point {tuple(pt)} outside bounding box")
+        raise ValueError(f"sample point {tuple(pt.tolist())} outside bounding box")
     return float(sample_many(f, pt[np.newaxis, :])[0])
 
 

@@ -124,7 +124,6 @@ def initial_partition(
         band = np.minimum((idx0 * num_phases) // grid.shape[0], num_phases - 1)
         band = band.reshape((-1,) + (1,) * (grid.dim - 1))
         labels = 1 + band * np.ones(grid.shape, dtype=np.int64)
-    labels = np.where(grid.mask, labels, 0)
     return make_partition(grid, num_phases, labels)
 
 
@@ -147,7 +146,7 @@ def update_fields(
         solve_phase(spec, w, i, tol, initial=u.fields[i - 1])
         for i in range(1, spec.num_phases + 1)
     ]
-    return make_phase_field(spec.grid, [f.values for f in fields])
+    return make_phase_field(spec.grid, fields)
 
 
 def _release_energy(grid: Grid, values: NDArray) -> NDArray:
@@ -219,9 +218,7 @@ def update_partition(spec: FunctionalSpec, u: PhaseField, w: Partition) -> Parti
     keep_cost = bulk + keep_lam
     idx = np.indices(grid.shape)
     costs[(labels,) + tuple(idx)] = keep_cost
-    new_labels = np.argmin(costs, axis=0)
-    new_labels[~grid.mask] = 0
-    return make_partition(grid, n, new_labels)
+    return make_partition(grid, n, np.argmin(costs, axis=0))
 
 
 def minimize(
@@ -266,10 +263,7 @@ def minimize(
     j = total(u, w, spec)
     slack = 1e-10 * (1.0 + abs(j))
     j_history = [j]
-    outer_j = [j]
     outer_volumes = [region_volumes(w)]
-    converged = False
-    iterations = 0
     for _ in range(max_outer):
         u = update_fields(spec, w, u, tol_solve)
         j_fields = total(u, w, spec)
@@ -280,32 +274,24 @@ def minimize(
         j_new = total(u_new, w_new, spec)
         if j_new > j_fields + slack:
             # the sweep's estimate was optimistic (possible with mixed-sign
-            # fields); discard the sweep and stop at the solved pair
-            j_history.append(j_fields)
-            outer_j.append(j_fields)
-            outer_volumes.append(region_volumes(w))
-            iterations += 1
-            converged = True
-            break
+            # fields); discard it, so the loop stops at the solved pair
+            u_new, w_new, j_new = u, w, j_fields
         same_partition = bool(np.array_equal(w_new.labels, w.labels))
         u, w = u_new, w_new
         j_history.append(j_new)
-        outer_j.append(j_new)
         outer_volumes.append(region_volumes(w))
-        iterations += 1
-        if same_partition or abs(j - j_new) <= tol_j * (1.0 + abs(j_new)):
-            j = j_new
-            converged = True
+        converged = same_partition or abs(j - j_new) <= tol_j * (1.0 + abs(j_new))
+        if converged:
             break
         j = j_new
 
     report = SolveReport(
-        iterations=iterations,
+        iterations=len(outer_volumes) - 1,
         j_history=tuple(j_history),
         converged=converged,
-        final_volumes=region_volumes(w),
+        final_volumes=outer_volumes[-1],
         zero_set_fraction=zero_set_fraction(u),
-        outer_j=tuple(outer_j),
+        outer_j=tuple(j_history[::2]),  # J(init), then J after each sweep
         outer_volumes=tuple(outer_volumes),
     )
     return u, w, report

@@ -329,6 +329,17 @@ class TestRun:
                 ],
                 "diagnose.radii",
             ),
+            (
+                [
+                    "grid.shape = 32 32",
+                    "grid.spacing = 0.03125",
+                    "spec.g.1 = 8.0",
+                    "pipeline.stages = minimize diagnose",
+                    "diagnose.radii = 0.1 0.2",
+                    "diagnose.point = nan 0.5",
+                ],
+                "diagnose.point",
+            ),
         ],
     )
     def test_bad_values_exit_2_naming_the_key(self, tmp_path, capsys, lines, key):

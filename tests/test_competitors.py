@@ -240,6 +240,16 @@ class TestAudit:
         assert len(report.skipped) == 2
         assert "bounding box" in report.skipped[0].note
 
+    def test_skip_note_prints_plain_numbers(self):
+        grid = make_grid(2, (16, 16), 1 / 16)
+        spec, u, w = solved_full_domain_pair(grid, 2.0, 0.1)
+        report = audit(u, w, spec, [((0.5, 0.5), 100.0)])
+        skip_lines = audit_report_csv(report).splitlines()[-2:]
+        assert skip_lines == [
+            "# skipped,harmonic:1,100.0,0.5;0.5,ball at (0.5, 0.5) radius 100.0 "
+            "(+margin h) leaves the bounding box"
+        ] * 2
+
     def test_converged_pair_near_minimal(self):
         grid = make_grid(2, (64, 64), 1 / 64)
         spec = make_functional_spec(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasemin.grid import (
+    as_point,
     axis_centers,
     ball_cells,
     bounding_box,
@@ -60,6 +61,14 @@ class TestConstruction:
         assert f.values[0, 0] == 0.0
         with pytest.raises(ValueError):
             make_field(g, np.full((4, 4), np.nan))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_as_point_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            as_point(unit_grid_2d(4), (bad, 0.5))
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            as_point(unit_grid_1d(4), bad)
+        assert as_point(unit_grid_2d(4), (0.25, 0.5)).tolist() == [0.25, 0.5]
 
     def test_cell_centers_shape(self):
         g = unit_grid_2d(4)

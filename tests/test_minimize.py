@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from phasemin.functional import (
+    FREE,
     NONNEGATIVE,
     PerRegion,
     PowerLaw,
@@ -263,3 +264,30 @@ class TestMinimize:
             minimize(spec, max_outer=0)
         with pytest.raises(ValueError):
             minimize(spec, tol_j=-1.0)
+
+    def test_discarded_sweep_report(self):
+        """A sweep that would raise J is discarded and ends the run."""
+        grid = make_grid(1, (7,), 1 / 7)
+        f = make_field(grid, np.array([2.964, 0.03, 4.233, 2.175, 4.894, 2.066, 1.309]))
+        g = make_field(
+            grid, np.array([12.732, 4.549, 11.758, -7.647, -10.335, -7.207, -8.27])
+        )
+        spec = make_functional_spec(grid, [f], [g], FREE, PowerLaw(0.443, 0.374))
+        u, w, rep = minimize(spec)
+        assert np.array_equal(w.labels, [0, 0, 0, 0, 1, 1, 0])
+        # the sweep of cycle 2 would drop cell 5 and raise J
+        w_sweep = update_partition(spec, u, w)
+        assert np.array_equal(w_sweep.labels, [0, 0, 0, 0, 1, 0, 0])
+        j_sweep = total(restrict_support(u, w_sweep), w_sweep, spec)
+        assert j_sweep == pytest.approx(0.0546664, abs=1e-7)
+        assert rep.iterations == 2
+        assert rep.converged
+        j_history = (0.817, 0.371976365315116, 0.1574433000120508, 0.05155795698264007)
+        assert rep.j_history == pytest.approx(j_history + j_history[-1:], rel=1e-9)
+        assert rep.j_history[-1] == rep.j_history[-2] < j_sweep
+        assert rep.outer_j == pytest.approx(
+            (0.817, 0.1574433000120508, 0.05155795698264007), rel=1e-9
+        )
+        np.testing.assert_allclose(rep.outer_volumes, [[1.0], [2 / 7], [2 / 7]])
+        assert rep.final_volumes == pytest.approx((2 / 7,))
+        assert rep.zero_set_fraction == pytest.approx(5 / 7)
