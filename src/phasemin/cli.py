@@ -136,99 +136,86 @@ def parse_config(path) -> dict[str, str]:
     return table
 
 
-class _Reader:
-    """Typed accessors over the flat table; every error names its key."""
+def _parse(key: str, raw: str, kind, what: str):
+    """``kind(raw)``; its ValueError becomes a ConfigError naming ``key``."""
+    try:
+        return kind(raw)
+    except ValueError as err:
+        raise ConfigError(f"{key}: expected {what}, got {raw!r}") from err
 
-    _REQUIRED = object()
+
+def _floats(key: str, text: str) -> tuple[float, ...]:
+    """The space- or comma-separated numbers in ``text``."""
+    try:
+        return tuple(float(t) for t in text.replace(",", " ").split())
+    except ValueError as err:
+        raise ConfigError(f"{key}: expected numbers, got {text!r}") from err
+
+
+class _Reader:
+    """Typed accessors over the flat table; every error names its key.
+
+    A default is config text, parsed like a value from the file; a key
+    without one is required."""
 
     def __init__(self, table: dict[str, str], base_dir: Path):
         self.table = table
         self.base_dir = base_dir
         self.consumed: set[str] = set()
 
-    def _raw(self, key: str, default):
+    def get_str(self, key: str, default: str | None = None) -> str:
         self.consumed.add(key)
         if key in self.table:
             return self.table[key]
-        if default is self._REQUIRED:
+        if default is None:
             raise ConfigError(f"{key}: required key is missing")
         return default
 
-    def get_str(self, key: str, default=_REQUIRED) -> str:
-        return self._raw(key, default)
+    def get_int(self, key: str, default: str | None = None) -> int:
+        return _parse(key, self.get_str(key, default), int, "an integer")
 
-    def get_int(self, key: str, default=_REQUIRED) -> int:
-        raw = self._raw(key, default)
-        if isinstance(raw, int):
-            return raw
-        try:
-            return int(raw)
-        except ValueError as err:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from err
+    def get_float(self, key: str, default: str | None = None) -> float:
+        return _parse(key, self.get_str(key, default), float, "a number")
 
-    def get_float(self, key: str, default=_REQUIRED) -> float:
-        raw = self._raw(key, default)
-        if isinstance(raw, float):
-            return raw
-        try:
-            return float(raw)
-        except ValueError as err:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from err
-
-    def get_floats(self, key: str, default=_REQUIRED) -> tuple[float, ...]:
-        raw = self._raw(key, default)
-        if not isinstance(raw, str):
-            return tuple(raw)
-        vals = self.get_floats_text(key, raw)
+    def get_floats(self, key: str, default: str | None = None) -> tuple[float, ...]:
+        vals = _floats(key, self.get_str(key, default))
         if not vals:
             raise ConfigError(f"{key}: expected at least one number")
         return vals
 
-    def get_ints(self, key: str, default=_REQUIRED) -> tuple[int, ...]:
-        vals = self.get_floats(key, default)
+    def get_ints(self, key: str) -> tuple[int, ...]:
+        vals = self.get_floats(key)
         if not all(float(v).is_integer() for v in vals):
             raise ConfigError(f"{key}: expected integers")
         return tuple(int(v) for v in vals)
 
-    def get_coeff(self, key: str, grid: Grid, default=_REQUIRED) -> ScalarField:
+    def get_coeff(
+        self, key: str, grid: Grid, default: str | None = None
+    ) -> ScalarField:
         """A field from a constant or from ``file:<path>``."""
-        raw = self._raw(key, default)
-        if isinstance(raw, str):
-            if raw.startswith("file:"):
-                path = self.base_dir / raw[len("file:") :].strip()
-                try:
-                    return load_field(path, grid)
-                except (OSError, ValueError) as err:
-                    raise ConfigError(f"{key}: {err}") from err
+        raw = self.get_str(key, default)
+        if raw.startswith("file:"):
+            path = self.base_dir / raw[len("file:") :].strip()
             try:
-                raw = float(raw)
-            except ValueError as err:
-                raise ConfigError(
-                    f"{key}: expected a number or 'file:<path>', got {raw!r}"
-                ) from err
-        return _construct(key, make_field, grid, raw)
+                return load_field(path, grid)
+            except (OSError, ValueError) as err:
+                raise ConfigError(f"{key}: {err}") from err
+        value = _parse(key, raw, float, "a number or 'file:<path>'")
+        return _construct(key, make_field, grid, value)
 
-    def get_points(self, key: str, dim: int, default=_REQUIRED):
-        """A ';'-separated list of points, each with ``dim`` coordinates."""
-        raw = self._raw(key, default)
-        if not isinstance(raw, str):
-            return raw
+    def get_points(self, key: str, dim: int) -> list[tuple[float, ...]] | None:
+        """Points 'x y ; x y' of ``dim`` coordinates each; None when absent."""
+        if key not in self.table:
+            return None
         points = []
-        for part in raw.split(";"):
-            coords = self.get_floats_text(key, part)
+        for part in self.get_str(key).split(";"):
+            coords = _floats(key, part)
             if len(coords) != dim:
                 raise ConfigError(
                     f"{key}: point {part.strip()!r} needs {dim} coordinates"
                 )
             points.append(coords)
         return points
-
-    def get_floats_text(self, key: str, text: str) -> tuple[float, ...]:
-        toks = text.replace(",", " ").split()
-        try:
-            return tuple(float(t) for t in toks)
-        except ValueError as err:
-            raise ConfigError(f"{key}: expected numbers, got {text!r}") from err
 
     def reject_unknown(self) -> None:
         unknown = sorted(set(self.table) - self.consumed)
@@ -254,7 +241,7 @@ class RunPlan:
     max_outer: int
     tol_j: float
     tol_solve: float
-    seeds: list[tuple[float, ...]] | None
+    seed_partition: Partition | None
     potential: ScalarField
     diag_point: tuple[float, ...] | None
     diag_radii: tuple[float, ...]
@@ -265,12 +252,10 @@ class RunPlan:
 
     def initial_pair(self) -> tuple[PhaseField, Partition] | None:
         """Zero fields on the seeds' Voronoi partition; None without seeds."""
-        if self.seeds is None:
+        if self.seed_partition is None:
             return None
-        num_phases = self.spec.num_phases
-        w0 = initial_partition(self.grid, num_phases, self.seeds)
-        zeros = [np.zeros(self.grid.shape) for _ in range(num_phases)]
-        return make_phase_field(self.grid, zeros), w0
+        zeros = [np.zeros(self.grid.shape) for _ in range(self.spec.num_phases)]
+        return make_phase_field(self.grid, zeros), self.seed_partition
 
 
 def build_plan(config_path) -> RunPlan:
@@ -296,11 +281,11 @@ def build_plan(config_path) -> RunPlan:
     f_list, g_list, signs = [], [], []
     default_sign = reader.get_str("spec.signs", NONNEGATIVE)
     for i in range(1, num_phases + 1):
-        fi = reader.get_coeff(f"spec.f.{i}", grid, 0.0)
+        fi = reader.get_coeff(f"spec.f.{i}", grid, "0")
         if np.any(fi.values < 0.0):
             raise ConfigError(f"spec.f.{i}: must be nonnegative")
         f_list.append(fi)
-        g_list.append(reader.get_coeff(f"spec.g.{i}", grid, 0.0))
+        g_list.append(reader.get_coeff(f"spec.g.{i}", grid, "0"))
         sign = reader.get_str(f"spec.sign.{i}", default_sign)
         if sign not in (NONNEGATIVE, FREE):
             raise ConfigError(
@@ -311,8 +296,8 @@ def build_plan(config_path) -> RunPlan:
     kind = reader.get_str("volume_term.kind")
     if kind == "power_law":
         a = reader.get_float("volume_term.a")
-        b = reader.get_float("volume_term.b", 0.0)
-        alpha = reader.get_float("volume_term.alpha", 1.0)
+        b = reader.get_float("volume_term.b", "0")
+        alpha = reader.get_float("volume_term.alpha", "1")
         volume_term = _construct(
             "volume_term.a, volume_term.b, volume_term.alpha", PowerLaw, a, b, alpha
         )
@@ -339,41 +324,41 @@ def build_plan(config_path) -> RunPlan:
     if ("diagnose" in stages or "audit" in stages) and "minimize" not in stages:
         raise ConfigError("pipeline.stages: diagnose/audit require minimize")
 
-    max_outer = reader.get_int("pipeline.max_outer", 100)
+    max_outer = reader.get_int("pipeline.max_outer", "100")
     if max_outer < 1:
         raise ConfigError(f"pipeline.max_outer: must be >= 1, got {max_outer}")
-    tol_j = reader.get_float("pipeline.tol_j", 1e-8)
-    tol_solve = reader.get_float("pipeline.tol_solve", 1e-8)
+    tol_j = reader.get_float("pipeline.tol_j", "1e-8")
+    tol_solve = reader.get_float("pipeline.tol_solve", "1e-8")
     if not tol_j > 0:
         raise ConfigError("pipeline.tol_j: must be > 0")
     if not tol_solve > 0:
         raise ConfigError("pipeline.tol_solve: must be > 0")
 
-    seeds = reader.get_points("init.seeds", dim, None)
+    seeds = reader.get_points("init.seeds", dim)
     if seeds is not None:
-        _construct("init.seeds", initial_partition, grid, num_phases, seeds)
+        seeds = _construct("init.seeds", initial_partition, grid, num_phases, seeds)
 
-    potential = reader.get_coeff("landscape.potential", grid, 0.0)
+    potential = reader.get_coeff("landscape.potential", grid, "0")
     if np.any(potential.values < 0.0):
         raise ConfigError("landscape.potential: must be nonnegative")
 
-    diag_point = reader.get_points("diagnose.point", dim, None)
+    diag_point = reader.get_points("diagnose.point", dim)
     if diag_point is not None:
         if len(diag_point) != 1:
             raise ConfigError("diagnose.point: exactly one point expected")
         diag_point = diag_point[0]
         _construct("diagnose.point", as_point, grid, diag_point)
-    diag_radii = reader.get_floats("diagnose.radii", (0.05, 0.1, 0.2))
+    diag_radii = reader.get_floats("diagnose.radii", "0.05 0.1 0.2")
     if "diagnose" in stages:
         _construct("diagnose.radii", _check_radii, grid, diag_radii)
 
-    probe_count = reader.get_int("probes.count", 20)
+    probe_count = reader.get_int("probes.count", "20")
     if probe_count < 1:
         raise ConfigError(f"probes.count: must be >= 1, got {probe_count}")
-    probe_radius = reader.get_float("probes.radius", 0.1)
+    probe_radius = reader.get_float("probes.radius", "0.1")
     if not probe_radius > 0:
         raise ConfigError(f"probes.radius: must be > 0, got {probe_radius}")
-    probe_seed = reader.get_int("probes.seed", 0)
+    probe_seed = reader.get_int("probes.seed", "0")
     if probe_seed < 0:
         raise ConfigError(f"probes.seed: must be >= 0, got {probe_seed}")
     if "audit" in stages:
@@ -389,7 +374,7 @@ def build_plan(config_path) -> RunPlan:
         max_outer=max_outer,
         tol_j=tol_j,
         tol_solve=tol_solve,
-        seeds=seeds,
+        seed_partition=seeds,
         potential=potential,
         diag_point=diag_point,
         diag_radii=diag_radii,
@@ -479,7 +464,7 @@ def _default_probe(u: PhaseField, grid: Grid) -> np.ndarray | None:
 
 
 class _Run:
-    """One pipeline execution: stage methods append artifacts and summary."""
+    """One pipeline execution; ``stage_<name>`` methods append artifacts and summary."""
 
     def __init__(self, plan: RunPlan, out_dir: Path, seed: int | None):
         self.plan = plan
@@ -557,10 +542,10 @@ class _Run:
         self.say(f"oracle gap {format_float(abs(j_final - result.j_split))}")
 
     def stage_diagnose(self) -> None:
-        plan = self.plan
+        plan, u, w, spec = self.plan, self.u, self.w, self.plan.spec
         pt = plan.diag_point
         if pt is None:
-            found = _default_probe(self.u, plan.grid)
+            found = _default_probe(u, plan.grid)
             if found is None:
                 self.say("diagnose skipped: no free boundary found")
                 return
@@ -569,45 +554,35 @@ class _Run:
         radii = plan.diag_radii
         r_max = radii[-1]
 
-        prof = radial_energy(self.u, pt, radii)
-        self.write("profile_energy.csv", profile_csv(prof))
-        for i in range(1, plan.spec.num_phases + 1):
-            prof = acf_profile(self.u, Phase(i), pt, radii)
+        self.write("profile_energy.csv", profile_csv(radial_energy(u, pt, radii)))
+        for i in range(1, spec.num_phases + 1):
+            prof = acf_profile(u, Phase(i), pt, radii)
             self.write(f"profile_acf_{i}.csv", profile_csv(prof))
-            lam = volume_marginal(self.w, plan.spec.volume_term, at=pt).lam[i - 1]
-            prof = weiss_profile(self.u, i, lam, pt, radii)
+            lam = volume_marginal(w, spec.volume_term, at=pt).lam[i - 1]
+            prof = weiss_profile(u, i, lam, pt, radii)
             self.write(f"profile_weiss_{i}.csv", profile_csv(prof))
-        if plan.spec.num_phases >= 2:
-            prof, violation = acf_product(self.u, Phase(1), Phase(2), pt, radii)
+        if spec.num_phases >= 2:
+            prof, violation = acf_product(u, Phase(1), Phase(2), pt, radii)
             self.write("profile_acf_product.csv", profile_csv(prof))
             self.say(f"diagnose acf_violation {format_float(violation)}")
 
+        checks = {
+            "interface_measure": lambda: interface_measure(u, 1, pt, radii, spec=spec),
+            "el_interface_check": lambda: el_interface_check(u, w, spec, pt, r_max),
+            "density_report": lambda: density_report(u, w, 1, pt, r_max),
+            "phase_count_at": lambda: InterfaceReport(
+                phase_count=phase_count_at(u, pt, r_max)
+            ),
+        }
         fields: dict = {}
-        notes: list[str] = []
-        try:
-            rep = interface_measure(self.u, 1, pt, radii, spec=plan.spec)
-            fields["mu_density"] = rep.mu_density
-            fields["h_density"] = rep.h_density
-        except ValueError as err:
-            notes.append(f"interface_measure: {err}")
-        try:
-            rep = el_interface_check(self.u, self.w, plan.spec, pt, r_max)
-            fields["slopes"] = rep.slopes
-            fields["el_residuals"] = rep.el_residuals
-        except ValueError as err:
-            notes.append(f"el_interface_check: {err}")
-        try:
-            rep = density_report(self.u, self.w, 1, pt, r_max)
-            fields["density_ratios"] = rep.density_ratios
-        except ValueError as err:
-            notes.append(f"density_report: {err}")
-        try:
-            fields["phase_count"] = phase_count_at(self.u, pt, r_max)
-        except ValueError as err:
-            notes.append(f"phase_count_at: {err}")
+        for name, check in checks.items():
+            try:
+                rep = check()
+            except ValueError as err:
+                self.say(f"diagnose skipped {name}: {err}")
+                continue
+            fields.update((k, v) for k, v in vars(rep).items() if v is not None)
         self.write("interface_report.txt", report_text(InterfaceReport(**fields)))
-        for note in notes:
-            self.say(f"diagnose skipped {note}")
 
     def stage_audit(self) -> None:
         plan = self.plan
@@ -630,15 +605,9 @@ class _Run:
         )
         self.say(f"phases {plan.spec.num_phases}")
         self.say("stages " + " ".join(plan.stages))
-        methods = {
-            "landscape": self.stage_landscape,
-            "minimize": self.stage_minimize,
-            "diagnose": self.stage_diagnose,
-            "audit": self.stage_audit,
-        }
         for stage in plan.stages:
             try:
-                methods[stage]()
+                getattr(self, f"stage_{stage}")()
             except SolverError as err:
                 note = f"stage {stage} aborted: {err}"
                 self.say(note)
@@ -661,14 +630,12 @@ def run(config_path, out_dir, workers: int = 1, seed: int | None = None) -> int:
     """
     try:
         plan = build_plan(config_path)
+        if workers < 1:
+            raise ConfigError("--workers must be >= 1")
+        if seed is not None and seed < 0:
+            raise ConfigError("--seed must be >= 0")
     except ConfigError as err:
         print(f"phasemin: config error: {err}", file=sys.stderr)
-        return 2
-    if workers < 1:
-        print("phasemin: config error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if seed is not None and seed < 0:
-        print("phasemin: config error: --seed must be >= 0", file=sys.stderr)
         return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -38,7 +38,7 @@ of an edge between masked cells and all of a wall edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +101,14 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return float(self.spacing**self.dim)
+
+    @cached_property
+    def _wall_slots(self) -> NDArray[np.int8]:
+        """Read-only :func:`wall_slot_count`, built once: the mask is immutable."""
+        walls = 2 * self.dim - neighbor_sum(self.mask.astype(np.int8))
+        walls = np.where(self.mask, walls, 0)
+        walls.setflags(write=False)
+        return walls
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,10 +404,11 @@ def neighbor_sum(values: NDArray) -> NDArray:
     return out
 
 
-def wall_slot_count(grid: Grid) -> NDArray[np.int64]:
-    """Per-cell count of wall edges (box faces, unmasked neighbors); 0 off the mask."""
-    m = grid.mask
-    return np.where(m, 2 * grid.dim - neighbor_sum(m.astype(np.int64)), 0)
+def wall_slot_count(grid: Grid) -> NDArray[np.int8]:
+    """Per-cell count of wall edges (box faces, unmasked neighbors); 0 off the mask.
+
+    Computed once per grid and returned read-only."""
+    return grid._wall_slots
 
 
 def laplacian_apply(f: ScalarField) -> ScalarField:
@@ -480,14 +489,22 @@ def _write_values(fh, grid: Grid, values: NDArray, fmt) -> None:
 
 def _read_header(lines: list[str]) -> tuple[int, tuple[int, ...], float, tuple[float, ...], int]:
     def tokens(i: int, key: str) -> list[str]:
-        parts = lines[i].split()
+        parts = lines[i].split() if i < len(lines) else []
         if not parts or parts[0] != key:
             raise ValueError(f"expected '{key}' on line {i + 1} of field file")
         return parts[1:]
 
-    dim = int(tokens(0, "dim")[0])
+    def value(i: int, key: str) -> str:
+        values = tokens(i, key)
+        if not values:
+            raise ValueError(
+                f"expected a value after '{key}' on line {i + 1} of field file"
+            )
+        return values[0]
+
+    dim = int(value(0, "dim"))
     shape = tuple(int(t) for t in tokens(1, "shape"))
-    spacing = float(tokens(2, "spacing")[0])
+    spacing = float(value(2, "spacing"))
     origin = tuple(float(t) for t in tokens(3, "origin"))
     return dim, shape, spacing, origin, 4
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from phasemin import cli
 from phasemin.cli import (
     ConfigError,
     RunPlan,
@@ -19,7 +20,7 @@ from phasemin.cli import (
 )
 from phasemin.functional import PerRegion, PowerLaw, make_partition
 from phasemin.grid import cell_centers, load_field, make_field, make_grid, save_field
-from phasemin.minimize import SolveReport
+from phasemin.minimize import SolveReport, initial_partition
 
 
 def write_config(path, text):
@@ -233,6 +234,59 @@ def test_fuzzed_config_builds_or_raises_config_error(tmp_path, text):
     assert isinstance(plan, RunPlan)
 
 
+def field_file_lines(tmp_path):
+    """The lines of a valid field file on BASE's grid."""
+    grid = make_grid(2, (16, 16), 0.0625)
+    save_field(make_field(grid, 1.0 + cell_centers(grid)[..., 0]), tmp_path / "g.txt")
+    return (tmp_path / "g.txt").read_text(encoding="ascii").splitlines()
+
+
+def config_with_field_file(tmp_path, lines):
+    """BASE with ``spec.g.1`` read from a field file holding ``lines``."""
+    (tmp_path / "g.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    return write_config(tmp_path / "c.txt", BASE + "spec.g.1 = file:g.txt\n")
+
+
+FIELD_KEYS = ("dim", "shape", "spacing", "origin", "dims", "values")
+FIELD_JUNK = ("x", "nan", "inf", "-", "1e999", "0x10", "2.5", "-3")
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_fuzzed_field_file_builds_or_names_the_key(tmp_path, data):
+    lines = field_file_lines(tmp_path)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not lines:
+            break
+        edit = data.draw(st.sampled_from(("drop", "empty", "rename", "bare", "junk")))
+        last = min(3, len(lines) - 1) if edit in ("empty", "rename") else len(lines) - 1
+        i = data.draw(st.integers(0, last))
+        words = lines[i].split()
+        if edit == "drop":
+            del lines[i]
+        elif edit == "empty":
+            lines[i] = ""
+        elif edit == "rename":
+            lines[i] = " ".join([data.draw(st.sampled_from(FIELD_KEYS))] + words[1:])
+        elif edit == "bare":
+            lines[i] = " ".join(words[:1])
+        else:
+            k = data.draw(st.integers(0, len(words)))
+            n = data.draw(st.integers(0, 1))  # insert or replace a word
+            words[k : k + n] = [data.draw(st.sampled_from(FIELD_JUNK))]
+            lines[i] = " ".join(words)
+    try:
+        plan = build_plan(config_with_field_file(tmp_path, lines))
+    except ConfigError as err:
+        assert str(err).startswith("spec.g.1: ")
+        return
+    assert isinstance(plan, RunPlan)
+
+
 class TestExportRaster:
     def test_constant_field_uniform(self, tmp_path):
         grid = make_grid(2, (4, 4), 0.25)
@@ -350,6 +404,29 @@ class TestRun:
         assert run(write_config(tmp_path / "c.txt", text), out) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda lines: lines[:2], lambda lines: ["dim"] + lines[1:]],
+        ids=["header_ends_after_shape", "dim_without_value"],
+    )
+    def test_truncated_field_file_exit_2(self, tmp_path, capsys, cut):
+        cfg = config_with_field_file(tmp_path, cut(field_file_lines(tmp_path)))
+        assert run(cfg, tmp_path / "out") == 2
+        assert "phasemin: config error: spec.g.1: " in capsys.readouterr().err
+
+    def test_seed_partition_built_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return initial_partition(*args)
+
+        monkeypatch.setattr(cli, "initial_partition", counted)
+        text = with_line(BASE, "spec.num_phases = 2")
+        text = with_line(text, "init.seeds = 0.2 0.5 ; 0.8 0.5")
+        assert run(write_config(tmp_path / "c.txt", text), tmp_path / "out") == 0
+        assert len(calls) == 1
 
     def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", BASE)

@@ -274,6 +274,21 @@ class TestSerialization:
         assert g2.origin == g.origin
         assert np.array_equal(g2.mask, g.mask)
 
+    @pytest.mark.parametrize("keep", [0, 1, 2, 3])
+    def test_truncated_header_raises_value_error(self, tmp_path, keep):
+        p = tmp_path / "mask.txt"
+        save_mask(make_grid(2, (4, 4), 0.25), p)
+        p.write_text("\n".join(p.read_text().splitlines()[:keep]) + "\n")
+        with pytest.raises(ValueError, match="field file"):
+            load_mask(p)
+
+    def test_header_key_without_value_raises_value_error(self, tmp_path):
+        p = tmp_path / "f.txt"
+        save_field(make_field(unit_grid_1d(8), 1.0), p)
+        p.write_text(p.read_text().replace("spacing 0.125", "spacing"))
+        with pytest.raises(ValueError, match="spacing"):
+            load_field(p)
+
     def test_load_with_grid_checks_header(self, tmp_path):
         g = unit_grid_1d(8)
         f = make_field(g, np.arange(8.0))
@@ -294,3 +309,10 @@ class TestWallSlots:
         assert w[0, 1] == 2  # one box face + hole below
         assert w[2, 1] == 1  # hole above
         assert w[1, 1] == 0  # unmasked cells report 0
+
+    def test_computed_once_and_read_only(self):
+        g = make_grid(2, (5, 4), 0.25)
+        w = wall_slot_count(g)
+        assert wall_slot_count(g) is w
+        with pytest.raises(ValueError):
+            w[0, 0] = 7
