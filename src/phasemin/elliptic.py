@@ -82,10 +82,11 @@ class _Level:
     ``diag`` is the operator diagonal on the region and 1 off it; ``off``
     marks the cells outside the region.  ``rhs`` and ``out`` hold the
     right-hand side and the V-cycle output of this level (on the finest
-    level they are CG's ``r`` and ``z``); ``work`` is a spare buffer.
+    level they are CG's ``r`` and ``z``); ``work`` is a spare buffer and
+    ``nbr`` receives the neighbor sums of ``_apply``.
     """
 
-    __slots__ = ("off", "diag", "h2", "rhs", "out", "work")
+    __slots__ = ("off", "diag", "h2", "rhs", "out", "work", "nbr")
 
     def __init__(
         self, region: NDArray[np.bool_], walls: NDArray, coeff: NDArray, h2: float
@@ -96,6 +97,7 @@ class _Level:
         self.rhs = np.zeros(region.shape)
         self.out = np.zeros(region.shape)
         self.work = np.zeros(region.shape)
+        self.nbr = np.zeros(region.shape)
 
 
 def _blocks(a: NDArray, coarse_shape: tuple[int, ...]) -> NDArray:
@@ -142,7 +144,7 @@ def _levels(
 
 def _apply(level: _Level, v: NDArray, out: NDArray) -> None:
     """``out = A v`` on the level's region, zero off it; ``v`` is zero off it."""
-    nbr = neighbor_sum(v)
+    nbr = neighbor_sum(v, level.nbr)
     nbr /= level.h2
     np.multiply(level.diag, v, out=out)
     out -= nbr

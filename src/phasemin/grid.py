@@ -395,9 +395,15 @@ def edge_slices(dim: int) -> tuple[tuple[tuple[slice, ...], ...], ...]:
     return tuple(out)
 
 
-def neighbor_sum(values: NDArray) -> NDArray:
-    """Sum of the face-neighbor values of every cell, zero beyond the box."""
-    out = np.zeros_like(values)
+def neighbor_sum(values: NDArray, out: NDArray | None = None) -> NDArray:
+    """Sum of the face-neighbor values of every cell, zero beyond the box.
+
+    The sum goes to ``out`` when given (same shape and dtype as ``values``,
+    not overlapping it) and to a new array otherwise; it is returned."""
+    if out is None:
+        out = np.zeros_like(values)
+    else:
+        out.fill(0)
     for left, right, _, _ in edge_slices(values.ndim):
         out[left] += values[right]
         out[right] += values[left]
@@ -496,9 +502,10 @@ def _read_header(lines: list[str]) -> tuple[int, tuple[int, ...], float, tuple[f
 
     def value(i: int, key: str) -> str:
         values = tokens(i, key)
-        if not values:
+        if len(values) != 1:
             raise ValueError(
-                f"expected a value after '{key}' on line {i + 1} of field file"
+                f"expected one value after '{key}' on line {i + 1} of field file,"
+                f" got {len(values)}"
             )
         return values[0]
 

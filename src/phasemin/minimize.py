@@ -1,9 +1,18 @@
 """Alternating minimization of the partition functional.
 
-The outer loop alternates two exact block minimizations:
+The outer loop alternates two block minimizations:
 
 * ``update_fields`` — with the partition fixed, each phase field solves its
-  linear equation on its own region (a strict minimization over fields).
+  linear equation on its own region (a minimization over fields).  The
+  first cycle and the last one that ``max_outer`` allows solve to
+  ``tol_solve``; the cycles in between solve only to ``LOOSE_TOL``, since
+  the label sweep places the free boundary and needs exact fields only
+  once it has settled.  A loose cycle whose sweep would stop the loop
+  (partition unchanged, sweep discarded, or objective change below
+  ``tol_j``) is redone from its loose fields at ``tol_solve`` before the
+  loop decides, so the loop only ever stops after an exact solve.
+  Conjugate gradients from a warm start lowers the quadratic energy at
+  every iteration, so a loose solve keeps the descent of an exact one.
 * ``update_partition`` — with the fields fixed, each cell picks the label
   with the smallest marginal cost.  Keeping the current label costs the
   cell's bulk term plus the frozen volume marginal; switching away costs
@@ -50,6 +59,10 @@ __all__ = [
     "minimize",
 ]
 
+LOOSE_TOL = 1e-2
+"""Field-solve tolerance of the outer cycles that are neither the first nor
+the last allowed one, unless ``tol_solve`` is looser."""
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -57,7 +70,10 @@ class SolveReport:
 
     Attributes:
         iterations: number of completed outer cycles.
-        j_history: objective after the initial pair and each half-step.
+        j_history: objective after the initial pair, then one pair per
+            outer cycle: after its field solve and after its sweep.  Loose
+            cycles record their loose values; a redone cycle records its
+            ``tol_solve`` values only.
         converged: True when the relative objective change dropped below
             the requested threshold (or the partition reached a fixed
             point) before the iteration cap.
@@ -216,8 +232,7 @@ def update_partition(spec: FunctionalSpec, u: PhaseField, w: Partition) -> Parti
     for ell in range(1, n + 1):
         costs[ell] = release + lam[ell - 1] * hn
     keep_cost = bulk + keep_lam
-    idx = np.indices(grid.shape)
-    costs[(labels,) + tuple(idx)] = keep_cost
+    np.put_along_axis(costs, labels[None], keep_cost[None], axis=0)
     return make_partition(grid, n, np.argmin(costs, axis=0))
 
 
@@ -230,13 +245,21 @@ def minimize(
 ) -> tuple[PhaseField, Partition, SolveReport]:
     """Alternate field solves and label sweeps until the objective settles.
 
+    The first cycle and the last allowed one solve the fields to
+    ``tol_solve``, the others to ``max(tol_solve, LOOSE_TOL)``.  A loose
+    cycle that would stop the loop is redone at ``tol_solve`` from its
+    fields, so the returned pair comes from a ``tol_solve`` field solve
+    and, unless the cycle cap ended the run, a sweep of those fields that
+    stopped the loop.
+
     Args:
         spec: functional description.
         init: optional starting pair; defaults to zero fields on an
             axis-0 stripe partition (see :func:`initial_partition`).
         max_outer: cap on outer cycles, > 0.
         tol_j: relative objective-change threshold for convergence, > 0.
-        tol_solve: residual target passed to the field solves, > 0.
+        tol_solve: residual target of the first, the last and the
+            stopping cycle's field solves, > 0.
 
     Returns:
         ``(u, w, report)`` with the objective history in the report; the
@@ -264,23 +287,30 @@ def minimize(
     slack = 1e-10 * (1.0 + abs(j))
     j_history = [j]
     outer_volumes = [region_volumes(w)]
-    for _ in range(max_outer):
-        u = update_fields(spec, w, u, tol_solve)
-        j_fields = total(u, w, spec)
-        j_history.append(j_fields)
-
-        w_new = update_partition(spec, u, w)
-        u_new = restrict_support(u, w_new)
-        j_new = total(u_new, w_new, spec)
-        if j_new > j_fields + slack:
-            # the sweep's estimate was optimistic (possible with mixed-sign
-            # fields); discard it, so the loop stops at the solved pair
-            u_new, w_new, j_new = u, w, j_fields
-        same_partition = bool(np.array_equal(w_new.labels, w.labels))
+    for cycle in range(1, max_outer + 1):
+        tol = tol_solve if cycle in (1, max_outer) else max(tol_solve, LOOSE_TOL)
+        while True:
+            u = update_fields(spec, w, u, tol)
+            j_fields = total(u, w, spec)
+            w_new = update_partition(spec, u, w)
+            u_new = restrict_support(u, w_new)
+            j_new = total(u_new, w_new, spec)
+            if j_new > j_fields + slack:
+                # the sweep's estimate was optimistic (possible with mixed-sign
+                # fields); discard it, so the loop stops at the solved pair
+                u_new, w_new, j_new = u, w, j_fields
+            same_partition = bool(np.array_equal(w_new.labels, w.labels))
+            converged = same_partition or abs(j - j_new) <= tol_j * (1.0 + abs(j_new))
+            if not converged or tol == tol_solve:
+                break
+            # a loose cycle would stop the loop: drop its sweep and redo it from
+            # the loose fields at tol_solve, so the loop stops only after an
+            # exact solve
+            del u_new, w_new
+            tol = tol_solve
         u, w = u_new, w_new
-        j_history.append(j_new)
+        j_history += [j_fields, j_new]
         outer_volumes.append(region_volumes(w))
-        converged = same_partition or abs(j - j_new) <= tol_j * (1.0 + abs(j_new))
         if converged:
             break
         j = j_new

@@ -415,6 +415,16 @@ class TestRun:
         assert run(cfg, tmp_path / "out") == 2
         assert "phasemin: config error: spec.g.1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,extra", [("dim", "7"), ("spacing", "x")])
+    def test_extra_field_header_token_exit_2(self, tmp_path, capsys, key, extra):
+        lines = field_file_lines(tmp_path)
+        lines = [f"{ln} {extra}" if ln.split()[0] == key else ln for ln in lines]
+        cfg = config_with_field_file(tmp_path, lines)
+        assert run(cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "phasemin: config error: spec.g.1: " in err
+        assert f"one value after '{key}'" in err
+
     def test_seed_partition_built_once(self, tmp_path, monkeypatch):
         calls = []
 

@@ -18,6 +18,7 @@ from phasemin.grid import (
     load_mask,
     make_field,
     make_grid,
+    neighbor_sum,
     sample,
     save_field,
     save_mask,
@@ -155,6 +156,17 @@ class TestLaplacian:
         assert out[2, 2] == 0.0
 
 
+class TestNeighborSum:
+    @pytest.mark.parametrize("shape", [(7,), (5, 6)])
+    def test_output_buffer_is_bit_identical(self, shape):
+        rng = np.random.default_rng(6)
+        v = rng.standard_normal(shape)
+        v[v < -1.0] = -0.0
+        out = np.full(shape, np.nan)
+        assert neighbor_sum(v, out) is out
+        assert out.tobytes() == neighbor_sum(v).tobytes()
+
+
 class TestGradientEnergy:
     def test_zero_field(self):
         g = unit_grid_2d(8)
@@ -288,6 +300,21 @@ class TestSerialization:
         p.write_text(p.read_text().replace("spacing 0.125", "spacing"))
         with pytest.raises(ValueError, match="spacing"):
             load_field(p)
+
+    @pytest.mark.parametrize(
+        "line,extended", [("dim 2", "dim 2 7"), ("spacing 0.25", "spacing 0.25 x")]
+    )
+    def test_extra_header_token_raises_value_error(self, tmp_path, line, extended):
+        key = line.split()[0]
+        g = make_grid(2, (4, 4), 0.25)
+        for save, load in ((save_field, load_field), (save_mask, load_mask)):
+            p = tmp_path / f"{load.__name__}.txt"
+            save(make_field(g, 1.0) if save is save_field else g, p)
+            text = p.read_text()
+            assert f"\n{line}\n" in "\n" + text
+            p.write_text(text.replace(line, extended, 1))
+            with pytest.raises(ValueError, match=f"one value after '{key}'"):
+                load(p)
 
     def test_load_with_grid_checks_header(self, tmp_path):
         g = unit_grid_1d(8)
