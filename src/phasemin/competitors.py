@@ -1,8 +1,8 @@
 """Explicit competitor constructions and the local-minimality audit.
 
 Both competitors modify a pair only inside a ball ``B(x0, r)`` and return a
-fully admissible pair together with the exact objective change, measured by
-evaluating the objective on both pairs (never by a shortcut formula):
+fully admissible pair together with the exact objective change
+``ΔJ = J(u*, w*) - J(u, w)``:
 
 * cut-off — selected phases are multiplied by a radial ramp that vanishes
   on ``B(x0, a r)``; fully vacated cells there may be trashed when that
@@ -11,6 +11,24 @@ evaluating the objective on both pairs (never by a shortcut formula):
   there replaced by the discrete harmonic extension of the surrounding
   data, while the other phases are radially cut off; annulus labels are
   copied along rays from just outside the ball.
+
+Both are built and priced on the ball's window, the index box of the cells
+with ``|c_a - x0_a| < r + 2h`` along every axis.  Only cells with d < r
+change, and their face neighbors lie within r + h along every axis, so the
+window holds every changed cell and every edge that touches one.  ΔJ is
+the window identity: the window sum of the per-edge energy changes times
+``h**(n-2)``, plus the window sum of the per-cell mass changes times
+``h**n``, plus the change of the volume term.  It is exact: an edge or cell
+that the sums leave out is unchanged, and so is a window-face slot that the
+sums count as a wall although it is none; an unchanged slot has bitwise
+equal values on both pairs and contributes exactly 0.  Per-region weights
+give a window sum too; a power law prices the global volumes, so its change
+is taken between the per-phase label counts of the pair under audit and
+those counts plus the window's change.  No full-grid objective is
+evaluated, and ΔJ is never the difference of two totals of size |J|.  Both
+pairs are still checked for admissibility on the whole grid, the
+competitor first, as the full-grid evaluation did; a violation raises
+``ValueError``, which the audit records as a skip.
 
 On a converged pair every competitor should (near-)fail to improve the
 objective; the audit aggregates many such attempts.
@@ -23,26 +41,24 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .elliptic import _pcg
+from .elliptic import harmonic_extension
 from .functional import (
     NONNEGATIVE,
     FunctionalSpec,
     Partition,
     PhaseField,
     PowerLaw,
+    check_admissible,
     make_partition,
     make_phase_field,
-    total,
 )
 from .grid import (
     Grid,
     as_point,
+    axis_centers,
     bounding_box,
-    cell_centers,
-    distances,
+    edge_energies,
     format_float,
-    laplacian_apply,
-    make_field,
 )
 
 __all__ = [
@@ -96,16 +112,85 @@ class AuditReport:
     worst: AuditEntry | None
 
 
-def _trash_benefit(spec: FunctionalSpec, labels: NDArray) -> NDArray[np.bool_]:
-    """Cells whose removal from their region strictly lowers the volume term."""
+def _window(grid: Grid, pt: NDArray, r: float):
+    """The window of a ball, its cells' offsets and distances from ``pt``.
+
+    The window is the index box of the cells with ``|c_a - pt_a| < r + 2h``
+    along every axis (empty when there are none).  Returns ``(box, offsets,
+    d)``: the box, the per-axis offsets ``c_a - pt_a`` as an open mesh, and
+    the distances, summed per axis as in ``grid.distances`` and so
+    bit-identical to its values.
+    """
+    reach = r + 2.0 * grid.spacing
+    box, offsets = [], []
+    for axis in range(grid.dim):
+        off = axis_centers(grid, axis) - pt[axis]
+        hits = np.flatnonzero(np.abs(off) < reach)
+        cut = slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0)
+        box.append(cut)
+        offsets.append(off[cut])
+    offsets = np.ix_(*offsets)
+    return tuple(box), offsets, np.sqrt(sum(o**2 for o in offsets))
+
+
+def _ramp(d: NDArray, r: float, a: float) -> NDArray:
+    """0 up to radius ``a r``, rising linearly to 1 at ``r``."""
+    return np.clip((d - a * r) / ((1.0 - a) * r), 0.0, 1.0)
+
+
+def _trash_benefit(
+    spec: FunctionalSpec, box: tuple[slice, ...], labels: NDArray
+) -> NDArray[np.bool_]:
+    """Window cells whose removal from their region strictly lowers the volume term."""
     term = spec.volume_term
     if isinstance(term, PowerLaw):
         gain = term.a > 0.0 or term.b > 0.0
         return (labels > 0) & gain
     out = np.zeros(labels.shape, dtype=bool)
     for i in range(1, spec.num_phases + 1):  # the other kind: PerRegion
-        out |= (labels == i) & (term.weights[i - 1].values > 0.0)
+        out |= (labels == i) & (term.weights[i - 1].values[box] > 0.0)
     return out
+
+
+def _delta_j(
+    spec: FunctionalSpec,
+    box: tuple[slice, ...],
+    pair: tuple[PhaseField, Partition],
+    star: tuple[PhaseField, Partition],
+) -> float:
+    """``J(star) - J(pair)`` for pairs that differ only inside ``box``.
+
+    Checks both pairs on the whole grid, ``star`` first, then takes the
+    window identity of the module docstring.
+    """
+    check_admissible(*star, spec)
+    check_admissible(*pair, spec)
+    grid = spec.grid
+    (u, w), (u_star, w_star) = pair, star
+    mask = grid.mask[box]
+    edge = mass = 0.0
+    for old, new, f, g in zip(u.fields, u_star.fields, spec.f, spec.g):
+        v0, v1 = old.values[box], new.values[box]
+        for (_, e0), (_, e1) in zip(edge_energies(v0, mask), edge_energies(v1, mask)):
+            edge += float(np.sum(e1 - e0))
+        fw, gw = f.values[box], g.values[box]
+        mass += float(np.sum((v1 * v1 * fw - v1 * gw) - (v0 * v0 * fw - v0 * gw)))
+    delta = edge * grid.spacing ** (grid.dim - 2) + mass * grid.cell_volume
+    lab0, lab1 = w.labels[box], w_star.labels[box]
+    term = spec.volume_term
+    if isinstance(term, PowerLaw):
+        counts = np.bincount(w.labels.ravel(), minlength=spec.num_phases + 1)[1:]
+        for i, count in enumerate(counts, start=1):
+            moved = int(np.count_nonzero(lab1 == i)) - int(np.count_nonzero(lab0 == i))
+            v0 = float(count) * grid.cell_volume
+            v1 = float(count + moved) * grid.cell_volume
+            delta += term.cost(v1) - term.cost(v0)
+    else:
+        for i, q in enumerate(term.weights, start=1):
+            qw = q.values[box]
+            gained = np.where(lab1 == i, qw, 0.0) - np.where(lab0 == i, qw, 0.0)
+            delta += float(np.sum(gained)) * grid.cell_volume
+    return delta
 
 
 def cutoff_competitor(
@@ -121,7 +206,8 @@ def cutoff_competitor(
 
     The ramp is 0 up to radius ``a r`` and rises linearly to 1 at ``r``.
     Cells of the inner ball on which every phase now vanishes are trashed
-    when that strictly lowers the volume term.
+    when that strictly lowers the volume term.  The construction and ``ΔJ``
+    are computed on the ball's window (see the module docstring).
 
     Args:
         u, w: the pair under audit (unchanged).
@@ -133,54 +219,56 @@ def cutoff_competitor(
         ``(u*, w*, delta_j)`` with ``delta_j = J(u*,w*) - J(u,w)``.
 
     Raises:
-        ValueError: bad ``a``, bad phase index, or a ball missing the mask.
+        ValueError: bad ``a``, bad phase index, a ball missing the mask, or
+            an inadmissible pair (see :func:`check_admissible`).
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"cutoff fraction a must lie in (0,1), got {a}")
     grid = spec.grid
     pt = as_point(grid, x0)
-    d = distances(grid, pt)
-    if not np.any(grid.mask & (d < r)):
+    box, _, d = _window(grid, pt, r)
+    if not np.any(grid.mask[box] & (d < r)):
         raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} misses every masked cell")
     chosen = sorted(set(int(i) for i in phases))
     for i in chosen:
         if not 1 <= i <= spec.num_phases:
             raise ValueError(f"phase index {i} out of range 1..{spec.num_phases}")
-    ramp = np.clip((d - a * r) / ((1.0 - a) * r), 0.0, 1.0)
+    ramp = _ramp(d, r, a)
     fields = []
     for i in range(1, spec.num_phases + 1):
         vals = u.fields[i - 1].values
-        fields.append(ramp * vals if i in chosen else vals)
-    vacated = np.ones(grid.shape, dtype=bool)
-    for vals in fields:
-        vacated &= vals == 0.0
+        if i in chosen:
+            vals = vals.copy()
+            vals[box] *= ramp
+        fields.append(vals)
+    vacated = np.logical_and.reduce([vals[box] == 0.0 for vals in fields])
     labels = w.labels.copy()
-    trash = (d < a * r) & vacated & _trash_benefit(spec, labels)
-    labels[trash] = 0
+    window = labels[box]
+    window[(d < a * r) & vacated & _trash_benefit(spec, box, window)] = 0
     u_star = make_phase_field(grid, fields)
     w_star = make_partition(grid, spec.num_phases, labels)
-    delta = total(u_star, w_star, spec) - total(u, w, spec)
+    delta = _delta_j(spec, box, (u, w), (u_star, w_star))
     return u_star, w_star, delta
 
 
-def _ray_sources(grid: Grid, pt: NDArray, r: float, annulus: NDArray[np.bool_]) -> NDArray:
-    """Flat indices of the just-outside-the-ball cell hit by each ray.
+def _ray_sources(
+    grid: Grid, pt: NDArray, r: float, offsets, cells: NDArray[np.bool_]
+) -> tuple[NDArray, ...]:
+    """Grid index of the just-outside-the-ball cell hit by each ray.
 
-    For each annulus cell the ray from x0 through its center is followed to
-    radius r + h/2 (nudged outward until the landing cell sits at distance
-    >= r), and the nearest cell is taken.  Returns an array shaped like the
-    grid, valid on the annulus.
+    ``offsets`` is the window's open mesh of ``c_a - x0_a`` and ``cells``
+    the window cells to relabel.  The ray from x0 through each such center
+    is followed to radius r + h/2 (nudged outward until the landing cell
+    sits at distance >= r), and the nearest cell is taken.  Returns one
+    index array per axis, one entry per cell in row-major order.
     """
-    centers = cell_centers(grid)
+    delta = np.stack([np.broadcast_to(o, cells.shape)[cells] for o in offsets], axis=-1)
     h = grid.spacing
     lo, hi = bounding_box(grid)
-    delta = centers - pt
-    dist = np.sqrt(np.sum(delta**2, axis=-1))
-    safe = np.where(dist > 0, dist, 1.0)
-    direction = delta / safe[..., None]
-    src = np.zeros(grid.shape, dtype=np.int64)
-    d_flat = dist.reshape(-1)
-    todo = annulus.copy()
+    centers = [axis_centers(grid, axis) for axis in range(grid.dim)]
+    direction = delta / np.sqrt(np.sum(delta**2, axis=-1))[:, None]
+    src = np.zeros(delta.shape, dtype=np.int64)
+    todo = np.ones(len(delta), dtype=bool)
     rho = r + 0.5 * h
     for _ in range(4):
         if not np.any(todo):
@@ -189,14 +277,11 @@ def _ray_sources(grid: Grid, pt: NDArray, r: float, annulus: NDArray[np.bool_]) 
         target = np.clip(target, lo + 0.4 * h, hi - 0.4 * h)
         idx = np.round((target - np.asarray(grid.origin)) / h).astype(np.int64)
         idx = np.clip(idx, 0, np.asarray(grid.shape) - 1)
-        flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
-        src[todo] = flat
-        still = d_flat[flat] < r
-        nxt = np.zeros(grid.shape, dtype=bool)
-        nxt[todo] = still
-        todo = nxt
+        src[todo] = idx
+        landed = np.sqrt(sum((c[k] - p) ** 2 for c, k, p in zip(centers, idx.T, pt)))
+        todo[todo] = landed < r
         rho += 0.5 * h
-    return src
+    return tuple(src.T)
 
 
 def harmonic_competitor(
@@ -211,15 +296,19 @@ def harmonic_competitor(
     """Let one phase absorb the inner ball via harmonic replacement.
 
     Inside ``B(x0, a r)`` every cell is labeled ``main`` and the main field
-    takes the discrete harmonic extension of the neighboring data; other
-    phases are radially damped as in the cut-off.  Annulus cells keep their
-    label where the main field is nonzero, and otherwise copy the label of
-    the cell their ray from x0 first meets beyond radius r.
+    takes the discrete harmonic extension of the neighboring data
+    (:func:`harmonic_extension`: one dense solve for an inner ball of at
+    most ``DIRECT_CELLS`` cells, MGCG above); other phases are radially
+    damped as in the cut-off.  Annulus cells keep their label where the
+    main field is nonzero, and otherwise copy the label of the cell their
+    ray from x0 first meets beyond radius r.  The construction and ``ΔJ``
+    are computed on the ball's window (see the module docstring).
 
     Args:
         u, w: the pair under audit (unchanged).
         spec: functional description.
-        x0: ball center; r: ball radius, with B(x0, r+h) inside the mask.
+        x0: ball center; r: ball radius, positive, with B(x0, r+h) inside
+            the mask.
         a: inner-ball fraction, in [1/2, 1).
         main: index of the absorbing phase.
 
@@ -227,11 +316,14 @@ def harmonic_competitor(
         ``(u*, w*, delta_j)`` with ``delta_j = J(u*,w*) - J(u,w)``.
 
     Raises:
-        ValueError: ``a`` out of range, bad ``main``, or the ball (with a
-            one-cell safety margin) leaving the mask or bounding box.
+        ValueError: ``a`` or ``r`` out of range, bad ``main``, the ball
+            (with a one-cell safety margin) leaving the mask or bounding
+            box, or an inadmissible pair (see :func:`check_admissible`).
     """
     if not 0.5 <= a < 1.0:
         raise ValueError(f"harmonic fraction a must lie in [1/2, 1), got {a}")
+    if not r > 0.0:
+        raise ValueError(f"harmonic radius r must be positive, got {r}")
     if not 1 <= main <= spec.num_phases:
         raise ValueError(f"main phase {main} out of range 1..{spec.num_phases}")
     grid = spec.grid
@@ -242,43 +334,35 @@ def harmonic_competitor(
         raise ValueError(
             f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the bounding box"
         )
-    d = distances(grid, pt)
-    near = d < r + h
-    if not np.all(grid.mask[near]):
+    box, offsets, d = _window(grid, pt, r)
+    if not np.all(grid.mask[box][d < r + h]):
         raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the mask")
 
     inner = d < a * r
-    annulus = (d >= a * r) & (d < r)
-    ramp = np.clip((d - a * r) / ((1.0 - a) * r), 0.0, 1.0)
-    old_labels = w.labels
     main_vals = u.fields[main - 1].values
+    relabel = (d >= a * r) & (d < r) & (main_vals[box] == 0.0)
+    labels = w.labels.copy()
+    window = labels[box]
+    window[relabel] = w.labels[_ray_sources(grid, pt, r, offsets, relabel)]
+    window[inner] = main
 
-    labels = old_labels.copy()
-    src = _ray_sources(grid, pt, r, annulus)
-    ray_labels = old_labels.reshape(-1)[src.reshape(-1)].reshape(grid.shape)
-    relabel = annulus & (main_vals == 0.0)
-    labels[relabel] = ray_labels[relabel]
-    labels[inner] = main
-
+    ramp = _ramp(d, r, a)
     fields = []
     for i in range(1, spec.num_phases + 1):
         if i == main:
             fields.append(main_vals.copy())
             continue
-        vals = np.where(labels == i, ramp * u.fields[i - 1].values, 0.0)
+        vals = np.where(labels == i, u.fields[i - 1].values, 0.0)
+        vals[box] *= ramp
         fields.append(vals)
-
-    # zero on the inner ball, so its Laplacian there is the outer data's pull
-    rhs = laplacian_apply(make_field(grid, np.where(inner, 0.0, main_vals)))
-    extension, _, _ = _pcg(grid, inner, np.zeros(grid.shape), rhs.values, 1e-10)
     vals = fields[main - 1]
-    vals[inner] = extension[inner]
+    vals[box][inner] = harmonic_extension(grid, box, inner, main_vals[box])
     if spec.sign_constraints[main - 1] == NONNEGATIVE:
         np.maximum(vals, 0.0, out=vals)
 
     u_star = make_phase_field(grid, fields)
     w_star = make_partition(grid, spec.num_phases, labels)
-    delta = total(u_star, w_star, spec) - total(u, w, spec)
+    delta = _delta_j(spec, box, (u, w), (u_star, w_star))
     return u_star, w_star, delta
 
 

@@ -12,7 +12,7 @@ A configuration is a pair of a :class:`PhaseField` (one scalar field per
 phase) and a :class:`Partition` (one label per cell, label 0 being the
 unassigned "trash" zone with no volume cost).  Admissibility means each
 field vanishes off its own labeled region and respects its sign
-constraint; :func:`total` enforces support admissibility.
+constraint; :func:`check_admissible` enforces it, and :func:`total` calls it.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "energy",
     "mass_term",
     "volume_value",
+    "check_admissible",
     "total",
     "volume_marginal",
     "truncate_to_sign",
@@ -69,6 +70,10 @@ class PowerLaw:
             raise ValueError(f"power-law coefficient b must be >= 0, got {self.b}")
         if not (np.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"power-law exponent alpha must be > 0, got {self.alpha}")
+
+    def cost(self, volume: float) -> float:
+        """The cost ``a*v + b*v**(1+alpha)`` of one region of volume ``v``."""
+        return self.a * volume + self.b * volume ** (1.0 + self.alpha)
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,7 @@ def volume_value(w: Partition, vt: VolumeTerm) -> float:
     """Volume cost of the labeled regions (trash label 0 costs nothing)."""
     if isinstance(vt, PowerLaw):
         vols = region_volumes(w)
-        return float(sum(vt.a * v + vt.b * v ** (1.0 + vt.alpha) for v in vols))
+        return float(sum(vt.cost(v) for v in vols))
     if isinstance(vt, PerRegion):
         vol = w.grid.cell_volume
         out = 0.0
@@ -277,11 +282,15 @@ def volume_value(w: Partition, vt: VolumeTerm) -> float:
     raise ValueError(f"unknown volume term {vt!r}")
 
 
-def total(u: PhaseField, w: Partition, spec: FunctionalSpec) -> float:
-    """Full objective value ``energy + mass_term + volume_value``.
+def check_admissible(u: PhaseField, w: Partition, spec: FunctionalSpec) -> None:
+    """Check that ``(u, w)`` is an admissible pair for ``spec``, on the whole grid.
+
+    Phases are checked in order, each for its support and then its sign,
+    and the first violation found is the one raised.
 
     Raises:
-        ValueError: if some phase is nonzero outside its labeled region or a
+        ValueError: if the phase counts of field, partition and spec
+            disagree, some phase is nonzero outside its labeled region, or a
             nonnegative-constrained phase has a negative value.
     """
     if u.num_phases != w.num_phases or u.num_phases != spec.num_phases:
@@ -292,6 +301,15 @@ def total(u: PhaseField, w: Partition, spec: FunctionalSpec) -> float:
             raise ValueError(f"phase {i} has support outside its labeled region")
         if spec.sign_constraints[i - 1] == NONNEGATIVE and np.any(vals < 0.0):
             raise ValueError(f"phase {i} violates its nonnegative constraint")
+
+
+def total(u: PhaseField, w: Partition, spec: FunctionalSpec) -> float:
+    """Full objective value ``energy + mass_term + volume_value``.
+
+    Raises:
+        ValueError: if the pair is not admissible (see :func:`check_admissible`).
+    """
+    check_admissible(u, w, spec)
     return energy(u) + mass_term(u, spec) + volume_value(w, spec.volume_term)
 
 

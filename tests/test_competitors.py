@@ -1,19 +1,29 @@
-"""Unit tests for the competitor constructions and the minimality audit."""
+"""Unit tests for the competitor constructions and the minimality audit.
+
+The competitors build and price their pairs on the window of the ball.
+``reference_cutoff`` and ``reference_harmonic`` below are the full-grid
+constructions they replaced, with ``ΔJ = total(u*, w*) - total(u, w)``;
+the window versions are checked against them on random pairs.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasemin.competitors import (
+    AuditEntry,
+    AuditSkip,
     audit,
     audit_report_csv,
     cutoff_competitor,
     harmonic_competitor,
     seeded_probes,
 )
-from phasemin.elliptic import solve_phase
+from phasemin.elliptic import DIRECT_CELLS, _pcg, solve_phase
 from phasemin.functional import (
+    FREE,
     NONNEGATIVE,
     PerRegion,
     PowerLaw,
@@ -23,8 +33,346 @@ from phasemin.functional import (
     make_phase_field,
     total,
 )
-from phasemin.grid import bounding_box, cell_centers, make_grid
+from phasemin.grid import (
+    as_point,
+    bounding_box,
+    cell_centers,
+    distances,
+    laplacian_apply,
+    make_grid,
+)
 from phasemin.minimize import initial_partition, minimize
+
+
+# ---------------------------------------------------------------------------
+# the full-grid reference constructions
+# ---------------------------------------------------------------------------
+
+
+def reference_trash_benefit(spec, labels):
+    term = spec.volume_term
+    if isinstance(term, PowerLaw):
+        gain = term.a > 0.0 or term.b > 0.0
+        return (labels > 0) & gain
+    out = np.zeros(labels.shape, dtype=bool)
+    for i in range(1, spec.num_phases + 1):
+        out |= (labels == i) & (term.weights[i - 1].values > 0.0)
+    return out
+
+
+def reference_cutoff(u, w, spec, x0, r, a, phases):
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"cutoff fraction a must lie in (0,1), got {a}")
+    grid = spec.grid
+    pt = as_point(grid, x0)
+    d = distances(grid, pt)
+    if not np.any(grid.mask & (d < r)):
+        raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} misses every masked cell")
+    chosen = sorted(set(int(i) for i in phases))
+    for i in chosen:
+        if not 1 <= i <= spec.num_phases:
+            raise ValueError(f"phase index {i} out of range 1..{spec.num_phases}")
+    ramp = np.clip((d - a * r) / ((1.0 - a) * r), 0.0, 1.0)
+    fields = []
+    for i in range(1, spec.num_phases + 1):
+        vals = u.fields[i - 1].values
+        fields.append(ramp * vals if i in chosen else vals)
+    vacated = np.ones(grid.shape, dtype=bool)
+    for vals in fields:
+        vacated &= vals == 0.0
+    labels = w.labels.copy()
+    trash = (d < a * r) & vacated & reference_trash_benefit(spec, labels)
+    labels[trash] = 0
+    u_star = make_phase_field(grid, fields)
+    w_star = make_partition(grid, spec.num_phases, labels)
+    delta = total(u_star, w_star, spec) - total(u, w, spec)
+    return u_star, w_star, delta
+
+
+def reference_ray_sources(grid, pt, r, annulus):
+    centers = cell_centers(grid)
+    h = grid.spacing
+    lo, hi = bounding_box(grid)
+    delta = centers - pt
+    dist = np.sqrt(np.sum(delta**2, axis=-1))
+    safe = np.where(dist > 0, dist, 1.0)
+    direction = delta / safe[..., None]
+    src = np.zeros(grid.shape, dtype=np.int64)
+    d_flat = dist.reshape(-1)
+    todo = annulus.copy()
+    rho = r + 0.5 * h
+    for _ in range(4):
+        if not np.any(todo):
+            break
+        target = pt + rho * direction[todo]
+        target = np.clip(target, lo + 0.4 * h, hi - 0.4 * h)
+        idx = np.round((target - np.asarray(grid.origin)) / h).astype(np.int64)
+        idx = np.clip(idx, 0, np.asarray(grid.shape) - 1)
+        flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
+        src[todo] = flat
+        still = d_flat[flat] < r
+        nxt = np.zeros(grid.shape, dtype=bool)
+        nxt[todo] = still
+        todo = nxt
+        rho += 0.5 * h
+    return src
+
+
+def reference_harmonic(u, w, spec, x0, r, a, main, tol=1e-10):
+    """The full-grid harmonic competitor; ``tol`` is its extension solve's."""
+    if not 0.5 <= a < 1.0:
+        raise ValueError(f"harmonic fraction a must lie in [1/2, 1), got {a}")
+    if not 1 <= main <= spec.num_phases:
+        raise ValueError(f"main phase {main} out of range 1..{spec.num_phases}")
+    grid = spec.grid
+    h = grid.spacing
+    pt = as_point(grid, x0)
+    lo, hi = bounding_box(grid)
+    if np.any(pt - (r + h) < lo) or np.any(pt + (r + h) > hi):
+        raise ValueError(
+            f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the bounding box"
+        )
+    d = distances(grid, pt)
+    near = d < r + h
+    if not np.all(grid.mask[near]):
+        raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the mask")
+    inner = d < a * r
+    annulus = (d >= a * r) & (d < r)
+    ramp = np.clip((d - a * r) / ((1.0 - a) * r), 0.0, 1.0)
+    old_labels = w.labels
+    main_vals = u.fields[main - 1].values
+    labels = old_labels.copy()
+    src = reference_ray_sources(grid, pt, r, annulus)
+    ray_labels = old_labels.reshape(-1)[src.reshape(-1)].reshape(grid.shape)
+    relabel = annulus & (main_vals == 0.0)
+    labels[relabel] = ray_labels[relabel]
+    labels[inner] = main
+    fields = []
+    for i in range(1, spec.num_phases + 1):
+        if i == main:
+            fields.append(main_vals.copy())
+            continue
+        vals = np.where(labels == i, ramp * u.fields[i - 1].values, 0.0)
+        fields.append(vals)
+    rhs = laplacian_apply(make_field(grid, np.where(inner, 0.0, main_vals)))
+    extension, _, _ = _pcg(grid, inner, np.zeros(grid.shape), rhs.values, tol)
+    vals = fields[main - 1]
+    vals[inner] = extension[inner]
+    if spec.sign_constraints[main - 1] == NONNEGATIVE:
+        np.maximum(vals, 0.0, out=vals)
+    u_star = make_phase_field(grid, fields)
+    w_star = make_partition(grid, spec.num_phases, labels)
+    delta = total(u_star, w_star, spec) - total(u, w, spec)
+    return u_star, w_star, delta
+
+
+def reference_audit(u, w, spec, probes, tol=1e-10):
+    """The audit loop over the reference constructions: entries and skips."""
+    entries, skipped = [], []
+    phases = tuple(range(1, spec.num_phases + 1))
+    for x0, r in probes:
+        key = tuple(float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float)))
+        for a in (0.5, 0.75):
+            try:
+                _, _, dj = reference_cutoff(u, w, spec, x0, r, a, phases)
+                entries.append(AuditEntry(key, float(r), "cutoff", a, None, dj))
+            except ValueError as err:
+                skipped.append(AuditSkip(key, float(r), "cutoff", str(err)))
+        for main in phases:
+            for a in (0.5, 0.75):
+                try:
+                    _, _, dj = reference_harmonic(u, w, spec, x0, r, a, main, tol)
+                    entries.append(AuditEntry(key, float(r), "harmonic", a, main, dj))
+                except ValueError as err:
+                    skipped.append(AuditSkip(key, float(r), f"harmonic:{main}", str(err)))
+    return entries, skipped
+
+
+def outcome(construction, *args):
+    """The construction's result, or the message of the ValueError it raised."""
+    try:
+        return construction(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def assert_same_competitor(got, want, j):
+    """Labels identical, fields within 1e-12 of the largest field value, and
+    ΔJ within 1e-12 (1 + |J|); or the same ValueError message."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    (u1, w1, dj1), (u0, w0, dj0) = got, want
+    assert np.array_equal(w1.labels, w0.labels)
+    scale = max(float(np.max(np.abs(f.values))) for f in u0.fields)
+    for a, b in zip(u1.fields, u0.fields):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
+    assert abs(dj1 - dj0) <= 1e-12 * (1.0 + abs(j))
+
+
+@st.composite
+def audited_pairs(draw):
+    """A random admissible pair on a small 1D/2D grid with a ball to audit.
+
+    The mask has holes, which the ball is cleared of half the time so the
+    harmonic competitor can run; the center may lie beyond a box face, and
+    the ball may cover the whole grid.  Phases (1 to 3) are free or
+    nonnegative, zero on part of their region, and priced by a power law or
+    by per-region weights of both signs.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    if dim == 1:
+        shape = (draw(st.integers(6, 48)),)
+    else:
+        shape = (draw(st.integers(6, 24)), draw(st.integers(6, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = 1.0 / shape[0]
+    plain = make_grid(dim, shape, h)
+    lo, hi = bounding_box(plain)
+    side = hi - lo
+    if draw(st.integers(0, 2)) > 0:  # well inside the box
+        x0 = rng.uniform(lo + 0.35 * side, hi - 0.35 * side)
+        r = float(rng.uniform(0.05, 0.25) * np.min(side))
+    else:  # anywhere, up to a box face and beyond
+        x0 = rng.uniform(lo - 0.2 * side, hi + 0.2 * side)
+        r = float(rng.uniform(0.05, 0.6) * np.max(side))
+    if draw(st.integers(0, 9)) == 0:
+        r = 100.0
+    mask = rng.random(shape) >= draw(st.sampled_from([0.0, 0.05, 0.2]))
+    if draw(st.booleans()):
+        mask |= distances(plain, x0) < r + h
+    grid = make_grid(dim, shape, h, mask=mask)
+    n = draw(st.integers(1, 3))
+    signs = [draw(st.sampled_from([FREE, NONNEGATIVE])) for _ in range(n)]
+    labels = rng.integers(0, n + 1, shape)
+    fields = []
+    for i, sign in enumerate(signs, start=1):
+        vals = rng.normal(size=shape) * (labels == i) * (rng.random(shape) < 0.8)
+        fields.append(np.abs(vals) if sign == NONNEGATIVE else vals)
+    if draw(st.booleans()):
+        volume = PowerLaw(
+            draw(st.sampled_from([0.0, 0.3])),
+            draw(st.sampled_from([0.0, 0.7])),
+            draw(st.floats(0.5, 2.0)),
+        )
+    else:
+        volume = PerRegion(
+            tuple(make_field(grid, rng.normal(size=shape)) for _ in range(n))
+        )
+    f = [make_field(grid, rng.uniform(0.0, 3.0, shape)) for _ in range(n)]
+    g = [make_field(grid, rng.normal(size=shape)) for _ in range(n)]
+    spec = make_functional_spec(grid, f, g, signs, volume)
+    u = make_phase_field(grid, fields)
+    w = make_partition(grid, n, labels)
+    return spec, u, w, tuple(float(v) for v in x0), r
+
+
+class TestWindowAgainstReference:
+    """The window constructions against the full-grid reference ones."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(audited_pairs(), st.floats(0.05, 0.95), st.data())
+    def test_cutoff(self, case, a, data):
+        spec, u, w, x0, r = case
+        phases = data.draw(st.sets(st.integers(1, spec.num_phases)))
+        got = outcome(cutoff_competitor, u, w, spec, x0, r, a, phases)
+        want = outcome(reference_cutoff, u, w, spec, x0, r, a, phases)
+        assert_same_competitor(got, want, total(u, w, spec))
+
+    @settings(max_examples=150, deadline=None)
+    @given(audited_pairs(), st.floats(0.5, 0.95), st.data())
+    def test_harmonic(self, case, a, data):
+        spec, u, w, x0, r = case
+        main = data.draw(st.integers(1, spec.num_phases))
+        got = outcome(harmonic_competitor, u, w, spec, x0, r, a, main)
+        want = outcome(reference_harmonic, u, w, spec, x0, r, a, main, 1e-13)
+        assert_same_competitor(got, want, total(u, w, spec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(audited_pairs(), st.data())
+    def test_audit_order_and_skips(self, case, data):
+        spec, u, w, x0, r = case
+        lo, hi = bounding_box(spec.grid)
+        more = data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.02, 0.4)),
+                                  max_size=2))
+        probes = [(x0, r)] + [
+            (tuple(lo + t * (hi - lo)), rad) for t, rad in more
+        ]
+        report = audit(u, w, spec, probes)
+        entries, skipped = reference_audit(u, w, spec, probes, 1e-13)
+        j = total(u, w, spec)
+        assert list(report.skipped) == skipped
+        assert len(report.entries) == len(entries)
+        for e1, e0 in zip(report.entries, entries):
+            assert (e1.x0, e1.r, e1.kind, e1.a, e1.main) == (e0.x0, e0.r, e0.kind, e0.a, e0.main)
+            assert abs(e1.delta_j - e0.delta_j) <= 1e-12 * (1.0 + abs(j))
+
+    def test_harmonic_beyond_the_direct_solve(self):
+        # an inner ball of about 2,600 cells runs MGCG: the same solve as the
+        # reference's, so the pair and ΔJ match it
+        grid = make_grid(2, (128, 128), 1 / 128)
+        spec = make_functional_spec(
+            grid, [0.0, 0.0], [2.0, 2.0], NONNEGATIVE, PowerLaw(0.05, 0.0)
+        )
+        w = initial_partition(grid, 2, seeds=[(0.25, 0.5), (0.75, 0.5)])
+        u = make_phase_field(
+            grid, [solve_phase(spec, w, i, 1e-10).values for i in (1, 2)]
+        )
+        x0, r, a = (0.45, 0.5), 0.3, 0.75
+        inner = int(np.count_nonzero(distances(grid, np.array(x0)) < a * r))
+        assert inner > DIRECT_CELLS
+        for main in (1, 2):
+            got = harmonic_competitor(u, w, spec, x0, r, a, main)
+            want = reference_harmonic(u, w, spec, x0, r, a, main)
+            assert_same_competitor(got, want, total(u, w, spec))
+
+
+class TestAdmissibility:
+    """An inadmissible pair is refused, however far its fault is from the ball."""
+
+    def pair(self):
+        grid = make_grid(2, (32, 32), 1 / 32)
+        spec = make_functional_spec(
+            grid, [0.0, 0.0], [2.0, 2.0], NONNEGATIVE, PowerLaw(0.05, 0.0)
+        )
+        w = initial_partition(grid, 2, seeds=[(0.25, 0.5), (0.75, 0.5)])
+        fields = [solve_phase(spec, w, i, 1e-10).values.copy() for i in (1, 2)]
+        fields[1][0, 0] = 0.5  # phase 2 on a phase-1 corner cell
+        return spec, make_phase_field(grid, fields), w
+
+    def test_competitors_raise(self):
+        spec, u, w = self.pair()
+        note = "phase 2 has support outside its labeled region"
+        x0, r = (0.7, 0.6), 0.15
+        with pytest.raises(ValueError, match=note):
+            cutoff_competitor(u, w, spec, x0, r, 0.5, [1, 2])
+        for main in (1, 2):
+            with pytest.raises(ValueError, match=note):
+                harmonic_competitor(u, w, spec, x0, r, 0.5, main)
+
+    def test_competitor_pair_is_checked_first(self):
+        # phase 1 strays onto phase 2's cell, phase 2 onto phase 1's: the
+        # harmonic competitor for main 2 drops phase 1's stray value and keeps
+        # phase 2's, so the competitor pair names phase 2, the base pair phase 1
+        spec, u, w = self.pair()
+        fields = [f.values.copy() for f in u.fields]
+        fields[0][-1, -1] = 0.5
+        u = make_phase_field(spec.grid, fields)
+        with pytest.raises(ValueError, match="phase 2 has support"):
+            harmonic_competitor(u, w, spec, (0.7, 0.6), 0.15, 0.5, 2)
+        with pytest.raises(ValueError, match="phase 1 has support"):
+            harmonic_competitor(u, w, spec, (0.7, 0.6), 0.15, 0.5, 1)
+
+    def test_audit_records_skips(self):
+        spec, u, w = self.pair()
+        report = audit(u, w, spec, [((0.7, 0.6), 0.15)])
+        assert not report.entries
+        assert [s.kind for s in report.skipped] == ["cutoff"] * 2 + [
+            "harmonic:1", "harmonic:1", "harmonic:2", "harmonic:2"
+        ]
+        notes = {s.note for s in report.skipped}
+        assert notes == {"phase 2 has support outside its labeled region"}
 
 
 def zero_pair(grid, n):
@@ -201,6 +549,13 @@ class TestHarmonic:
             harmonic_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.5, 0)
         with pytest.raises(ValueError):  # ball leaves the bounding box
             harmonic_competitor(u, w, spec, (0.1, 0.5), 0.25, 0.5, 1)
+
+    def test_nonpositive_radius_rejected(self):
+        grid = make_grid(2, (32, 32), 1 / 32)
+        spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
+        for r in (0.0, -0.01):
+            with pytest.raises(ValueError, match="must be positive"):
+                harmonic_competitor(u, w, spec, (0.5, 0.5), r, 0.5, 1)
 
     def test_masked_hole_rejected(self):
         mask = np.ones((32, 32), dtype=bool)

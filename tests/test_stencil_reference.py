@@ -20,9 +20,18 @@ import pytest
 sparse = pytest.importorskip("scipy.sparse")
 
 from phasemin.diagnostics import Phase, _grad_sq_cells, free_boundary_cells
-from phasemin.elliptic import _levels, _pcg, _vcycle, solve_landscape, solve_phase
+from phasemin.elliptic import (
+    DIRECT_CELLS,
+    _levels,
+    _pcg,
+    _vcycle,
+    harmonic_extension,
+    solve_landscape,
+    solve_phase,
+)
 from phasemin.functional import FREE, PowerLaw, make_functional_spec, make_partition
 from phasemin.grid import (
+    distances,
     gradient_energy,
     laplacian_apply,
     make_field,
@@ -188,6 +197,54 @@ def test_cropped_pcg_residual(dim, kind, seed):
     residual = np.linalg.norm(a @ x.ravel() - b) / np.linalg.norm(b)
     assert residual <= 1e-10
     assert res <= 1e-10
+
+
+def extension_residual(grid, inner, data, window):
+    """Relative residual of ``harmonic_extension`` on the assembled system.
+
+    With ``d`` the data zeroed on the inner set R, the extension ``x`` solves
+    ``A_R x = -(A_mask d)[R]``, both operators assembled with zero coefficient.
+    Holes and walls can enclose R, leaving ``b = 0``; the residual is then
+    absolute.
+    """
+    box = tuple(
+        slice(max(int(idx.min()) - 1, 0), int(idx.max()) + 2) if window else slice(None)
+        for idx in np.nonzero(inner)
+    )
+    x = harmonic_extension(grid, box, inner[box], data[box])
+    outside = np.where(inner, 0.0, data).ravel()
+    b = -(assemble(grid, grid.mask, np.zeros(grid.shape)) @ outside)[inner.ravel()]
+    a_inner = restricted(assemble(grid, inner, np.zeros(grid.shape)), inner)
+    return np.linalg.norm(a_inner @ x - b) / (np.linalg.norm(b) or 1.0)
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+@pytest.mark.parametrize("window", [False, True])
+def test_harmonic_extension_direct_solve(dim, seed, window):
+    # a ball of masked cells, cut by the box faces and by holes in the mask
+    rng = np.random.default_rng(100 + seed)
+    shape = (int(rng.integers(20, 60)),) if dim == 1 else (
+        int(rng.integers(16, 32)), int(rng.integers(16, 32))
+    )
+    mask = rng.random(shape) >= 0.15
+    grid = make_grid(dim, shape, 1.0 / shape[0], mask=mask)
+    lo = np.zeros(dim)
+    hi = np.asarray(shape) * grid.spacing
+    x0 = rng.uniform(lo, hi) if seed % 2 else lo + 0.1 * (hi - lo)
+    inner = mask & (distances(grid, x0) < rng.uniform(0.15, 0.3) * np.max(hi))
+    inner.flat[np.flatnonzero(mask.ravel())[0]] = True
+    assert np.count_nonzero(inner) <= DIRECT_CELLS
+    data = np.where(mask, rng.normal(size=shape), 0.0)
+    assert extension_residual(grid, inner, data, window) <= 1e-12
+
+
+def test_harmonic_extension_above_direct_cells_runs_mgcg():
+    grid = make_grid(2, (128, 128), 1 / 128)
+    inner = distances(grid, np.array([0.45, 0.5])) < 0.75 * 0.3
+    assert np.count_nonzero(inner) > DIRECT_CELLS
+    rng = np.random.default_rng(7)
+    data = rng.uniform(0.0, 1.0, size=grid.shape)
+    assert extension_residual(grid, inner, data, True) <= 1e-10
 
 
 @pytest.mark.parametrize("dim,seed", CASES)
