@@ -88,6 +88,7 @@ from .grid import (
     make_field,
     make_grid,
     save_field,
+    text_rows,
 )
 from .minimize import SolveReport, initial_partition, minimize
 from .oracle import oracle_two_phase_1d
@@ -385,38 +386,30 @@ def build_plan(config_path) -> RunPlan:
     )
 
 
-def _pgm_lines(pixels: np.ndarray) -> str:
-    """P2 text for an 8-bit pixel array (1D arrays become one raster row)."""
-    if pixels.ndim == 1:
-        pixels = pixels[np.newaxis, :]
-    height, width = pixels.shape
-    lines = [f"P2\n{width} {height}\n255"]
-    for row in pixels:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def export_raster(obj: ScalarField | Partition, path) -> None:
     """Write a P2 graymap; ScalarFields get a min/max sidecar.
 
     A ScalarField maps [min, max] linearly onto 0..255 (constant fields
     render as gray 0) with the range recorded in ``<path>.meta.txt``; a
-    Partition maps label L of N phases to floor(255 * L / N).
+    Partition maps label L of N phases to floor(255 * L / N).  A 1D array
+    becomes one raster row.
     """
     if isinstance(obj, Partition):
         pixels = (255 * obj.labels) // obj.num_phases
-        Path(path).write_text(_pgm_lines(pixels), encoding="ascii")
-        return
-    vals = obj.values
-    vmin = float(vals.min())
-    vmax = float(vals.max())
-    if vmax > vmin:
-        pixels = np.rint(255.0 * (vals - vmin) / (vmax - vmin)).astype(int)
     else:
-        pixels = np.zeros(vals.shape, dtype=int)
-    Path(path).write_text(_pgm_lines(pixels), encoding="ascii")
-    meta = f"min {format_float(vmin)}\nmax {format_float(vmax)}\n"
-    Path(str(path) + ".meta.txt").write_text(meta, encoding="ascii")
+        vals = obj.values
+        vmin = float(vals.min())
+        vmax = float(vals.max())
+        if vmax > vmin:
+            pixels = np.rint(255.0 * (vals - vmin) / (vmax - vmin)).astype(int)
+        else:
+            pixels = np.zeros(vals.shape, dtype=int)
+        meta = f"min {format_float(vmin)}\nmax {format_float(vmax)}\n"
+        Path(str(path) + ".meta.txt").write_text(meta, encoding="ascii")
+    pixels = np.atleast_2d(pixels)
+    height, width = pixels.shape
+    text = f"P2\n{width} {height}\n255\n" + text_rows(pixels, str)
+    Path(path).write_text(text, encoding="ascii")
 
 
 def solve_report_csv(report: SolveReport) -> str:

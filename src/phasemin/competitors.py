@@ -5,30 +5,20 @@ fully admissible pair together with the exact objective change
 ``ΔJ = J(u*, w*) - J(u, w)``:
 
 * cut-off — selected phases are multiplied by a radial ramp that vanishes
-  on ``B(x0, a r)``; fully vacated cells there may be trashed when that
-  strictly lowers the volume term.
+  on ``B(x0, a r)``; fully vacated cells there are trashed where their
+  marginal volume cost is positive.
 * harmonic — one distinguished phase absorbs ``B(x0, a r)``, its values
   there replaced by the discrete harmonic extension of the surrounding
   data, while the other phases are radially cut off; annulus labels are
   copied along rays from just outside the ball.
 
-Both are built and priced on the ball's window, the index box of the cells
-with ``|c_a - x0_a| < r + 2h`` along every axis.  Only cells with d < r
-change, and their face neighbors lie within r + h along every axis, so the
-window holds every changed cell and every edge that touches one.  ΔJ is
-the window identity: the window sum of the per-edge energy changes times
-``h**(n-2)``, plus the window sum of the per-cell mass changes times
-``h**n``, plus the change of the volume term.  It is exact: an edge or cell
-that the sums leave out is unchanged, and so is a window-face slot that the
-sums count as a wall although it is none; an unchanged slot has bitwise
-equal values on both pairs and contributes exactly 0.  Per-region weights
-give a window sum too; a power law prices the global volumes, so its change
-is taken between the per-phase label counts of the pair under audit and
-those counts plus the window's change.  No full-grid objective is
-evaluated, and ΔJ is never the difference of two totals of size |J|.  Both
-pairs are still checked for admissibility on the whole grid, the
-competitor first, as the full-grid evaluation did; a violation raises
-``ValueError``, which the audit records as a skip.
+Both are built on the ball's window, the index box of the cells with
+``|c_a - x0_a| < r + 2h`` along every axis.  Only cells with d < r change,
+and their face neighbors lie within r + h along every axis, so the window
+holds every changed cell and every edge that touches one, and
+:func:`~phasemin.functional.window_delta` prices the competitor exactly
+from the window.  It checks both pairs for admissibility on the whole
+grid; a violation raises ``ValueError``, which the audit records as a skip.
 
 On a converged pair every competitor should (near-)fail to improve the
 objective; the audit aggregates many such attempts.
@@ -47,17 +37,16 @@ from .functional import (
     FunctionalSpec,
     Partition,
     PhaseField,
-    PowerLaw,
-    check_admissible,
+    cell_marginals,
     make_partition,
     make_phase_field,
+    window_delta,
 )
 from .grid import (
     Grid,
     as_point,
     axis_centers,
     bounding_box,
-    edge_energies,
     format_float,
 )
 
@@ -138,61 +127,6 @@ def _ramp(d: NDArray, r: float, a: float) -> NDArray:
     return np.clip((d - a * r) / ((1.0 - a) * r), 0.0, 1.0)
 
 
-def _trash_benefit(
-    spec: FunctionalSpec, box: tuple[slice, ...], labels: NDArray
-) -> NDArray[np.bool_]:
-    """Window cells whose removal from their region strictly lowers the volume term."""
-    term = spec.volume_term
-    if isinstance(term, PowerLaw):
-        gain = term.a > 0.0 or term.b > 0.0
-        return (labels > 0) & gain
-    out = np.zeros(labels.shape, dtype=bool)
-    for i in range(1, spec.num_phases + 1):  # the other kind: PerRegion
-        out |= (labels == i) & (term.weights[i - 1].values[box] > 0.0)
-    return out
-
-
-def _delta_j(
-    spec: FunctionalSpec,
-    box: tuple[slice, ...],
-    pair: tuple[PhaseField, Partition],
-    star: tuple[PhaseField, Partition],
-) -> float:
-    """``J(star) - J(pair)`` for pairs that differ only inside ``box``.
-
-    Checks both pairs on the whole grid, ``star`` first, then takes the
-    window identity of the module docstring.
-    """
-    check_admissible(*star, spec)
-    check_admissible(*pair, spec)
-    grid = spec.grid
-    (u, w), (u_star, w_star) = pair, star
-    mask = grid.mask[box]
-    edge = mass = 0.0
-    for old, new, f, g in zip(u.fields, u_star.fields, spec.f, spec.g):
-        v0, v1 = old.values[box], new.values[box]
-        for (_, e0), (_, e1) in zip(edge_energies(v0, mask), edge_energies(v1, mask)):
-            edge += float(np.sum(e1 - e0))
-        fw, gw = f.values[box], g.values[box]
-        mass += float(np.sum((v1 * v1 * fw - v1 * gw) - (v0 * v0 * fw - v0 * gw)))
-    delta = edge * grid.spacing ** (grid.dim - 2) + mass * grid.cell_volume
-    lab0, lab1 = w.labels[box], w_star.labels[box]
-    term = spec.volume_term
-    if isinstance(term, PowerLaw):
-        counts = np.bincount(w.labels.ravel(), minlength=spec.num_phases + 1)[1:]
-        for i, count in enumerate(counts, start=1):
-            moved = int(np.count_nonzero(lab1 == i)) - int(np.count_nonzero(lab0 == i))
-            v0 = float(count) * grid.cell_volume
-            v1 = float(count + moved) * grid.cell_volume
-            delta += term.cost(v1) - term.cost(v0)
-    else:
-        for i, q in enumerate(term.weights, start=1):
-            qw = q.values[box]
-            gained = np.where(lab1 == i, qw, 0.0) - np.where(lab0 == i, qw, 0.0)
-            delta += float(np.sum(gained)) * grid.cell_volume
-    return delta
-
-
 def cutoff_competitor(
     u: PhaseField,
     w: Partition,
@@ -206,8 +140,9 @@ def cutoff_competitor(
 
     The ramp is 0 up to radius ``a r`` and rises linearly to 1 at ``r``.
     Cells of the inner ball on which every phase now vanishes are trashed
-    when that strictly lowers the volume term.  The construction and ``ΔJ``
-    are computed on the ball's window (see the module docstring).
+    where their marginal volume cost at the volumes of ``w`` is positive.
+    The construction and ``ΔJ`` are computed on the ball's window (see the
+    module docstring).
 
     Args:
         u, w: the pair under audit (unchanged).
@@ -220,7 +155,7 @@ def cutoff_competitor(
 
     Raises:
         ValueError: bad ``a``, bad phase index, a ball missing the mask, or
-            an inadmissible pair (see :func:`check_admissible`).
+            an inadmissible pair (see :func:`window_delta`).
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"cutoff fraction a must lie in (0,1), got {a}")
@@ -244,10 +179,13 @@ def cutoff_competitor(
     vacated = np.logical_and.reduce([vals[box] == 0.0 for vals in fields])
     labels = w.labels.copy()
     window = labels[box]
-    window[(d < a * r) & vacated & _trash_benefit(spec, box, window)] = 0
+    costly = np.zeros(window.shape, dtype=bool)
+    for i, lam in enumerate(cell_marginals(spec, w), start=1):
+        costly |= (window == i) & (lam[box] > 0.0)
+    window[(d < a * r) & vacated & costly] = 0
     u_star = make_phase_field(grid, fields)
     w_star = make_partition(grid, spec.num_phases, labels)
-    delta = _delta_j(spec, box, (u, w), (u_star, w_star))
+    delta = window_delta(spec, box, (u, w), (u_star, w_star))
     return u_star, w_star, delta
 
 
@@ -318,7 +256,7 @@ def harmonic_competitor(
     Raises:
         ValueError: ``a`` or ``r`` out of range, bad ``main``, the ball
             (with a one-cell safety margin) leaving the mask or bounding
-            box, or an inadmissible pair (see :func:`check_admissible`).
+            box, or an inadmissible pair (see :func:`window_delta`).
     """
     if not 0.5 <= a < 1.0:
         raise ValueError(f"harmonic fraction a must lie in [1/2, 1), got {a}")
@@ -362,7 +300,7 @@ def harmonic_competitor(
 
     u_star = make_phase_field(grid, fields)
     w_star = make_partition(grid, spec.num_phases, labels)
-    delta = _delta_j(spec, box, (u, w), (u_star, w_star))
+    delta = window_delta(spec, box, (u, w), (u_star, w_star))
     return u_star, w_star, delta
 
 

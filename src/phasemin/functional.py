@@ -12,7 +12,8 @@ A configuration is a pair of a :class:`PhaseField` (one scalar field per
 phase) and a :class:`Partition` (one label per cell, label 0 being the
 unassigned "trash" zone with no volume cost).  Admissibility means each
 field vanishes off its own labeled region and respects its sign
-constraint; :func:`check_admissible` enforces it, and :func:`total` calls it.
+constraint; :func:`check_admissible` enforces it, and the pricing routines
+call it: :func:`total` for whole pairs, :func:`window_delta` for edits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, ScalarField, gradient_energy, make_field, sample
+from .grid import Grid, ScalarField, edge_energies, gradient_energy, make_field, sample
 
 __all__ = [
     "PowerLaw",
@@ -45,7 +46,9 @@ __all__ = [
     "volume_value",
     "check_admissible",
     "total",
+    "window_delta",
     "volume_marginal",
+    "cell_marginals",
     "truncate_to_sign",
     "restrict_support",
     "support_mask",
@@ -313,6 +316,61 @@ def total(u: PhaseField, w: Partition, spec: FunctionalSpec) -> float:
     return energy(u) + mass_term(u, spec) + volume_value(w, spec.volume_term)
 
 
+def window_delta(
+    spec: FunctionalSpec,
+    box: tuple[slice, ...],
+    pair: tuple[PhaseField, Partition],
+    star: tuple[PhaseField, Partition],
+) -> float:
+    """``J(star) - J(pair)`` for pairs that differ only inside the index box ``box``.
+
+    Every changed cell, and every face edge that touches one, must lie in
+    ``box``.  The change is then the window identity: the window sum of the
+    per-edge energy changes times ``h**(n-2)``, plus the window sum of the
+    per-cell mass changes times ``h**n``, plus the change of the volume
+    term.  It is exact: an edge or cell that the sums leave out is
+    unchanged, and so is a window-face slot that the sums count as a wall
+    although it is none; an unchanged slot has bitwise equal values on both
+    pairs and contributes exactly 0.  Per-region weights give a window sum
+    too; a power law prices the global volumes, so its change is taken
+    between the per-phase label counts of ``pair`` and those counts plus
+    the window's change.  No full-grid objective is evaluated, and the
+    result is never the difference of two totals of size |J|.
+
+    Raises:
+        ValueError: if either pair is not admissible; both are checked on
+            the whole grid, ``star`` first (see :func:`check_admissible`).
+    """
+    check_admissible(*star, spec)
+    check_admissible(*pair, spec)
+    grid = spec.grid
+    (u, w), (u_star, w_star) = pair, star
+    mask = grid.mask[box]
+    edge = mass = 0.0
+    for old, new, f, g in zip(u.fields, u_star.fields, spec.f, spec.g):
+        v0, v1 = old.values[box], new.values[box]
+        for (_, e0), (_, e1) in zip(edge_energies(v0, mask), edge_energies(v1, mask)):
+            edge += float(np.sum(e1 - e0))
+        fw, gw = f.values[box], g.values[box]
+        mass += float(np.sum((v1 * v1 * fw - v1 * gw) - (v0 * v0 * fw - v0 * gw)))
+    delta = edge * grid.spacing ** (grid.dim - 2) + mass * grid.cell_volume
+    lab0, lab1 = w.labels[box], w_star.labels[box]
+    term = spec.volume_term
+    if isinstance(term, PowerLaw):
+        counts = np.bincount(w.labels.ravel(), minlength=spec.num_phases + 1)[1:]
+        for i, count in enumerate(counts, start=1):
+            moved = int(np.count_nonzero(lab1 == i)) - int(np.count_nonzero(lab0 == i))
+            v0 = float(count) * grid.cell_volume
+            v1 = float(count + moved) * grid.cell_volume
+            delta += term.cost(v1) - term.cost(v0)
+    else:
+        for i, q in enumerate(term.weights, start=1):
+            qw = q.values[box]
+            gained = np.where(lab1 == i, qw, 0.0) - np.where(lab0 == i, qw, 0.0)
+            delta += float(np.sum(gained)) * grid.cell_volume
+    return delta
+
+
 def volume_marginal(w: Partition, vt: VolumeTerm, at=None) -> MarginalCosts:
     """Per-phase marginal cost of volume at the current region volumes.
 
@@ -337,6 +395,14 @@ def volume_marginal(w: Partition, vt: VolumeTerm, at=None) -> MarginalCosts:
         lam = tuple(float(sample(q, at)) for q in vt.weights)
         return MarginalCosts(lam=lam, valid_at=vols)
     raise ValueError(f"unknown volume term {vt!r}")
+
+
+def cell_marginals(spec: FunctionalSpec, w: Partition) -> list[NDArray]:
+    """Per-phase cellwise volume marginals, frozen at the volumes of ``w``."""
+    term = spec.volume_term
+    if isinstance(term, PerRegion):
+        return [q.values for q in term.weights]
+    return [np.full(spec.grid.shape, lam) for lam in volume_marginal(w, term).lam]
 
 
 def truncate_to_sign(values: NDArray, constraint: str) -> NDArray:

@@ -72,6 +72,7 @@ __all__ = [
     "save_mask",
     "load_mask",
     "format_float",
+    "text_rows",
 ]
 
 
@@ -487,10 +488,13 @@ def _write_header(fh, grid: Grid) -> None:
     fh.write("origin " + " ".join(format_float(v) for v in grid.origin) + "\n")
 
 
-def _write_values(fh, grid: Grid, values: NDArray, fmt) -> None:
-    flat = values.reshape(grid.shape[0], -1)
-    for row in flat:
-        fh.write(" ".join(fmt(v) for v in row) + "\n")
+def text_rows(rows: NDArray, fmt) -> str:
+    """One line of space-separated ``fmt`` tokens per row of a 2D array.
+
+    ``fmt`` gets Python numbers, so ``repr`` writes a float as
+    :func:`format_float` does and ``str`` writes an integer's digits.
+    """
+    return "".join(" ".join(map(fmt, row)) + "\n" for row in rows.tolist())
 
 
 def _read_header(lines: list[str]) -> tuple[int, tuple[int, ...], float, tuple[float, ...], int]:
@@ -530,7 +534,7 @@ def save_field(f: ScalarField, path) -> None:
     """Write a field as a plain-text header plus row-major values."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         _write_header(fh, f.grid)
-        _write_values(fh, f.grid, f.values, format_float)
+        fh.write(text_rows(f.values.reshape(f.grid.shape[0], -1), repr))
 
 
 def load_field(path, grid: Grid | None = None) -> ScalarField:
@@ -566,7 +570,7 @@ def save_mask(grid: Grid, path) -> None:
     """Write the domain mask as a 0/1 field in the standard text format."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         _write_header(fh, grid)
-        _write_values(fh, grid, grid.mask.astype(int), lambda v: str(int(v)))
+        fh.write(text_rows(grid.mask.astype(int).reshape(grid.shape[0], -1), str))
 
 
 def load_mask(path) -> Grid:

@@ -26,6 +26,11 @@ Each relabel decision uses an upper bound on its true objective change
 (the neglected cross terms are nonpositive for same-signed fields), so the
 sweep never increases J for nonnegative phases; a revert safeguard in
 ``minimize`` protects the remaining cases.
+
+The result is a sweep fixed point that depends on the initial partition,
+not always a local minimizer.  With every volume marginal >= 0 (any power
+law, or per-region weights >= 0) no phase a cell could move to costs less
+than trash, which wins ties, so the supports only erode.
 """
 
 from __future__ import annotations
@@ -39,15 +44,14 @@ from .elliptic import solve_phase
 from .functional import (
     FunctionalSpec,
     Partition,
-    PerRegion,
     PhaseField,
+    cell_marginals,
     make_partition,
     make_phase_field,
     region_volumes,
     restrict_support,
     total,
     truncate_to_sign,
-    volume_marginal,
 )
 from .grid import Grid, cell_centers, neighbor_sum, wall_slot_count
 
@@ -74,9 +78,9 @@ class SolveReport:
             outer cycle: after its field solve and after its sweep.  Loose
             cycles record their loose values; a redone cycle records its
             ``tol_solve`` values only.
-        converged: True when the relative objective change dropped below
-            the requested threshold (or the partition reached a fixed
-            point) before the iteration cap.
+        converged: True when the loop stopped before the iteration cap:
+            the relative objective change dropped below ``tol_j``, the
+            partition reached a fixed point, or the sweep was discarded.
         final_volumes: per-phase region volumes of the returned partition.
         zero_set_fraction: fraction of in-mask cells where every phase
             field is exactly zero.
@@ -178,14 +182,6 @@ def _release_energy(grid: Grid, values: NDArray) -> NDArray:
     return release * grid.spacing ** (grid.dim - 2)
 
 
-def _marginal_arrays(spec: FunctionalSpec, w: Partition) -> list[NDArray]:
-    """Per-phase cellwise volume marginals, frozen at the sweep volumes."""
-    term = spec.volume_term
-    if isinstance(term, PerRegion):
-        return [q.values for q in term.weights]
-    return [np.full(spec.grid.shape, lam) for lam in volume_marginal(w, term).lam]
-
-
 def update_partition(spec: FunctionalSpec, u: PhaseField, w: Partition) -> Partition:
     """One cellwise label sweep with frozen volume marginals.
 
@@ -211,7 +207,7 @@ def update_partition(spec: FunctionalSpec, u: PhaseField, w: Partition) -> Parti
     n = spec.num_phases
     hn = grid.spacing**grid.dim
     labels = w.labels
-    lam = _marginal_arrays(spec, w)
+    lam = cell_marginals(spec, w)
 
     release = np.zeros(grid.shape)
     bulk = np.zeros(grid.shape)

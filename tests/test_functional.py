@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasemin.functional import (
     FREE,
@@ -21,6 +22,7 @@ from phasemin.functional import (
     truncate_to_sign,
     volume_marginal,
     volume_value,
+    window_delta,
 )
 from phasemin.grid import axis_centers, make_field, make_grid
 
@@ -240,3 +242,83 @@ class TestHelpers:
             m = mass_term(u, spec)
             l2 = np.sqrt(np.sum(vals**2) * g.cell_volume)
             assert m >= -1.0 * l2  # ||g||_inf = 1, f >= 0
+
+
+@st.composite
+def window_edits(draw):
+    """A random admissible pair on a small 1D/2D grid with holes, an index
+    box, and a second admissible pair that differs from it only on the box
+    cells whose face neighbors all lie in the box: new labels and new fields
+    there.  Phases (1 to 3) are free or nonnegative, priced by a power law
+    or by per-region weights of both signs."""
+    dim = draw(st.sampled_from([1, 2]))
+    if dim == 1:
+        shape = (draw(st.integers(3, 40)),)
+    else:
+        shape = (draw(st.integers(3, 16)), draw(st.integers(3, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) >= draw(st.sampled_from([0.0, 0.1, 0.3]))
+    grid = make_grid(dim, shape, 1.0 / shape[0], mask=mask)
+    n = draw(st.integers(1, 3))
+    signs = [draw(st.sampled_from([FREE, NONNEGATIVE])) for _ in range(n)]
+    if draw(st.booleans()):
+        volume = PowerLaw(
+            draw(st.sampled_from([0.0, 0.3])),
+            draw(st.sampled_from([0.0, 0.7])),
+            draw(st.floats(0.5, 2.0)),
+        )
+    else:
+        volume = PerRegion(tuple(make_field(grid, rng.normal(size=shape)) for _ in range(n)))
+    f = [make_field(grid, rng.uniform(0.0, 3.0, shape)) for _ in range(n)]
+    g = [make_field(grid, rng.normal(size=shape)) for _ in range(n)]
+    spec = make_functional_spec(grid, f, g, signs, volume)
+
+    def pair(labels):
+        w = make_partition(grid, n, labels)
+        fields = []
+        for i, sign in enumerate(signs, start=1):
+            vals = rng.normal(size=shape) * (w.labels == i) * (rng.random(shape) < 0.8)
+            fields.append(np.abs(vals) if sign == NONNEGATIVE else vals)
+        return make_phase_field(grid, fields), w
+
+    u, w = pair(rng.integers(0, n + 1, shape))
+    box, inner = [], []
+    for size in shape:
+        lo = draw(st.integers(0, size - 1))
+        hi = draw(st.integers(lo + 1, size))
+        box.append(slice(lo, hi))
+        # a cell next to a box face that is not a grid face has a neighbor
+        # outside the box; such cells keep their values
+        inner.append(slice(lo + (lo > 0), hi - (hi < size)))
+    edit = np.zeros(shape, dtype=bool)
+    edit[tuple(inner)] = rng.random(edit[tuple(inner)].shape) < 0.7
+    u_new, w_new = pair(rng.integers(0, n + 1, shape))
+    labels = np.where(edit, w_new.labels, w.labels)
+    fields = [np.where(edit, b.values, a.values) for a, b in zip(u.fields, u_new.fields)]
+    star = (make_phase_field(grid, fields), make_partition(grid, n, labels))
+    return spec, tuple(box), (u, w), star
+
+
+class TestWindowDelta:
+    """The window identity against the difference of two full totals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(window_edits())
+    def test_matches_difference_of_totals(self, case):
+        spec, box, pair, star = case
+        j = total(*pair, spec)
+        want = total(*star, spec) - j
+        assert abs(window_delta(spec, box, pair, star) - want) <= 1e-12 * (1.0 + abs(j))
+
+    def test_checks_the_star_first(self):
+        g = grid_1d(6)
+        spec = make_functional_spec(g, [0.0, 0.0], [1.0, 1.0], FREE, PowerLaw(0.1, 0.0))
+        w = make_partition(g, 2, np.array([1, 1, 0, 2, 2, 2]))
+        box = (slice(0, 6),)
+        # the pair puts phase 2 on a phase-1 cell, the star phase 1 on trash
+        u = make_phase_field(g, [np.zeros(6), np.array([1.0, 0, 0, 1, 1, 1])])
+        u_star = make_phase_field(g, [np.array([0, 0, 1.0, 0, 0, 0]), np.zeros(6)])
+        with pytest.raises(ValueError, match="phase 1 has support outside"):
+            window_delta(spec, box, (u, w), (u_star, w))
+        with pytest.raises(ValueError, match="phase 2 has support outside"):
+            window_delta(spec, box, (u, w), (make_phase_field(g, [np.zeros(6)] * 2), w))

@@ -243,6 +243,108 @@ class TestUpdatePartition:
         assert erode.labels[np.argmax(support)] == 0
 
 
+@st.composite
+def nonnegative_marginal_sweeps(draw):
+    """A random 1D/2D pair with holes whose volume marginals are all >= 0.
+
+    Phases (1 to 3) are free or nonnegative; fields of either sign live on
+    their own region.  The volume term is a power law or per-region weights
+    >= 0, with zero coefficients and zero weights drawn often, so that
+    moving to a phase can tie with moving to trash.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    if dim == 1:
+        shape = (draw(st.integers(3, 40)),)
+    else:
+        shape = (draw(st.integers(3, 16)), draw(st.integers(3, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) >= draw(st.sampled_from([0.0, 0.1, 0.3]))
+    grid = make_grid(dim, shape, 1.0 / shape[0], mask=mask)
+    n = draw(st.integers(1, 3))
+    signs = [draw(st.sampled_from([FREE, NONNEGATIVE])) for _ in range(n)]
+    if draw(st.booleans()):
+        volume = PowerLaw(
+            draw(st.sampled_from([0.0, 0.05, 1.0])),
+            draw(st.sampled_from([0.0, 0.5])),
+            draw(st.floats(0.5, 2.0)),
+        )
+    else:
+        volume = PerRegion(tuple(
+            make_field(grid, rng.uniform(0.0, 0.5, shape) * (rng.random(shape) < 0.7))
+            for _ in range(n)
+        ))
+    f = [make_field(grid, rng.uniform(0.0, 3.0, shape)) for _ in range(n)]
+    g = [make_field(grid, rng.normal(scale=5.0, size=shape)) for _ in range(n)]
+    spec = make_functional_spec(grid, f, g, signs, volume)
+    w = make_partition(grid, n, rng.integers(0, n + 1, shape))
+    fields = [
+        rng.normal(size=shape) * (w.labels == i) * (rng.random(shape) < 0.8)
+        for i in range(1, n + 1)
+    ]
+    return spec, make_phase_field(grid, fields), w
+
+
+class TestSupportsOnlyErode:
+    """With every volume marginal >= 0, a sweep never grows a support: a cell
+    of phase i pays the release to go to trash and the release plus
+    ``lam_l * h**n`` to go to phase l, ties going to trash, and a trash cell
+    pays 0 to stay against ``lam_l * h**n`` to join phase l."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonnegative_marginal_sweeps())
+    def test_new_label_is_old_label_or_trash(self, case):
+        spec, u, w = case
+        new = update_partition(spec, u, w).labels
+        assert np.all((new == w.labels) | (new == 0))
+
+
+class TestSeedDependence:
+    """The 1D mirrored-ramp run ends where its seeds put the interface.
+
+    The sweep only erodes supports, so the two-phase interface stays on the
+    Voronoi face of the seeds, and every shifted seed pair below ends one
+    cycle later at a lower J than the shipped split at 0.5.
+    """
+
+    CASES = [
+        # seeds, interface, J: measured, all after 1 outer cycle
+        ((0.25, 0.75), 0.5, -0.1406420),
+        ((0.2, 0.75), 0.4765625, -0.1411271),
+        ((0.1, 0.8), 0.44921875, -0.1429149),
+        ((0.3, 0.9), 0.6015625, -0.1496631),
+    ]
+
+    def run(self, seeds):
+        grid = make_grid(1, (256,), 1 / 256)
+        x = axis_centers(grid, 0)
+        spec = make_functional_spec(
+            grid,
+            [0.0, 0.0],
+            [make_field(grid, 8 * (1 - x)), make_field(grid, 8 * x)],
+            NONNEGATIVE,
+            PowerLaw(0.05, 0.0),
+        )
+        w0 = initial_partition(grid, 2, [(s,) for s in seeds])
+        u, w, rep = minimize(spec, init=(zero_fields(grid, 2), w0))
+        ones = np.flatnonzero(w.labels == 1)
+        twos = np.flatnonzero(w.labels == 2)
+        assert ones.max() + 1 == twos.min()
+        return (x[ones.max()] + x[twos.min()]) / 2, rep
+
+    @pytest.mark.parametrize("seeds, interface, j", CASES)
+    def test_interface_stays_on_the_voronoi_face(self, seeds, interface, j):
+        got, rep = self.run(seeds)
+        assert rep.iterations == 1 and rep.converged
+        assert got == interface
+        assert abs(got - sum(seeds) / 2) <= 1 / 512
+        assert rep.j_history[-1] == pytest.approx(j, abs=1e-7)
+
+    def test_shifted_seeds_end_lower(self):
+        shipped = self.run(self.CASES[0][0])[1].j_history[-1]
+        for seeds, _, _ in self.CASES[1:]:
+            assert self.run(seeds)[1].j_history[-1] < shipped
+
+
 class TestMinimize:
     def test_no_source_collapses_to_empty(self):
         grid = make_grid(1, (64,), 1 / 64)
