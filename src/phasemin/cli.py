@@ -551,7 +551,7 @@ class _Run:
         for i in range(1, spec.num_phases + 1):
             prof = acf_profile(u, Phase(i), pt, radii)
             self.write(f"profile_acf_{i}.csv", profile_csv(prof))
-            lam = volume_marginal(w, spec.volume_term, at=pt).lam[i - 1]
+            lam = volume_marginal(w, spec.volume_term, at=pt)[i - 1]
             prof = weiss_profile(u, i, lam, pt, radii)
             self.write(f"profile_weiss_{i}.csv", profile_csv(prof))
         if spec.num_phases >= 2:
@@ -583,7 +583,7 @@ class _Run:
             plan.grid, plan.probe_count, plan.probe_radius, self.seed
         )
         report = audit(self.u, self.w, plan.spec, probes)
-        self.write("audit_report.csv", audit_report_csv(report, dim=plan.grid.dim))
+        self.write("audit_report.csv", audit_report_csv(report))
         self.say(f"audit entries {len(report.entries)}")
         self.say(f"audit skipped {len(report.skipped)}")
         self.say(f"audit min_delta_j {format_float(report.min_delta_j)}")

@@ -154,11 +154,13 @@ def cutoff_competitor(
         ``(u*, w*, delta_j)`` with ``delta_j = J(u*,w*) - J(u,w)``.
 
     Raises:
-        ValueError: bad ``a``, bad phase index, a ball missing the mask, or
-            an inadmissible pair (see :func:`window_delta`).
+        ValueError: bad ``a`` or ``r``, bad phase index, a ball missing the
+            mask, or an inadmissible pair (see :func:`window_delta`).
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"cutoff fraction a must lie in (0,1), got {a}")
+    if not (r > 0.0 and np.isfinite(r)):
+        raise ValueError(f"cutoff radius r must be positive and finite, got {r}")
     grid = spec.grid
     pt = as_point(grid, x0)
     box, _, d = _window(grid, pt, r)
@@ -351,21 +353,16 @@ def audit(
     return AuditReport(tuple(entries), tuple(skipped), min_dj, worst)
 
 
-def audit_report_csv(report: AuditReport, dim: int | None = None) -> str:
+def audit_report_csv(report: AuditReport) -> str:
     """Render an audit report as deterministic CSV text.
 
     Columns: kind, a, main (empty for cut-off), r, the probe coordinates,
     and the objective change.  Skipped probes follow as comment lines.
-    ``dim`` (number of coordinate columns) is inferred from the report
-    when omitted.
+    There is one coordinate column per coordinate of the report's first
+    ``x0`` (one for an empty report).
     """
-    if dim is None:
-        if report.entries:
-            dim = len(report.entries[0].x0)
-        elif report.skipped:
-            dim = len(report.skipped[0].x0)
-        else:
-            dim = 1
+    rows = report.entries + report.skipped
+    dim = len(rows[0].x0) if rows else 1
     coord_cols = ",".join(f"x0_{k}" for k in range(dim))
     lines = [f"kind,a,main,r,{coord_cols},delta_j"]
     for e in report.entries:
@@ -387,12 +384,15 @@ def seeded_probes(grid: Grid, count: int, r: float, seed: int) -> list[tuple]:
     Args:
         grid: carrier grid.
         count: number of probes.
-        r: ball radius attached to every probe.
+        r: ball radius attached to every probe, positive and finite.
         seed: RNG seed for reproducibility.
 
     Raises:
-        ValueError: if the safety margin exhausts the bounding box.
+        ValueError: if ``r`` is not positive and finite, or the safety
+            margin exhausts the bounding box.
     """
+    if not (r > 0.0 and np.isfinite(r)):
+        raise ValueError(f"probe radius r must be positive and finite, got {r}")
     lo, hi = bounding_box(grid)
     margin = r + 2 * grid.spacing
     low = lo + margin

@@ -502,7 +502,7 @@ def el_interface_check(
         normal = -normal
         s_all = -s_all
 
-    lam = volume_marginal(w, spec.volume_term, at=pt).lam
+    lam = volume_marginal(w, spec.volume_term, at=pt)
     slopes = []
     for side, (part, vals) in enumerate(present):
         sgn = 1.0 if side == 0 else -1.0

@@ -33,7 +33,6 @@ __all__ = [
     "FunctionalSpec",
     "PhaseField",
     "Partition",
-    "MarginalCosts",
     "NONNEGATIVE",
     "FREE",
     "make_functional_spec",
@@ -51,7 +50,6 @@ __all__ = [
     "cell_marginals",
     "truncate_to_sign",
     "restrict_support",
-    "support_mask",
 ]
 
 NONNEGATIVE = "nonnegative"
@@ -131,14 +129,6 @@ class Partition:
     labels: NDArray[np.int64]
 
 
-@dataclass(frozen=True)
-class MarginalCosts:
-    """Per-phase marginal volume costs and the volumes they were taken at."""
-
-    lam: tuple[float, ...]
-    valid_at: tuple[float, ...]
-
-
 def make_functional_spec(
     grid: Grid,
     f: Sequence[ScalarField | float],
@@ -216,21 +206,21 @@ def make_phase_field(grid: Grid, fields: Sequence[ScalarField | NDArray]) -> Pha
 
 
 def make_partition(grid: Grid, num_phases: int, labels: NDArray) -> Partition:
-    """Validate labels in {0..N}, forcing label 0 off the mask."""
-    arr = np.asarray(labels, dtype=np.int64)
+    """Validate integer labels in {0..N}, forcing label 0 off the mask.
+
+    Labels of a float dtype are accepted when every one is integral.
+    """
+    arr = np.asarray(labels)
     if arr.shape != grid.shape:
         raise ValueError(f"labels shape {arr.shape} does not match grid {grid.shape}")
+    if arr.dtype.kind not in "biu" and not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        raise ValueError("labels must be integers; got a fractional or non-finite label")
     if arr.min() < 0 or arr.max() > num_phases:
         raise ValueError(f"labels must lie in 0..{num_phases}")
-    arr = arr.copy()
+    arr = arr.astype(np.int64)
     arr[~grid.mask] = 0
     arr.setflags(write=False)
     return Partition(grid=grid, num_phases=num_phases, labels=arr)
-
-
-def support_mask(u: PhaseField, i: int) -> NDArray[np.bool_]:
-    """Boolean mask of cells where phase ``i`` (1-based) is nonzero."""
-    return u.fields[i - 1].values != 0.0
 
 
 def partition_from_supports(u: PhaseField) -> Partition:
@@ -241,7 +231,7 @@ def partition_from_supports(u: PhaseField) -> Partition:
     """
     labels = np.zeros(u.grid.shape, dtype=np.int64)
     for i in range(1, u.num_phases + 1):
-        sup = support_mask(u, i)
+        sup = u.fields[i - 1].values != 0.0
         if np.any(labels[sup] != 0):
             raise ValueError("phase supports overlap; no valid partition")
         labels[sup] = i
@@ -337,14 +327,35 @@ def window_delta(
     the window's change.  No full-grid objective is evaluated, and the
     result is never the difference of two totals of size |J|.
 
+    The box rule is checked where it can fail inside ``box``: on each layer
+    of ``box`` that lies against a box face inside the grid, the labels and
+    every phase's values of ``star`` must equal those of ``pair``.  A change
+    wholly outside ``box`` stays the caller's responsibility; checking it
+    would add a whole-grid pass per call.
+
     Raises:
-        ValueError: if either pair is not admissible; both are checked on
-            the whole grid, ``star`` first (see :func:`check_admissible`).
+        ValueError: if either pair is not admissible (both are checked on
+            the whole grid, ``star`` first; see :func:`check_admissible`),
+            and then if a cell changes on a layer of ``box`` against a box
+            face inside the grid.
     """
     check_admissible(*star, spec)
     check_admissible(*pair, spec)
     grid = spec.grid
     (u, w), (u_star, w_star) = pair, star
+    arrays = [(w.labels, w_star.labels)]
+    arrays += [(f0.values, f1.values) for f0, f1 in zip(u.fields, u_star.fields)]
+    for axis, cut in enumerate(box):
+        n = grid.shape[axis]
+        start, stop, _ = cut.indices(n)
+        faces = ((start, start > 0), (stop - 1, stop < n)) if start < stop else ()
+        for k in (k for k, inner in faces if inner):
+            layer = box[:axis] + (slice(k, k + 1),) + box[axis + 1 :]
+            if any(not np.array_equal(a[layer], b[layer]) for a, b in arrays):
+                raise ValueError(
+                    f"box rule: a cell changes on layer {k} of axis {axis}, which"
+                    " lies against a box face inside the grid"
+                )
     mask = grid.mask[box]
     edge = mass = 0.0
     for old, new, f, g in zip(u.fields, u_star.fields, spec.f, spec.g):
@@ -371,10 +382,11 @@ def window_delta(
     return delta
 
 
-def volume_marginal(w: Partition, vt: VolumeTerm, at=None) -> MarginalCosts:
-    """Per-phase marginal cost of volume at the current region volumes.
+def volume_marginal(w: Partition, vt: VolumeTerm, at=None) -> tuple[float, ...]:
+    """The per-phase marginal costs of volume ``(lam_1, ..., lam_N)``.
 
-    PowerLaw: ``lam_i = a + b*(1+alpha)*|W_i|**alpha``.  PerRegion:
+    PowerLaw: ``lam_i = a + b*(1+alpha)*|W_i|**alpha`` at the region
+    volumes of ``w`` (:func:`region_volumes`).  PerRegion:
     ``lam_i = q_i(at)``, the weight value at the given point.
 
     Args:
@@ -385,15 +397,14 @@ def volume_marginal(w: Partition, vt: VolumeTerm, at=None) -> MarginalCosts:
     Raises:
         ValueError: PerRegion without ``at``.
     """
-    vols = region_volumes(w)
     if isinstance(vt, PowerLaw):
-        lam = tuple(float(vt.a + vt.b * (1.0 + vt.alpha) * v**vt.alpha) for v in vols)
-        return MarginalCosts(lam=lam, valid_at=vols)
+        return tuple(
+            float(vt.a + vt.b * (1.0 + vt.alpha) * v**vt.alpha) for v in region_volumes(w)
+        )
     if isinstance(vt, PerRegion):
         if at is None:
             raise ValueError("PerRegion marginal requires an evaluation point `at`")
-        lam = tuple(float(sample(q, at)) for q in vt.weights)
-        return MarginalCosts(lam=lam, valid_at=vols)
+        return tuple(float(sample(q, at)) for q in vt.weights)
     raise ValueError(f"unknown volume term {vt!r}")
 
 
@@ -402,7 +413,7 @@ def cell_marginals(spec: FunctionalSpec, w: Partition) -> list[NDArray]:
     term = spec.volume_term
     if isinstance(term, PerRegion):
         return [q.values for q in term.weights]
-    return [np.full(spec.grid.shape, lam) for lam in volume_marginal(w, term).lam]
+    return [np.full(spec.grid.shape, lam) for lam in volume_marginal(w, term)]
 
 
 def truncate_to_sign(values: NDArray, constraint: str) -> NDArray:

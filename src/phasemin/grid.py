@@ -2,12 +2,13 @@
 
 This module holds the spatial plumbing shared by every other module: the
 grid description (cell counts, spacing, origin, domain mask), scalar fields
-living on grid cells, probe points and their distance fields, discrete ball
-index sets, the face-edge stencil (its per-axis edge and face slices, the
-neighbor sum and the edge energy, and the wall count, the Laplacian and the
-gradient energy built on them), the exact squared distance transform of a
-cell set, multilinear sampling, and a plain-text serialization format for
-grids, masks, and fields.
+living on grid cells, probe points and their distance fields, the face-edge
+stencil (its per-axis edge and face slices, the neighbor sum and the edge
+energy, and the wall count, the Laplacian and the gradient energy built on
+them), the exact squared distance transform of a cell set, multilinear
+sampling, and a plain-text serialization format for fields.  A ball is
+selected as ``distances(grid, pt) < r``; a mask is stored as a field of 0/1
+values and read back as ``load_field(p).values != 0``.
 
 Conventions
 -----------
@@ -48,13 +49,11 @@ from numpy.typing import NDArray
 __all__ = [
     "Grid",
     "ScalarField",
-    "BallIndex",
     "make_grid",
     "make_field",
     "cell_centers",
     "axis_centers",
     "bounding_box",
-    "ball_cells",
     "as_point",
     "distances",
     "index_box",
@@ -69,8 +68,6 @@ __all__ = [
     "edge_energies",
     "save_field",
     "load_field",
-    "save_mask",
-    "load_mask",
     "format_float",
     "text_rows",
 ]
@@ -118,22 +115,6 @@ class ScalarField:
 
     grid: Grid
     values: NDArray[np.float64]
-
-
-@dataclass(frozen=True)
-class BallIndex:
-    """Cells whose centers lie strictly inside a ball.
-
-    Attributes:
-        center: ball center in physical coordinates.
-        radius: ball radius.
-        cells: sorted, duplicate-free flat (row-major) cell indices with
-            ``|cell_center - center| < radius``.
-    """
-
-    center: tuple[float, ...]
-    radius: float
-    cells: NDArray[np.intp]
 
 
 def make_grid(
@@ -236,15 +217,14 @@ def as_point(grid: Grid, x: float | Sequence[float]) -> NDArray[np.float64]:
     return pt
 
 
-def _squared_offsets(grid: Grid, pt: NDArray) -> NDArray[np.float64]:
-    """Squared distance from every cell center to ``pt``, summed per axis."""
-    offsets = np.ix_(*(axis_centers(grid, a) - pt[a] for a in range(grid.dim)))
-    return sum(d**2 for d in offsets)
-
-
 def distances(grid: Grid, pt: NDArray) -> NDArray[np.float64]:
-    """Euclidean distance from every cell center to the point ``pt``."""
-    return np.sqrt(_squared_offsets(grid, pt))
+    """Euclidean distance from every cell center to the point ``pt``.
+
+    The squared offsets are summed per axis, so ``distances(grid, pt) < r``
+    selects the cells with center strictly inside the ball ``B(pt, r)``.
+    """
+    offsets = np.ix_(*(axis_centers(grid, a) - pt[a] for a in range(grid.dim)))
+    return np.sqrt(sum(d**2 for d in offsets))
 
 
 def index_box(cells: NDArray[np.bool_]) -> tuple[slice, ...]:
@@ -302,30 +282,6 @@ def bounding_box(grid: Grid) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     lo = np.asarray(grid.origin) - grid.spacing / 2.0
     hi = np.asarray(grid.origin) + grid.spacing * (np.asarray(grid.shape) - 1) + grid.spacing / 2.0
     return lo, hi
-
-
-def ball_cells(grid: Grid, x0: float | Sequence[float], r: float) -> BallIndex:
-    """Cells with center strictly inside the ball ``B(x0, r)``.
-
-    Membership ignores the mask: callers that need masked balls filter the
-    result themselves.
-
-    Args:
-        grid: the grid.
-        x0: ball center (scalar accepted in 1D).
-        r: positive radius.
-
-    Raises:
-        ValueError: if ``r <= 0`` or the ball contains no cell center.
-    """
-    if not (r > 0.0):
-        raise ValueError(f"radius must be positive, got {r}")
-    pt = as_point(grid, x0)
-    inside = _squared_offsets(grid, pt) < r * r
-    cells = np.flatnonzero(inside.ravel(order="C"))
-    if cells.size == 0:
-        raise ValueError(f"ball B({tuple(pt.tolist())}, {r}) contains no cell center")
-    return BallIndex(center=tuple(float(v) for v in pt), radius=float(r), cells=cells)
 
 
 def sample(f: ScalarField, x: float | Sequence[float]) -> float:
@@ -481,13 +437,6 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-def _write_header(fh, grid: Grid) -> None:
-    fh.write(f"dim {grid.dim}\n")
-    fh.write("shape " + " ".join(str(s) for s in grid.shape) + "\n")
-    fh.write("spacing " + format_float(grid.spacing) + "\n")
-    fh.write("origin " + " ".join(format_float(v) for v in grid.origin) + "\n")
-
-
 def text_rows(rows: NDArray, fmt) -> str:
     """One line of space-separated ``fmt`` tokens per row of a 2D array.
 
@@ -497,7 +446,7 @@ def text_rows(rows: NDArray, fmt) -> str:
     return "".join(" ".join(map(fmt, row)) + "\n" for row in rows.tolist())
 
 
-def _read_header(lines: list[str]) -> tuple[int, tuple[int, ...], float, tuple[float, ...], int]:
+def _read_header(lines: list[str]) -> tuple[int, tuple[int, ...], float, tuple[float, ...]]:
     def tokens(i: int, key: str) -> list[str]:
         parts = lines[i].split() if i < len(lines) else []
         if not parts or parts[0] != key:
@@ -517,24 +466,18 @@ def _read_header(lines: list[str]) -> tuple[int, tuple[int, ...], float, tuple[f
     shape = tuple(int(t) for t in tokens(1, "shape"))
     spacing = float(value(2, "spacing"))
     origin = tuple(float(t) for t in tokens(3, "origin"))
-    return dim, shape, spacing, origin, 4
-
-
-def _read_body(lines: list[str], start: int, shape: tuple[int, ...]) -> NDArray[np.float64]:
-    toks: list[str] = []
-    for line in lines[start:]:
-        toks.extend(line.split())
-    n = int(np.prod(shape))
-    if len(toks) != n:
-        raise ValueError(f"field file has {len(toks)} values, expected {n}")
-    return np.asarray([float(t) for t in toks]).reshape(shape)
+    return dim, shape, spacing, origin
 
 
 def save_field(f: ScalarField, path) -> None:
     """Write a field as a plain-text header plus row-major values."""
+    grid = f.grid
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        _write_header(fh, f.grid)
-        fh.write(text_rows(f.values.reshape(f.grid.shape[0], -1), repr))
+        fh.write(f"dim {grid.dim}\n")
+        fh.write("shape " + " ".join(str(s) for s in grid.shape) + "\n")
+        fh.write("spacing " + format_float(grid.spacing) + "\n")
+        fh.write("origin " + " ".join(format_float(v) for v in grid.origin) + "\n")
+        fh.write(text_rows(f.values.reshape(grid.shape[0], -1), repr))
 
 
 def load_field(path, grid: Grid | None = None) -> ScalarField:
@@ -551,8 +494,12 @@ def load_field(path, grid: Grid | None = None) -> ScalarField:
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    dim, shape, spacing, origin, start = _read_header(lines)
-    values = _read_body(lines, start, shape)
+    dim, shape, spacing, origin = _read_header(lines)
+    toks = " ".join(lines[4:]).split()
+    n = int(np.prod(shape))
+    if len(toks) != n:
+        raise ValueError(f"field file has {len(toks)} values, expected {n}")
+    values = np.asarray([float(t) for t in toks]).reshape(shape)
     if grid is None:
         grid = make_grid(dim, shape, spacing, origin)
     else:
@@ -565,18 +512,3 @@ def load_field(path, grid: Grid | None = None) -> ScalarField:
             raise ValueError(f"field file header does not match the provided grid")
     return make_field(grid, values)
 
-
-def save_mask(grid: Grid, path) -> None:
-    """Write the domain mask as a 0/1 field in the standard text format."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        _write_header(fh, grid)
-        fh.write(text_rows(grid.mask.astype(int).reshape(grid.shape[0], -1), str))
-
-
-def load_mask(path) -> Grid:
-    """Read a mask file written by :func:`save_mask` into a Grid."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    dim, shape, spacing, origin, start = _read_header(lines)
-    values = _read_body(lines, start, shape)
-    return make_grid(dim, shape, spacing, origin, mask=values != 0)

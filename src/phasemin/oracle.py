@@ -50,7 +50,6 @@ class OracleResult:
         j_split: objective at ``s_split``.
         j_phase1_full: objective with phase 1 covering all of (0,1).
         j_phase2_full: objective with phase 2 covering all of (0,1).
-        j_empty: objective of the empty configuration (always 0).
         best_kind: one of ``"split"``, ``"phase1_full"``, ``"phase2_full"``,
             ``"empty"`` — the family member with the smallest objective.
         s_star: interface of the overall best candidate (None when empty).
@@ -63,15 +62,9 @@ class OracleResult:
     j_split: float
     j_phase1_full: float
     j_phase2_full: float
-    j_empty: float
     best_kind: str
     s_star: float | None
     j_star: float
-
-    def __iter__(self):
-        yield self.s_star
-        yield self.j_star
-        yield np.stack([self.s_values, self.j_values], axis=1)
 
 
 def _cumtrap(y: NDArray, dt: float) -> NDArray:
@@ -134,7 +127,8 @@ def oracle_two_phase_1d(
         s_grid: number of sample intervals, at least 1000.
 
     Returns:
-        An :class:`OracleResult`; iterating it yields ``(s*, J*, table)``.
+        An :class:`OracleResult`; the empty configuration has ``J = 0``, so
+        its ``best_kind`` is ``"empty"`` exactly when no candidate is negative.
 
     Raises:
         ValueError: if ``s_grid < 1000`` or sample lengths mismatch.
@@ -198,7 +192,6 @@ def oracle_two_phase_1d(
         j_split=float(j[i_split]),
         j_phase1_full=float(j[-1]),
         j_phase2_full=float(j[0]),
-        j_empty=0.0,
         best_kind=best_kind,
         s_star=s_star,
         j_star=j_star,

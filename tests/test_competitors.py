@@ -461,6 +461,13 @@ class TestCutoff:
         with pytest.raises(ValueError):
             cutoff_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.5, [2])
 
+    def test_radius_must_be_positive_and_finite(self):
+        grid = make_grid(2, (16, 16), 1 / 16)
+        spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
+        for r in (0.0, -0.01, np.inf, np.nan):
+            with pytest.raises(ValueError, match="radius r must be positive and finite"):
+                cutoff_competitor(u, w, spec, (0.5, 0.5), r, 0.5, [1])
+
 
 class TestHarmonic:
     def test_zero_pair_zero_delta(self):
@@ -595,6 +602,15 @@ class TestAudit:
         assert len(report.skipped) == 2
         assert "bounding box" in report.skipped[0].note
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_radius_is_skipped(self):
+        grid = make_grid(2, (16, 16), 1 / 16)
+        spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
+        report = audit(u, w, spec, [((0.5, 0.5), np.inf)])
+        assert report.entries == ()
+        kinds = [s.kind for s in report.skipped]
+        assert kinds == ["cutoff", "cutoff", "harmonic:1", "harmonic:1"]
+
     def test_skip_note_prints_plain_numbers(self):
         grid = make_grid(2, (16, 16), 1 / 16)
         spec, u, w = solved_full_domain_pair(grid, 2.0, 0.1)
@@ -655,3 +671,9 @@ class TestSeededProbes:
         grid = make_grid(2, (16, 16), 1 / 16)
         with pytest.raises(ValueError):
             seeded_probes(grid, 4, 0.6, seed=0)
+
+    @pytest.mark.parametrize("r", [0.0, -0.1, np.nan, np.inf])
+    def test_radius_must_be_positive_and_finite(self, r):
+        grid = make_grid(2, (16, 16), 1 / 16)
+        with pytest.raises(ValueError, match="radius r must be positive and finite"):
+            seeded_probes(grid, 4, r, seed=0)

@@ -168,17 +168,15 @@ class TestVolumeMarginal:
     def test_zero_power_law(self):
         g = grid_1d(8)
         w = make_partition(g, 3, np.zeros(8, dtype=int))
-        mc = volume_marginal(w, PowerLaw(0, 0))
-        assert mc.lam == (0.0, 0.0, 0.0)
+        assert volume_marginal(w, PowerLaw(0, 0)) == (0.0, 0.0, 0.0)
 
     def test_power_law_derivative(self):
         g = grid_1d(16)
         labels = np.zeros(16, dtype=int)
         labels[:4] = 1  # |W1| = 0.25
         w = make_partition(g, 1, labels)
-        mc = volume_marginal(w, PowerLaw(0.1, 1.0, 1.0))
-        assert mc.lam[0] == pytest.approx(0.1 + 2.0 * 0.25)
-        assert mc.valid_at == (0.25,)
+        lam = volume_marginal(w, PowerLaw(0.1, 1.0, 1.0))
+        assert lam[0] == pytest.approx(0.1 + 2.0 * 0.25)
 
     def test_power_law_matches_finite_difference(self):
         g = grid_1d(64)
@@ -190,7 +188,7 @@ class TestVolumeMarginal:
         w_plus = make_partition(g, 1, labels2)
         vt = PowerLaw(0.05, 0.8, 1.3)
         mid = make_partition(g, 1, np.where(np.arange(64) < 21, 1, 0))
-        lam = volume_marginal(mid, vt).lam[0]
+        lam = volume_marginal(mid, vt)[0]
         fd = (volume_value(w_plus, vt) - volume_value(w_minus, vt)) / (2 * g.spacing)
         vol_mid = region_volumes(mid)[0]
         tol = vt.b * (1 + vt.alpha) * vt.alpha * vol_mid ** (vt.alpha - 1) * g.spacing
@@ -202,8 +200,7 @@ class TestVolumeMarginal:
         vt = PerRegion((make_field(g, -1.0),))
         with pytest.raises(ValueError):
             volume_marginal(w, vt)
-        mc = volume_marginal(w, vt, at=0.5)
-        assert mc.lam == (-1.0,)
+        assert volume_marginal(w, vt, at=0.5) == (-1.0,)
 
 
 class TestHelpers:
@@ -228,6 +225,13 @@ class TestHelpers:
         u = make_phase_field(g, [a, a])
         with pytest.raises(ValueError):
             partition_from_supports(u)
+
+    def test_make_partition_rejects_fractional_or_non_finite_labels(self):
+        g = make_grid(1, (4,), 0.25)
+        for bad in ([0.0, 1.5, 1.9, 2.0], [0.0, np.nan, 1.0, 2.0], [0.0, np.inf, 1.0, 2.0]):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                make_partition(g, 2, np.array(bad))
+        assert make_partition(g, 2, np.array([0.0, 1.0, 2.0, 2.0])).labels.tolist() == [0, 1, 2, 2]
 
     def test_energy_lower_bound_property(self):
         # J >= E - |M| with |M| <= C sqrt(E) on random admissible fields
@@ -322,3 +326,32 @@ class TestWindowDelta:
             window_delta(spec, box, (u, w), (u_star, w))
         with pytest.raises(ValueError, match="phase 2 has support outside"):
             window_delta(spec, box, (u, w), (make_phase_field(g, [np.zeros(6)] * 2), w))
+
+    def test_box_rule_is_checked(self):
+        g = grid_1d(8)
+        spec = make_functional_spec(g, [0.0], [1.0], FREE, PowerLaw(0.0, 0.0))
+        w = make_partition(g, 1, np.ones(8, dtype=int))
+        u = make_phase_field(g, [np.ones(8)])
+        raised = np.ones(8)
+        raised[3] = 2.0
+        star = (make_phase_field(g, [raised]), w)
+        # a box from cell 3 would price the face between cells 2 and 3 as
+        # a wall slot: 55.875 instead of the true 16 - 1/8
+        with pytest.raises(ValueError, match="box rule"):
+            window_delta(spec, (slice(3, 6),), (u, w), star)
+        assert window_delta(spec, (slice(2, 6),), (u, w), star) == pytest.approx(15.875)
+
+    def test_box_rule_compares_labels(self):
+        g = grid_1d(8)
+        spec = make_functional_spec(g, [0.0], [1.0], FREE, PowerLaw(0.5, 0.0))
+        w = make_partition(g, 1, np.ones(8, dtype=int))
+        vals = np.ones(8)
+        vals[5] = 0.0
+        u = make_phase_field(g, [vals])
+        labels = np.ones(8, dtype=int)
+        labels[5] = 0
+        star = (u, make_partition(g, 1, labels))
+        with pytest.raises(ValueError, match="layer 5 of axis 0"):
+            window_delta(spec, (slice(2, 6),), (u, w), star)
+        want = total(*star, spec) - total(u, w, spec)
+        assert window_delta(spec, (slice(2, 7),), (u, w), star) == pytest.approx(want)

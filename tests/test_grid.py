@@ -1,4 +1,4 @@
-"""Unit tests for grids, fields, balls, stencils, sampling, serialization."""
+"""Unit tests for grids, fields, stencils, sampling, serialization."""
 
 from __future__ import annotations
 
@@ -9,19 +9,16 @@ from hypothesis import given, settings, strategies as st
 from phasemin.grid import (
     as_point,
     axis_centers,
-    ball_cells,
     bounding_box,
     cell_centers,
     gradient_energy,
     laplacian_apply,
     load_field,
-    load_mask,
     make_field,
     make_grid,
     neighbor_sum,
     sample,
     save_field,
-    save_mask,
     wall_slot_count,
 )
 
@@ -77,44 +74,6 @@ class TestConstruction:
         assert c.shape == (4, 4, 2)
         assert c[0, 0, 0] == pytest.approx(1 / 8)
         assert c[3, 1, 1] == pytest.approx(3 / 8)
-
-
-class TestBallCells:
-    def test_sub_spacing_ball_isolates_center(self):
-        g = make_grid(2, (5, 5), 1.0, origin=(0.0, 0.0))
-        b = ball_cells(g, (2.0, 2.0), 0.5)
-        assert b.cells.tolist() == [12]
-
-    def test_lattice_counts(self):
-        g = make_grid(2, (5, 5), 1.0, origin=(0.0, 0.0))
-        # r between 1 and sqrt(2): center plus 4 axis neighbors
-        assert ball_cells(g, (2.0, 2.0), 1.2).cells.size == 5
-        # r beyond sqrt(2): diagonals join (strict center-distance rule)
-        assert ball_cells(g, (2.0, 2.0), 1.5).cells.size == 9
-
-    def test_disk_area(self):
-        g = unit_grid_2d(100)
-        b = ball_cells(g, (0.5, 0.5), 0.3)
-        area = b.cells.size * g.cell_volume
-        assert area == pytest.approx(np.pi * 0.09, rel=0.02)
-
-    def test_monotone_in_radius(self):
-        g = unit_grid_2d(32)
-        small = set(ball_cells(g, (0.4, 0.6), 0.1).cells.tolist())
-        big = set(ball_cells(g, (0.4, 0.6), 0.25).cells.tolist())
-        assert small <= big
-
-    def test_errors(self):
-        g = unit_grid_2d(8)
-        with pytest.raises(ValueError):
-            ball_cells(g, (0.5, 0.5), -0.1)
-        with pytest.raises(ValueError):
-            ball_cells(g, (10.0, 10.0), 0.2)
-
-    def test_sorted_unique(self):
-        g = unit_grid_2d(16)
-        cells = ball_cells(g, (0.3, 0.7), 0.2).cells
-        assert np.all(np.diff(cells) > 0)
 
 
 class TestLaplacian:
@@ -274,25 +233,13 @@ class TestSerialization:
         save_field(load_field(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_mask_round_trip(self, tmp_path):
-        mask = np.ones((6, 5), dtype=bool)
-        mask[0, :] = False
-        mask[3, 2] = False
-        g = make_grid(2, (6, 5), 0.125, origin=(0.0, 0.5), mask=mask)
-        p = tmp_path / "mask.txt"
-        save_mask(g, p)
-        g2 = load_mask(p)
-        assert g2.shape == g.shape and g2.spacing == g.spacing
-        assert g2.origin == g.origin
-        assert np.array_equal(g2.mask, g.mask)
-
     @pytest.mark.parametrize("keep", [0, 1, 2, 3])
     def test_truncated_header_raises_value_error(self, tmp_path, keep):
-        p = tmp_path / "mask.txt"
-        save_mask(make_grid(2, (4, 4), 0.25), p)
+        p = tmp_path / "f.txt"
+        save_field(make_field(make_grid(2, (4, 4), 0.25), 1.0), p)
         p.write_text("\n".join(p.read_text().splitlines()[:keep]) + "\n")
         with pytest.raises(ValueError, match="field file"):
-            load_mask(p)
+            load_field(p)
 
     def test_header_key_without_value_raises_value_error(self, tmp_path):
         p = tmp_path / "f.txt"
@@ -306,15 +253,13 @@ class TestSerialization:
     )
     def test_extra_header_token_raises_value_error(self, tmp_path, line, extended):
         key = line.split()[0]
-        g = make_grid(2, (4, 4), 0.25)
-        for save, load in ((save_field, load_field), (save_mask, load_mask)):
-            p = tmp_path / f"{load.__name__}.txt"
-            save(make_field(g, 1.0) if save is save_field else g, p)
-            text = p.read_text()
-            assert f"\n{line}\n" in "\n" + text
-            p.write_text(text.replace(line, extended, 1))
-            with pytest.raises(ValueError, match=f"one value after '{key}'"):
-                load(p)
+        p = tmp_path / "f.txt"
+        save_field(make_field(make_grid(2, (4, 4), 0.25), 1.0), p)
+        text = p.read_text()
+        assert f"\n{line}\n" in "\n" + text
+        p.write_text(text.replace(line, extended, 1))
+        with pytest.raises(ValueError, match=f"one value after '{key}'"):
+            load_field(p)
 
     def test_load_with_grid_checks_header(self, tmp_path):
         g = unit_grid_1d(8)

@@ -31,9 +31,6 @@ class TestTwoPhaseScan:
         assert res.best_kind == "empty"
         assert res.j_star == 0.0
         assert res.s_star is None
-        # unpacking contract
-        s_star, j_star, table = res
-        assert s_star is None and j_star == 0.0 and table.shape == (1001, 2)
 
     def test_constant_sources_concave_scan(self):
         res = oracle_two_phase_1d(lambda t: 4 + 0 * t, lambda t: 4 + 0 * t, 0.25, 0.25, 2000)
