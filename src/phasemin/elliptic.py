@@ -17,21 +17,33 @@ Multigrid levels
 A coarse cell merges ``2**dim`` children and belongs to the coarse region
 only if every child does; an odd trailing layer of cells along an axis has
 no coarse parent, which is the same as padding the box with cells outside
-the region.  A coarse cell's wall slots are its children's summed wall
-slots over ``2**(dim-1)`` (exact at box faces and corners), its coefficient
-is the children's mean, and its spacing is doubled.  Coarsening stops when
-a side is at most 2 cells, when at most ``MIN_COARSE_CELLS`` region cells
-remain, or when the coarse region would be empty.  The cycle smooths with
-``SWEEPS`` damped Jacobi sweeps before the coarse correction and as many
-after it, restricts residuals by averaging the children and prolongs corrections by
-copying them to the children; the coarsest level only smooths.
-Restriction is ``2**-dim`` times the transpose of prolongation and
+the region.  A coarse cell's wall slots are its children's summed wall slots
+over ``2**(dim-1)`` (exact at box faces and corners), its coefficient is the
+sum of its children's times ``2**-dim`` (their mean, but with no overflow),
+and its spacing is doubled.  Child sums run over strided views by pairs,
+last axis first: ``(a00 + a01) + (a10 + a11)``, the order of ``np.sum`` over
+the child axes of an ``(n0, 2, n1, 2)`` view unless n1 is 1 (numpy then adds
+the four in sequence).  Coarsening stops when a side is at most 2 cells,
+when at most ``MIN_COARSE_CELLS`` region cells remain, or when the coarse
+region would be empty.  A level stores ``D``, the operator diagonal, and
+``1/h**2``, ``OMEGA/D`` and ``OMEGA/(h**2 D)``, each zero off the region, so
+a damped Jacobi sweep ``x += OMEGA D^-1 (b - A x)`` is
+``x <- (1 - OMEGA) x + OMEGA D^-1 b + OMEGA/(h**2 D) N(x)``, with ``N`` the
+neighbor sum and ``OMEGA D^-1 b`` formed once per level and cycle.  The
+cycle smooths with ``SWEEPS`` sweeps before the coarse correction and as
+many after it, restricts residuals by averaging the children and prolongs
+corrections by copying them to the children; the coarsest level only
+smooths.  Restriction is ``2**-dim`` times the transpose of prolongation and
 Jacobi sweeps from a zero guess apply a polynomial in ``D^-1 A`` times
 ``D^-1``, so the V-cycle is a symmetric positive-definite preconditioner.
+The inner products that feed the iterates, ``r.z`` and ``p.Ap``, stay
+``np.sum`` of a product, never ``np.dot``/``np.vdot``, whose BLAS summation
+order numpy does not fix: reruns must write identical fields.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -91,40 +103,51 @@ class SolverError(RuntimeError):
 
 
 class _Level:
-    """One multigrid level on the bounding box, with its work buffers.
+    """One multigrid level on the bounding box.  ``diag`` is D (1 off the
+    region); ``inv_h2``, ``damp`` and ``damp_nbr`` are ``1/h**2``, ``OMEGA/D``
+    and ``OMEGA/(h**2 D)`` on the region and 0 off it.  ``rhs`` and ``out``
+    hold the right-hand side and the V-cycle output (on the finest level CG's
+    ``r`` and ``z``), ``damped`` holds ``damp * rhs``; ``work`` and ``nbr``
+    are spare."""
 
-    ``diag`` is the operator diagonal on the region and 1 off it; ``off``
-    marks the cells outside the region.  ``rhs`` and ``out`` hold the
-    right-hand side and the V-cycle output of this level (on the finest
-    level they are CG's ``r`` and ``z``); ``work`` is a spare buffer and
-    ``nbr`` receives the neighbor sums of ``_apply``.
-    """
-
-    __slots__ = ("off", "diag", "h2", "rhs", "out", "work", "nbr")
+    __slots__ = (
+        "diag", "inv_h2", "damp", "damp_nbr", "rhs", "out", "damped", "work", "nbr"
+    )
 
     def __init__(
         self, region: NDArray[np.bool_], walls: NDArray, coeff: NDArray, h2: float
     ):
-        self.off = ~region
-        self.diag = np.where(region, (2 * region.ndim + walls) / h2 + coeff, 1.0)
-        self.h2 = h2
+        self.diag = walls + 2 * region.ndim
+        self.diag /= h2
+        self.diag += coeff
+        np.copyto(self.diag, 1.0, where=~region)
+        self.inv_h2 = region / h2
+        self.damp = np.divide(OMEGA, self.diag)
+        self.damp *= region
+        self.damp_nbr = self.damp * self.inv_h2
         self.rhs = np.zeros(region.shape)
         self.out = np.zeros(region.shape)
+        self.damped = np.zeros(region.shape)
         self.work = np.zeros(region.shape)
         self.nbr = np.zeros(region.shape)
 
 
-def _blocks(a: NDArray, coarse_shape: tuple[int, ...]) -> NDArray:
-    """View of ``a`` with each axis split into (coarse cell, child) pairs.
+def _children(a: NDArray, shape: tuple[int, ...]) -> list[NDArray]:
+    """Strided views of ``a``, one per child offset (in C order) of the coarse
+    cells of ``shape``; an odd trailing layer is left out."""
+    return [
+        a[tuple(slice(o, o + 2 * n, 2) for o, n in zip(offset, shape))]
+        for offset in itertools.product((0, 1), repeat=len(shape))
+    ]
 
-    An odd trailing layer, which has no coarse parent, is left out.
-    """
-    even = tuple(slice(0, 2 * n) for n in coarse_shape)
-    return a[even].reshape([m for n in coarse_shape for m in (n, 2)])
 
-
-def _child_axes(dim: int) -> tuple[int, ...]:
-    return tuple(range(1, 2 * dim, 2))
+def _child_reduce(op, a: NDArray, shape: tuple[int, ...], out=None) -> NDArray:
+    """``op`` over each coarse cell's children, adjacent pairs first; for
+    ``np.add`` as in the module docstring."""
+    parts = _children(a, shape)
+    while len(parts) > 2:
+        parts = [op(p, q) for p, q in zip(parts[::2], parts[1::2])]
+    return op(*parts, out=out)
 
 
 def _levels(
@@ -143,14 +166,13 @@ def _levels(
     coeff = coeff[box]
     h2 = grid.spacing**2
     levels = [_Level(region, walls, coeff, h2)]
-    axes = _child_axes(dim)
     while min(region.shape) > 2 and np.count_nonzero(region) > MIN_COARSE_CELLS:
         shape = tuple(n // 2 for n in region.shape)
-        region = _blocks(region, shape).all(axis=axes)
+        region = _child_reduce(np.logical_and, region, shape)
         if not np.any(region):
             break
-        walls = _blocks(walls, shape).sum(axis=axes) / 2 ** (dim - 1)
-        coeff = _blocks(coeff, shape).mean(axis=axes)
+        walls = _child_reduce(np.add, walls, shape) / 2 ** (dim - 1)
+        coeff = _child_reduce(np.add, coeff * 0.5**dim, shape)
         h2 *= 4.0
         levels.append(_Level(region, walls, coeff, h2))
     return box, levels
@@ -159,44 +181,43 @@ def _levels(
 def _apply(level: _Level, v: NDArray, out: NDArray) -> None:
     """``out = A v`` on the level's region, zero off it; ``v`` is zero off it."""
     nbr = neighbor_sum(v, level.nbr)
-    nbr /= level.h2
+    nbr *= level.inv_h2
     np.multiply(level.diag, v, out=out)
     out -= nbr
-    np.copyto(out, 0.0, where=level.off)
 
 
 def _smooth(level: _Level, sweeps: int) -> None:
-    """Damped Jacobi sweeps on ``level.out`` for ``level.rhs``."""
-    b, x, t = level.rhs, level.out, level.work
+    """Damped Jacobi sweeps on ``level.out`` for ``level.rhs``, each
+    ``x <- (1 - OMEGA) x + damped + damp_nbr * N(x)``."""
+    x, nbr = level.out, level.nbr
     for _ in range(sweeps):
-        _apply(level, x, t)
-        np.subtract(b, t, out=t)
-        t /= level.diag
-        t *= OMEGA
-        x += t
+        neighbor_sum(x, nbr)
+        nbr *= level.damp_nbr
+        x *= 1.0 - OMEGA
+        x += level.damped
+        x += nbr
 
 
 def _vcycle(levels: list[_Level], k: int = 0) -> None:
     """``levels[k].out = M levels[k].rhs``: one V-cycle from a zero guess."""
     level = levels[k]
     b, x, t = level.rhs, level.out, level.work
-    np.divide(b, level.diag, out=x)  # the first sweep, from x = 0
-    x *= OMEGA
+    np.multiply(level.damp, b, out=level.damped)
+    np.copyto(x, level.damped)  # the first sweep, from x = 0
     if k == len(levels) - 1:
         _smooth(level, 2 * SWEEPS + COARSEST_EXTRA_SWEEPS - 1)
         return
     _smooth(level, SWEEPS - 1)
     coarse = levels[k + 1]
-    shape = coarse.rhs.shape
     _apply(level, x, t)
     np.subtract(b, t, out=t)
-    b_c = coarse.rhs
-    np.sum(_blocks(t, shape), axis=_child_axes(t.ndim), out=b_c)
-    b_c *= 0.5**t.ndim
-    np.copyto(b_c, 0.0, where=coarse.off)
+    # left unmasked off the coarse region: damp is 0 there, and a coarser
+    # region cell has only region children
+    _child_reduce(np.add, t, coarse.rhs.shape, out=coarse.rhs)
+    coarse.rhs *= 0.5**t.ndim
     _vcycle(levels, k + 1)
-    children = _blocks(x, shape)
-    children += coarse.out.reshape([m for n in shape for m in (n, 1)])
+    for child in _children(x, coarse.out.shape):
+        child += coarse.out
     _smooth(level, SWEEPS)
 
 
@@ -230,12 +251,13 @@ def _pcg(
     box, levels = _levels(grid, region, coeff)
     fine = levels[0]
     r, z, t = fine.rhs, fine.out, fine.work
+    off = ~region[box]
 
     def load_rhs(dst: NDArray, scale: int) -> None:
         # b, the source times 2**-scale on the region; rebuilt for the
         # final residual instead of held through the iteration
         np.copyto(dst, rhs[box])
-        np.copyto(dst, 0.0, where=fine.off)
+        np.copyto(dst, 0.0, where=off)
         np.ldexp(dst, -scale, out=dst)
 
     load_rhs(r, 0)
@@ -249,7 +271,7 @@ def _pcg(
     out = np.zeros(grid.shape)
     x = out[box]
     if x0 is not None:
-        np.copyto(x, x0[box], where=~fine.off)
+        np.copyto(x, x0[box], where=~off)
         np.ldexp(x, -scale, out=x)
         _apply(fine, x, t)
         r -= t
@@ -370,7 +392,7 @@ def solve_landscape(
         The landscape field, zero off the mask and nonnegative on it.
 
     Raises:
-        ValueError: negative potential values or bad tolerance.
+        ValueError: negative or non-finite potential values, or bad tolerance.
         SolverError: iteration cap reached before the residual target, or
             conjugate gradients broke down.
     """
@@ -380,8 +402,8 @@ def solve_landscape(
         v = potential.values
     else:
         v = np.full(grid.shape, float(potential))
-    if np.any(v[grid.mask] < 0.0):
-        raise ValueError("potential must be nonnegative on the mask")
+    if not np.all((v[grid.mask] >= 0.0) & np.isfinite(v[grid.mask])):
+        raise ValueError("potential must be finite and nonnegative on the mask")
     rhs = np.ones(grid.shape)
     x, _, _ = _pcg(grid, grid.mask, v, rhs, tol)
     return make_field(grid, x)

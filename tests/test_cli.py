@@ -459,6 +459,16 @@ class TestRun:
         summary = (out / "summary.txt").read_text()
         assert "landscape max_w0" in summary
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_landscape_huge_finite_potential(self, tmp_path):
+        # finite, nonnegative and valid: the solve must not overflow on the
+        # coarse levels, and w0 is about 1/V
+        text = BASE.replace("pipeline.stages = minimize", "pipeline.stages = landscape")
+        text = with_line(text, "landscape.potential = 1e308")
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path / "c.txt", text), out) == 0
+        assert "landscape max_w0 1e-308" in (out / "summary.txt").read_text()
+
     def test_full_pipeline_small(self, tmp_path):
         text = """
 grid.dim = 2

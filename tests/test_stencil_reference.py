@@ -7,7 +7,8 @@ neighbor for every in-mask neighbor, and ``2/h**2`` on the diagonal for every
 wall slot (box face or unmasked neighbor: the zero sits at half spacing).
 The edge energy, its region restriction and cellwise split, the wall count
 and the free boundary are checked against plain loops over each cell's
-face slots.
+face slots; the multigrid child reductions against numpy's block
+reductions, and the V-cycle against one written from its plain formulas.
 """
 
 from __future__ import annotations
@@ -16,12 +17,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sparse = pytest.importorskip("scipy.sparse")
 
 from phasemin.diagnostics import Phase, _grad_sq_cells, free_boundary_cells
 from phasemin.elliptic import (
+    COARSEST_EXTRA_SWEEPS,
     DIRECT_CELLS,
+    MIN_COARSE_CELLS,
+    OMEGA,
+    SWEEPS,
+    _child_reduce,
     _levels,
     _pcg,
     _vcycle,
@@ -33,9 +40,11 @@ from phasemin.functional import FREE, PowerLaw, make_functional_spec, make_parti
 from phasemin.grid import (
     distances,
     gradient_energy,
+    index_box,
     laplacian_apply,
     make_field,
     make_grid,
+    neighbor_sum,
     wall_slot_count,
 )
 from phasemin.minimize import _release_energy
@@ -182,6 +191,128 @@ def test_vcycle_is_symmetric_positive_definite(dim, kind, seed):
     m = np.stack(columns, axis=1)
     assert np.allclose(m, m.T, rtol=0.0, atol=1e-12 * np.max(np.abs(m)))
     assert np.linalg.eigvalsh(0.5 * (m + m.T))[0] > 0.0
+
+
+def block_view(a, coarse):
+    """``a`` split into (coarse cell, child) axis pairs, odd trailing layer dropped."""
+    even = tuple(slice(0, 2 * n) for n in coarse)
+    return a[even].reshape([m for n in coarse for m in (n, 2)])
+
+
+@st.composite
+def coarsening_case(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    shape = tuple(draw(st.integers(2, 9)) for _ in range(dim))
+    size = int(np.prod(shape))
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from((0.0, -0.0)),
+    )
+    scale = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+    a = np.array(draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+    c = np.array(draw(st.lists(scale, min_size=size, max_size=size))).reshape(shape)
+    m = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    return a, c, m.reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coarsening_case())
+def test_child_reduce_matches_block_reductions(case):
+    """The strided child reductions against numpy's block reductions."""
+    a, c, m = case
+    coarse = tuple(n // 2 for n in a.shape)
+    axes = tuple(range(1, 2 * a.ndim, 2))
+    b = block_view(a, coarse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _child_reduce(np.add, a, coarse)
+        want = b.sum(axis=axes)
+        if a.ndim == 1:
+            pairs = b[:, 0] + b[:, 1]
+        else:
+            pairs = (b[:, 0, :, 0] + b[:, 0, :, 1]) + (b[:, 1, :, 0] + b[:, 1, :, 1])
+    assert got.tobytes() == pairs.tobytes()
+    # numpy adds by the same pairs, bit for bit up to the sign of zero
+    # (its sum starts from +0.0), except with one coarse cell along the
+    # last axis of a 2D box: there it adds the four children in sequence
+    numpy_pairs = a.ndim == 1 or coarse[-1] > 1
+    if numpy_pairs:
+        assert np.array_equal(got, want, equal_nan=True)
+    got = _child_reduce(np.add, c * 0.5**c.ndim, coarse)
+    mean = block_view(c, coarse).mean(axis=axes)
+    assert np.allclose(got, mean, rtol=1e-15, atol=0.0)
+    if numpy_pairs:
+        assert got.tobytes() == mean.tobytes()
+    got = _child_reduce(np.logical_and, m, coarse)
+    assert np.array_equal(got, block_view(m, coarse).all(axis=axes))
+
+
+def reference_vcycle(grid, region, coeff, b):
+    """One V-cycle on the box of ``region`` from the plain formulas.
+
+    Levels come from numpy reductions over ``(n0, 2, n1, 2)`` block views:
+    the coarse region is ``all`` of the children, walls are the child sum
+    over ``2**(dim-1)`` and the coefficient is the child mean.  A sweep is
+    ``x += OMEGA * (b - A x) / D``, restriction is the child mean and
+    prolongation copies to the children; every vector is zero off the region.
+    """
+    box = index_box(region)
+    dim = grid.dim
+    region, coeff = region[box], coeff[box]
+    walls = wall_slot_count(grid)[box].astype(float)
+    h2 = grid.spacing**2
+
+    def level(region, walls, coeff, h2):
+        return region, np.where(region, (2 * dim + walls) / h2 + coeff, 1.0), h2
+
+    axes = tuple(range(1, 2 * dim, 2))
+    levels = [level(region, walls, coeff, h2)]
+    while min(region.shape) > 2 and np.count_nonzero(region) > MIN_COARSE_CELLS:
+        coarse = tuple(n // 2 for n in region.shape)
+        region = block_view(region, coarse).all(axis=axes)
+        if not np.any(region):
+            break
+        walls = block_view(walls, coarse).sum(axis=axes) / 2 ** (dim - 1)
+        coeff = block_view(coeff, coarse).mean(axis=axes)
+        h2 *= 4.0
+        levels.append(level(region, walls, coeff, h2))
+
+    def apply(k, v):
+        region, diag, h2 = levels[k]
+        return np.where(region, diag * v - neighbor_sum(v) / h2, 0.0)
+
+    def smooth(k, b, x, sweeps):
+        for _ in range(sweeps):
+            x = x + OMEGA * (b - apply(k, x)) / levels[k][1]
+        return x
+
+    def cycle(k, b):
+        x = OMEGA * b / levels[k][1]
+        if k == len(levels) - 1:
+            return smooth(k, b, x, 2 * SWEEPS + COARSEST_EXTRA_SWEEPS - 1)
+        x = smooth(k, b, x, SWEEPS - 1)
+        region = levels[k + 1][0]
+        r = block_view(b - apply(k, x), region.shape).mean(axis=axes)
+        correction = cycle(k + 1, np.where(region, r, 0.0))
+        block_view(x, region.shape)[...] += correction.reshape(
+            [m for n in region.shape for m in (n, 1)]
+        )
+        return smooth(k, b, x, SWEEPS)
+
+    return len(levels), cycle(0, b)
+
+
+@pytest.mark.parametrize("dim,kind,seed", MG_CASES)
+def test_vcycle_matches_reference(dim, kind, seed):
+    grid, region, coeff, rng = multigrid_case(dim, kind, seed)
+    box, levels = _levels(grid, region, coeff)
+    inside = region[box]
+    for _ in range(3):
+        b = np.where(inside, rng.normal(size=inside.shape), 0.0)
+        depth, want = reference_vcycle(grid, region, coeff, b)
+        assert len(levels) == depth
+        got = precondition(levels, b)
+        assert np.all(got[~inside] == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim,kind,seed", MG_CASES)
