@@ -1,8 +1,8 @@
 """Explicit competitor constructions and the local-minimality audit.
 
-Both competitors modify a pair only inside a ball ``B(x0, r)`` and return a
-fully admissible pair together with the exact objective change
-``ΔJ = J(u*, w*) - J(u, w)``:
+Both competitors modify a pair only inside a ball ``B(x0, r)``.  Each is an
+edit on the ball's window, returned with the exact objective change
+``ΔJ = J(u*, w*) - J(u, w)`` of the edited pair ``(u*, w*)``:
 
 * cut-off — selected phases are multiplied by a radial ramp that vanishes
   on ``B(x0, a r)``; fully vacated cells there are trashed where their
@@ -12,16 +12,16 @@ fully admissible pair together with the exact objective change
   data, while the other phases are radially cut off; annulus labels are
   copied along rays from just outside the ball.
 
-Both are built on the ball's window, the index box of the cells with
-``|c_a - x0_a| < r + 2h`` along every axis.  Only cells with d < r change,
-and their face neighbors lie within r + h along every axis, so the window
-holds every changed cell and every edge that touches one, and
-:func:`~phasemin.functional.window_delta` prices the competitor exactly
-from the window.  It checks both pairs for admissibility on the whole
-grid; a violation raises ``ValueError``, which the audit records as a skip.
+The window is the index box of the cells with ``|c_a - x0_a| < r + h``
+along every axis.  Only cells with d < r change, so it holds every changed
+cell and every face neighbor of one, and a competitor is the box with the
+edited labels and fields on it: ``(box, (labels, fields))``, arrays of the
+box's shape.  :func:`~phasemin.functional.window_delta` prices it exactly
+on the box grown by one cell, and checks the edit and the pair there.
 
 On a converged pair every competitor should (near-)fail to improve the
-objective; the audit aggregates many such attempts.
+objective; the audit checks the whole pair once and aggregates many such
+attempts.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .functional import (
     Partition,
     PhaseField,
     cell_marginals,
-    make_partition,
-    make_phase_field,
+    check_admissible,
     window_delta,
 )
 from .grid import (
@@ -104,13 +103,13 @@ class AuditReport:
 def _window(grid: Grid, pt: NDArray, r: float):
     """The window of a ball, its cells' offsets and distances from ``pt``.
 
-    The window is the index box of the cells with ``|c_a - pt_a| < r + 2h``
+    The window is the index box of the cells with ``|c_a - pt_a| < r + h``
     along every axis (empty when there are none).  Returns ``(box, offsets,
     d)``: the box, the per-axis offsets ``c_a - pt_a`` as an open mesh, and
     the distances, summed per axis as in ``grid.distances`` and so
     bit-identical to its values.
     """
-    reach = r + 2.0 * grid.spacing
+    reach = r + grid.spacing
     box, offsets = [], []
     for axis in range(grid.dim):
         off = axis_centers(grid, axis) - pt[axis]
@@ -135,7 +134,7 @@ def cutoff_competitor(
     r: float,
     a: float,
     phases,
-) -> tuple[PhaseField, Partition, float]:
+) -> tuple[tuple[slice, ...], tuple[NDArray, list[NDArray]], float]:
     """Damp selected phases to zero on ``B(x0, a r)`` with a radial ramp.
 
     The ramp is 0 up to radius ``a r`` and rises linearly to 1 at ``r``.
@@ -151,11 +150,13 @@ def cutoff_competitor(
         phases: iterable of phase indices to damp (may be empty).
 
     Returns:
-        ``(u*, w*, delta_j)`` with ``delta_j = J(u*,w*) - J(u,w)``.
+        ``(box, (labels, fields), delta_j)``: the window, the edited labels
+        and per-phase fields on it, and ``delta_j = J(u*,w*) - J(u,w)``.
 
     Raises:
         ValueError: bad ``a`` or ``r``, bad phase index, a ball missing the
-            mask, or an inadmissible pair (see :func:`window_delta`).
+            mask, or a pair inadmissible on the grown window (see
+            :func:`window_delta`).
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"cutoff fraction a must lie in (0,1), got {a}")
@@ -171,24 +172,16 @@ def cutoff_competitor(
         if not 1 <= i <= spec.num_phases:
             raise ValueError(f"phase index {i} out of range 1..{spec.num_phases}")
     ramp = _ramp(d, r, a)
-    fields = []
-    for i in range(1, spec.num_phases + 1):
-        vals = u.fields[i - 1].values
-        if i in chosen:
-            vals = vals.copy()
-            vals[box] *= ramp
-        fields.append(vals)
-    vacated = np.logical_and.reduce([vals[box] == 0.0 for vals in fields])
-    labels = w.labels.copy()
-    window = labels[box]
-    costly = np.zeros(window.shape, dtype=bool)
+    fields = [f.values[box] for f in u.fields]
+    fields = [v * ramp if i in chosen else v for i, v in enumerate(fields, start=1)]
+    vacated = np.logical_and.reduce([vals == 0.0 for vals in fields])
+    labels = w.labels[box].copy()
+    costly = np.zeros(labels.shape, dtype=bool)
     for i, lam in enumerate(cell_marginals(spec, w), start=1):
-        costly |= (window == i) & (lam[box] > 0.0)
-    window[(d < a * r) & vacated & costly] = 0
-    u_star = make_phase_field(grid, fields)
-    w_star = make_partition(grid, spec.num_phases, labels)
-    delta = window_delta(spec, box, (u, w), (u_star, w_star))
-    return u_star, w_star, delta
+        costly |= (labels == i) & (lam[box] > 0.0)
+    labels[(d < a * r) & vacated & costly] = 0
+    star = (labels, fields)
+    return box, star, window_delta(spec, box, (u, w), star)
 
 
 def _ray_sources(
@@ -232,7 +225,7 @@ def harmonic_competitor(
     r: float,
     a: float,
     main: int,
-) -> tuple[PhaseField, Partition, float]:
+) -> tuple[tuple[slice, ...], tuple[NDArray, list[NDArray]], float]:
     """Let one phase absorb the inner ball via harmonic replacement.
 
     Inside ``B(x0, a r)`` every cell is labeled ``main`` and the main field
@@ -253,12 +246,13 @@ def harmonic_competitor(
         main: index of the absorbing phase.
 
     Returns:
-        ``(u*, w*, delta_j)`` with ``delta_j = J(u*,w*) - J(u,w)``.
+        ``(box, (labels, fields), delta_j)`` as for :func:`cutoff_competitor`.
 
     Raises:
         ValueError: ``a`` or ``r`` out of range, bad ``main``, the ball
             (with a one-cell safety margin) leaving the mask or bounding
-            box, or an inadmissible pair (see :func:`window_delta`).
+            box, or a pair inadmissible on the grown window (see
+            :func:`window_delta`).
     """
     if not 0.5 <= a < 1.0:
         raise ValueError(f"harmonic fraction a must lie in [1/2, 1), got {a}")
@@ -279,31 +273,20 @@ def harmonic_competitor(
         raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the mask")
 
     inner = d < a * r
-    main_vals = u.fields[main - 1].values
-    relabel = (d >= a * r) & (d < r) & (main_vals[box] == 0.0)
-    labels = w.labels.copy()
-    window = labels[box]
-    window[relabel] = w.labels[_ray_sources(grid, pt, r, offsets, relabel)]
-    window[inner] = main
+    main_vals = u.fields[main - 1].values[box]
+    relabel = (d >= a * r) & (d < r) & (main_vals == 0.0)
+    labels = w.labels[box].copy()
+    labels[relabel] = w.labels[_ray_sources(grid, pt, r, offsets, relabel)]
+    labels[inner] = main
 
     ramp = _ramp(d, r, a)
-    fields = []
-    for i in range(1, spec.num_phases + 1):
-        if i == main:
-            fields.append(main_vals.copy())
-            continue
-        vals = np.where(labels == i, u.fields[i - 1].values, 0.0)
-        vals[box] *= ramp
-        fields.append(vals)
-    vals = fields[main - 1]
-    vals[box][inner] = harmonic_extension(grid, box, inner, main_vals[box])
+    fields = [np.where(labels == i, f.values[box], 0.0) * ramp for i, f in enumerate(u.fields, 1)]
+    vals = fields[main - 1] = main_vals.copy()
+    vals[inner] = harmonic_extension(grid, box, inner, main_vals)
     if spec.sign_constraints[main - 1] == NONNEGATIVE:
         np.maximum(vals, 0.0, out=vals)
-
-    u_star = make_phase_field(grid, fields)
-    w_star = make_partition(grid, spec.num_phases, labels)
-    delta = window_delta(spec, box, (u, w), (u_star, w_star))
-    return u_star, w_star, delta
+    star = (labels, fields)
+    return box, star, window_delta(spec, box, (u, w), star)
 
 
 def audit(
@@ -314,9 +297,10 @@ def audit(
 ) -> AuditReport:
     """Run both competitors over every probe and aggregate the results.
 
-    At each probe ``(x0, r)`` the cut-off competitor is evaluated with all
-    phases damped and the harmonic competitor with every phase as ``main``,
-    each at inner fractions a = 1/2 and a = 3/4.  Probes violating a
+    The pair is checked for admissibility once, on the whole grid.  At each
+    probe ``(x0, r)`` the cut-off competitor is evaluated with all phases
+    damped and the harmonic competitor with every phase as ``main``, each
+    at inner fractions a = 1/2 and a = 3/4.  Probes violating a
     competitor's preconditions are recorded as skips, not errors.
 
     Args:
@@ -326,27 +310,28 @@ def audit(
 
     Returns:
         An :class:`AuditReport`; ``min_delta_j`` is 0.0 when nothing ran.
+
+    Raises:
+        ValueError: if the pair is not admissible (see
+            :func:`~phasemin.functional.check_admissible`).
     """
+    check_admissible(u, w, spec)
     entries: list[AuditEntry] = []
     skipped: list[AuditSkip] = []
     all_phases = tuple(range(1, spec.num_phases + 1))
+    # (construction, kind, main, a, last argument), in report order
+    tries = [(cutoff_competitor, "cutoff", None, a, all_phases) for a in (0.5, 0.75)] + [
+        (harmonic_competitor, "harmonic", m, a, m) for m in all_phases for a in (0.5, 0.75)
+    ]
     for x0, r in probes:
         key = tuple(float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float)))
-        for a in (0.5, 0.75):
+        for build, kind, main, a, arg in tries:
             try:
-                _, _, dj = cutoff_competitor(u, w, spec, x0, r, a, all_phases)
-                entries.append(AuditEntry(key, float(r), "cutoff", a, None, dj))
+                dj = build(u, w, spec, x0, r, a, arg)[2]
+                entries.append(AuditEntry(key, float(r), kind, a, main, dj))
             except ValueError as err:
-                skipped.append(AuditSkip(key, float(r), "cutoff", str(err)))
-        for main in all_phases:
-            for a in (0.5, 0.75):
-                try:
-                    _, _, dj = harmonic_competitor(u, w, spec, x0, r, a, main)
-                    entries.append(AuditEntry(key, float(r), "harmonic", a, main, dj))
-                except ValueError as err:
-                    skipped.append(
-                        AuditSkip(key, float(r), f"harmonic:{main}", str(err))
-                    )
+                note = kind if main is None else f"{kind}:{main}"
+                skipped.append(AuditSkip(key, float(r), note, str(err)))
     # the worst entry is the first with the smallest ΔJ
     worst = min(entries, key=lambda e: e.delta_j) if entries else None
     min_dj = 0.0 if worst is None else worst.delta_j

@@ -150,8 +150,8 @@ def _check_radii(grid: Grid, radii) -> NDArray:
         raise ValueError("radii must be a nonempty 1-d sequence")
     if not np.all(np.diff(r) > 0.0):
         raise ValueError("radii must be strictly increasing")
-    if not np.all(r > 2.0 * grid.spacing):
-        raise ValueError(f"all radii must exceed 2h = {2 * grid.spacing}")
+    if not np.all(np.isfinite(r) & (r > 2.0 * grid.spacing)):
+        raise ValueError(f"all radii must be finite and exceed 2h = {2 * grid.spacing}")
     return r
 
 
@@ -595,13 +595,14 @@ def blowup_rescale(u: PhaseField, x0, rk: float) -> PhaseField:
     quotients are preserved up to interpolation error.
 
     Raises:
-        ValueError: if rk < 4h or the sampling window exits the bounding box.
+        ValueError: if rk is not finite and at least 4h, or the sampling
+            window exits the bounding box.
     """
     grid = u.grid
     pt = as_point(grid, x0)
     h = grid.spacing
-    if rk < 4.0 * h:
-        raise ValueError(f"rescale radius {rk} must be at least 4h = {4 * h}")
+    if not (np.isfinite(rk) and rk >= 4.0 * h):
+        raise ValueError(f"rescale radius {rk} must be finite and at least 4h = {4 * h}")
     out_grid = make_grid(grid.dim, grid.shape, grid.spacing, origin=(0.0,) * grid.dim)
     out_centers = cell_centers(out_grid).reshape(-1, grid.dim)
     pts = pt + rk * out_centers
@@ -626,12 +627,12 @@ def phase_count_at(u, x0, r: float) -> int:
     ``r >= 4h``.
 
     Raises:
-        ValueError: if r < 4h.
+        ValueError: if r is not finite and at least 4h.
     """
     grid, _ = _as_fields(u)
     pt = as_point(grid, x0)
-    if r < 4.0 * grid.spacing:
-        raise ValueError(f"radius {r} must be at least 4h = {4 * grid.spacing}")
+    if not (np.isfinite(r) and r >= 4.0 * grid.spacing):
+        raise ValueError(f"radius {r} must be finite and at least 4h = {4 * grid.spacing}")
     near = distances(grid, pt) <= 2.0 * grid.spacing * (1.0 + 1e-9)
     count = 0
     for part in _phase_parts(u):
@@ -654,8 +655,8 @@ def phase_count_map(u, r: float) -> NDArray[np.int64]:
     phase_count_at, that implies its support meets the radius-r ball.
     """
     grid, _ = _as_fields(u)
-    if r < 4.0 * grid.spacing:
-        raise ValueError(f"radius {r} must be at least 4h = {4 * grid.spacing}")
+    if not (np.isfinite(r) and r >= 4.0 * grid.spacing):
+        raise ValueError(f"radius {r} must be finite and at least 4h = {4 * grid.spacing}")
     counts = np.zeros(grid.shape, dtype=np.int64)
     near = 2.0 * grid.spacing * (1.0 + 1e-9)
     for part in _phase_parts(u):

@@ -12,8 +12,9 @@ A configuration is a pair of a :class:`PhaseField` (one scalar field per
 phase) and a :class:`Partition` (one label per cell, label 0 being the
 unassigned "trash" zone with no volume cost).  Admissibility means each
 field vanishes off its own labeled region and respects its sign
-constraint; :func:`check_admissible` enforces it, and the pricing routines
-call it: :func:`total` for whole pairs, :func:`window_delta` for edits.
+constraint.  :func:`check_admissible` checks it on a whole pair, and
+:func:`total` runs it; :func:`window_delta` prices an edit of a pair on an
+index box and checks it, and the pair, only on the box grown by one cell.
 """
 
 from __future__ import annotations
@@ -275,25 +276,35 @@ def volume_value(w: Partition, vt: VolumeTerm) -> float:
     raise ValueError(f"unknown volume term {vt!r}")
 
 
-def check_admissible(u: PhaseField, w: Partition, spec: FunctionalSpec) -> None:
-    """Check that ``(u, w)`` is an admissible pair for ``spec``, on the whole grid.
+def _check_arrays(spec: FunctionalSpec, mask: NDArray, labels: NDArray, values) -> None:
+    """Check labels and per-phase values on one index box of ``mask``'s shape.
 
-    Phases are checked in order, each for its support and then its sign,
-    and the first violation found is the one raised.
-
-    Raises:
-        ValueError: if the phase counts of field, partition and spec
-            disagree, some phase is nonzero outside its labeled region, or a
-            nonnegative-constrained phase has a negative value.
+    Labels must lie in 0..N and be 0 off the mask; then phases are checked
+    in order, each for its support and then its sign.  The first violation
+    found is the one raised.
     """
-    if u.num_phases != w.num_phases or u.num_phases != spec.num_phases:
-        raise ValueError("phase counts of field, partition, and spec disagree")
-    for i in range(1, u.num_phases + 1):
-        vals = u.fields[i - 1].values
-        if np.any(vals[w.labels != i] != 0.0):
+    if np.any((labels < 0) | (labels > spec.num_phases)) or np.any(labels[~mask] != 0):
+        raise ValueError(f"labels must lie in 0..{spec.num_phases} and be 0 off the mask")
+    for i, vals in enumerate(values, start=1):
+        if np.any(vals[labels != i] != 0.0):
             raise ValueError(f"phase {i} has support outside its labeled region")
         if spec.sign_constraints[i - 1] == NONNEGATIVE and np.any(vals < 0.0):
             raise ValueError(f"phase {i} violates its nonnegative constraint")
+
+
+def check_admissible(u: PhaseField, w: Partition, spec: FunctionalSpec) -> None:
+    """Check that ``(u, w)`` is an admissible pair for ``spec``, on the whole grid.
+
+    Raises:
+        ValueError: if the phase counts of field, partition and spec
+            disagree, a label is out of range or nonzero off the mask, some
+            phase is nonzero outside its labeled region, or a
+            nonnegative-constrained phase has a negative value (the first
+            phase at fault is named).
+    """
+    if u.num_phases != w.num_phases or u.num_phases != spec.num_phases:
+        raise ValueError("phase counts of field, partition, and spec disagree")
+    _check_arrays(spec, u.grid.mask, w.labels, [f.values for f in u.fields])
 
 
 def total(u: PhaseField, w: Partition, spec: FunctionalSpec) -> float:
@@ -310,12 +321,15 @@ def window_delta(
     spec: FunctionalSpec,
     box: tuple[slice, ...],
     pair: tuple[PhaseField, Partition],
-    star: tuple[PhaseField, Partition],
+    star: tuple[NDArray, Sequence[NDArray]],
 ) -> float:
-    """``J(star) - J(pair)`` for pairs that differ only inside the index box ``box``.
+    """``J(star) - J(pair)`` for an edit of ``pair`` on the index box ``box``.
 
-    Every changed cell, and every face edge that touches one, must lie in
-    ``box``.  The change is then the window identity: the window sum of the
+    ``star = (labels, fields)`` holds the edited pair's labels and one
+    field per phase on ``box``, as arrays of the box's shape; every cell
+    outside ``box`` keeps the values of ``pair``.  The change is priced on
+    the window, ``box`` grown by one cell per axis (within the grid), so
+    every face edge that touches a box cell is in it: the window sum of the
     per-edge energy changes times ``h**(n-2)``, plus the window sum of the
     per-cell mass changes times ``h**n``, plus the change of the volume
     term.  It is exact: an edge or cell that the sums leave out is
@@ -327,48 +341,45 @@ def window_delta(
     the window's change.  No full-grid objective is evaluated, and the
     result is never the difference of two totals of size |J|.
 
-    The box rule is checked where it can fail inside ``box``: on each layer
-    of ``box`` that lies against a box face inside the grid, the labels and
-    every phase's values of ``star`` must equal those of ``pair``.  A change
-    wholly outside ``box`` stays the caller's responsibility; checking it
-    would add a whole-grid pass per call.
-
     Raises:
-        ValueError: if either pair is not admissible (both are checked on
-            the whole grid, ``star`` first; see :func:`check_admissible`),
-            and then if a cell changes on a layer of ``box`` against a box
-            face inside the grid.
+        ValueError: if the arrays do not fit the box and the phase count;
+            then if the star's labels, then its fields, then ``pair`` on
+            the window are not admissible (see :func:`check_admissible`).
     """
-    check_admissible(*star, spec)
-    check_admissible(*pair, spec)
-    grid = spec.grid
-    (u, w), (u_star, w_star) = pair, star
-    arrays = [(w.labels, w_star.labels)]
-    arrays += [(f0.values, f1.values) for f0, f1 in zip(u.fields, u_star.fields)]
-    for axis, cut in enumerate(box):
-        n = grid.shape[axis]
-        start, stop, _ = cut.indices(n)
-        faces = ((start, start > 0), (stop - 1, stop < n)) if start < stop else ()
-        for k in (k for k, inner in faces if inner):
-            layer = box[:axis] + (slice(k, k + 1),) + box[axis + 1 :]
-            if any(not np.array_equal(a[layer], b[layer]) for a, b in arrays):
-                raise ValueError(
-                    f"box rule: a cell changes on layer {k} of axis {axis}, which"
-                    " lies against a box face inside the grid"
-                )
-    mask = grid.mask[box]
+    grid, n = spec.grid, spec.num_phases
+    (u, w), (labels, fields) = pair, star
+    labels = np.asarray(labels)
+    window, inner = [], []
+    for cut, size in zip(box, grid.shape):
+        start, stop, _ = cut.indices(size)
+        stop, lo = max(stop, start), max(start - 1, 0)
+        window.append(slice(lo, min(stop + 1, size)))
+        inner.append(slice(start - lo, stop - lo))
+    window, inner = tuple(window), tuple(inner)
+    mask = grid.mask[window]
+    shape = mask[inner].shape
+    if len(fields) != n or u.num_phases != n or w.num_phases != n or any(
+        np.shape(a) != shape for a in (labels, *fields)
+    ):
+        raise ValueError(f"star must hold labels and {n} fields of the box's shape {shape}")
+    _check_arrays(spec, mask[inner], labels, fields)
+    lab0 = w.labels[window]
+    old = [f.values[window] for f in u.fields]
+    _check_arrays(spec, mask, lab0, old)
+    lab1 = lab0.copy()
+    lab1[inner] = labels
     edge = mass = 0.0
-    for old, new, f, g in zip(u.fields, u_star.fields, spec.f, spec.g):
-        v0, v1 = old.values[box], new.values[box]
+    for v0, new, f, g in zip(old, fields, spec.f, spec.g):
+        v1 = v0.copy()
+        v1[inner] = new
         for (_, e0), (_, e1) in zip(edge_energies(v0, mask), edge_energies(v1, mask)):
             edge += float(np.sum(e1 - e0))
-        fw, gw = f.values[box], g.values[box]
+        fw, gw = f.values[window], g.values[window]
         mass += float(np.sum((v1 * v1 * fw - v1 * gw) - (v0 * v0 * fw - v0 * gw)))
     delta = edge * grid.spacing ** (grid.dim - 2) + mass * grid.cell_volume
-    lab0, lab1 = w.labels[box], w_star.labels[box]
     term = spec.volume_term
     if isinstance(term, PowerLaw):
-        counts = np.bincount(w.labels.ravel(), minlength=spec.num_phases + 1)[1:]
+        counts = np.bincount(w.labels.ravel(), minlength=n + 1)[1:]
         for i, count in enumerate(counts, start=1):
             moved = int(np.count_nonzero(lab1 == i)) - int(np.count_nonzero(lab0 == i))
             v0 = float(count) * grid.cell_volume
@@ -376,7 +387,7 @@ def window_delta(
             delta += term.cost(v1) - term.cost(v0)
     else:
         for i, q in enumerate(term.weights, start=1):
-            qw = q.values[box]
+            qw = q.values[window]
             gained = np.where(lab1 == i, qw, 0.0) - np.where(lab0 == i, qw, 0.0)
             delta += float(np.sum(gained)) * grid.cell_volume
     return delta

@@ -130,8 +130,8 @@ def make_grid(
         dim: 1 or 2.
         shape: cells per axis; every entry must be at least 3.
         spacing: positive cell width.
-        origin: center of the first cell; defaults to ``spacing/2`` per
-            axis, which places the grid box on ``(0, L)`` per axis.
+        origin: finite center of the first cell; defaults to ``spacing/2``
+            per axis, which places the grid box on ``(0, L)`` per axis.
         mask: optional boolean domain mask (default: all cells inside).
 
     Raises:
@@ -151,8 +151,8 @@ def make_grid(
         origin_t = (spacing / 2.0,) * dim
     else:
         origin_arr = np.atleast_1d(np.asarray(origin, dtype=float))
-        if origin_arr.shape != (dim,):
-            raise ValueError(f"origin {origin!r} does not match dim {dim}")
+        if origin_arr.shape != (dim,) or not np.all(np.isfinite(origin_arr)):
+            raise ValueError(f"origin {origin!r} must be {dim} finite coordinates")
         origin_t = tuple(float(v) for v in origin_arr)
     if mask is None:
         mask_arr = np.ones(shape_t, dtype=bool)

@@ -167,6 +167,7 @@ class TestBuildPlan:
         [
             ("minimize audit", "probes.radius = 0.6", "probes.radius"),
             ("minimize diagnose", "diagnose.radii = 0.1 0.2", "diagnose.radii"),
+            ("minimize diagnose", "diagnose.radii = 0.5 0.6 inf", "diagnose.radii"),
         ],
     )
     def test_stage_values_checked_when_requested(self, tmp_path, stages, override, key):

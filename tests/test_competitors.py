@@ -1,17 +1,21 @@
 """Unit tests for the competitor constructions and the minimality audit.
 
-The competitors build and price their pairs on the window of the ball.
+The competitors are edits on the window of the ball, priced there.
 ``reference_cutoff`` and ``reference_harmonic`` below are the full-grid
 constructions they replaced, with ``ΔJ = total(u*, w*) - total(u, w)``;
-the window versions are checked against them on random pairs.
+the window edits, written into copies of the pair by ``cutoff_pair`` and
+``harmonic_pair``, are checked against them on random pairs.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phasemin import functional
 from phasemin.competitors import (
     AuditEntry,
     AuditSkip,
@@ -42,6 +46,29 @@ from phasemin.grid import (
     make_grid,
 )
 from phasemin.minimize import initial_partition, minimize
+
+
+def applied(pair, box, star):
+    """The whole pair that the window edit ``(box, star)`` makes of ``pair``."""
+    (u, w), (labels, fields) = pair, star
+    new_labels = w.labels.copy()
+    new_labels[box] = labels
+    new_fields = [f.values.copy() for f in u.fields]
+    for new, vals in zip(new_fields, fields):
+        new[box] = vals
+    return make_phase_field(u.grid, new_fields), make_partition(u.grid, w.num_phases, new_labels)
+
+
+def cutoff_pair(u, w, spec, *args):
+    """``cutoff_competitor`` as ``(u*, w*, delta_j)``."""
+    box, star, dj = cutoff_competitor(u, w, spec, *args)
+    return (*applied((u, w), box, star), dj)
+
+
+def harmonic_pair(u, w, spec, *args):
+    """``harmonic_competitor`` as ``(u*, w*, delta_j)``."""
+    box, star, dj = harmonic_competitor(u, w, spec, *args)
+    return (*applied((u, w), box, star), dj)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +303,7 @@ class TestWindowAgainstReference:
     def test_cutoff(self, case, a, data):
         spec, u, w, x0, r = case
         phases = data.draw(st.sets(st.integers(1, spec.num_phases)))
-        got = outcome(cutoff_competitor, u, w, spec, x0, r, a, phases)
+        got = outcome(cutoff_pair, u, w, spec, x0, r, a, phases)
         want = outcome(reference_cutoff, u, w, spec, x0, r, a, phases)
         assert_same_competitor(got, want, total(u, w, spec))
 
@@ -285,7 +312,7 @@ class TestWindowAgainstReference:
     def test_harmonic(self, case, a, data):
         spec, u, w, x0, r = case
         main = data.draw(st.integers(1, spec.num_phases))
-        got = outcome(harmonic_competitor, u, w, spec, x0, r, a, main)
+        got = outcome(harmonic_pair, u, w, spec, x0, r, a, main)
         want = outcome(reference_harmonic, u, w, spec, x0, r, a, main, 1e-13)
         assert_same_competitor(got, want, total(u, w, spec))
 
@@ -323,13 +350,14 @@ class TestWindowAgainstReference:
         inner = int(np.count_nonzero(distances(grid, np.array(x0)) < a * r))
         assert inner > DIRECT_CELLS
         for main in (1, 2):
-            got = harmonic_competitor(u, w, spec, x0, r, a, main)
+            got = harmonic_pair(u, w, spec, x0, r, a, main)
             want = reference_harmonic(u, w, spec, x0, r, a, main)
             assert_same_competitor(got, want, total(u, w, spec))
 
 
 class TestAdmissibility:
-    """An inadmissible pair is refused, however far its fault is from the ball."""
+    """The audit refuses an inadmissible pair once, wherever its fault is; a
+    competitor checks its edit and the pair on its grown window."""
 
     def pair(self):
         grid = make_grid(2, (32, 32), 1 / 32)
@@ -338,41 +366,75 @@ class TestAdmissibility:
         )
         w = initial_partition(grid, 2, seeds=[(0.25, 0.5), (0.75, 0.5)])
         fields = [solve_phase(spec, w, i, 1e-10).values.copy() for i in (1, 2)]
-        fields[1][0, 0] = 0.5  # phase 2 on a phase-1 corner cell
-        return spec, make_phase_field(grid, fields), w
+        return spec, fields, w
+
+    def test_audit_raises_once(self):
+        spec, fields, w = self.pair()
+        fields[1][0, 0] = 0.5  # phase 2 on a phase-1 corner cell, far from the ball
+        u = make_phase_field(spec.grid, fields)
+        with pytest.raises(ValueError, match="phase 2 has support outside its labeled region"):
+            audit(u, w, spec, [((0.7, 0.6), 0.15)])
 
     def test_competitors_raise(self):
-        spec, u, w = self.pair()
-        note = "phase 2 has support outside its labeled region"
+        # the ball B((0.7, 0.6), 0.15) has the window of cells 17..27 by
+        # 13..24; grown by one cell it starts at column 16, which is phase 2's
+        spec, fields, w = self.pair()
+        fields[0][16, 19] = 0.5
+        u = make_phase_field(spec.grid, fields)
+        note = "phase 1 has support outside its labeled region"
         x0, r = (0.7, 0.6), 0.15
         with pytest.raises(ValueError, match=note):
             cutoff_competitor(u, w, spec, x0, r, 0.5, [1, 2])
         for main in (1, 2):
             with pytest.raises(ValueError, match=note):
                 harmonic_competitor(u, w, spec, x0, r, 0.5, main)
+        # one column further out (phase 1's), a fault is the audit's to find
+        fields[0][16, 19] = 0.0
+        fields[1][15, 19] = 0.5
+        u = make_phase_field(spec.grid, fields)
+        cutoff_competitor(u, w, spec, x0, r, 0.5, [1, 2])
+        with pytest.raises(ValueError, match="phase 2 has support outside"):
+            audit(u, w, spec, [(x0, r)])
 
-    def test_competitor_pair_is_checked_first(self):
-        # phase 1 strays onto phase 2's cell, phase 2 onto phase 1's: the
-        # harmonic competitor for main 2 drops phase 1's stray value and keeps
-        # phase 2's, so the competitor pair names phase 2, the base pair phase 1
-        spec, u, w = self.pair()
-        fields = [f.values.copy() for f in u.fields]
-        fields[0][-1, -1] = 0.5
+    def test_competitor_star_is_checked_first(self):
+        # phase 2 strays onto a phase-1 corner cell of the window of
+        # B((0.5, 0.5), 0.15), phase 1 onto a phase-2 corner: the harmonic
+        # competitor for main 2 drops phase 1's stray value and keeps phase
+        # 2's, so its edit names phase 2 where the pair would name phase 1
+        spec, fields, w = self.pair()
+        fields[1][10, 10] = 0.5
+        fields[0][21, 21] = 0.5
         u = make_phase_field(spec.grid, fields)
         with pytest.raises(ValueError, match="phase 2 has support"):
-            harmonic_competitor(u, w, spec, (0.7, 0.6), 0.15, 0.5, 2)
+            harmonic_competitor(u, w, spec, (0.5, 0.5), 0.15, 0.5, 2)
         with pytest.raises(ValueError, match="phase 1 has support"):
-            harmonic_competitor(u, w, spec, (0.7, 0.6), 0.15, 0.5, 1)
+            harmonic_competitor(u, w, spec, (0.5, 0.5), 0.15, 0.5, 1)
 
-    def test_audit_records_skips(self):
-        spec, u, w = self.pair()
-        report = audit(u, w, spec, [((0.7, 0.6), 0.15)])
-        assert not report.entries
-        assert [s.kind for s in report.skipped] == ["cutoff"] * 2 + [
-            "harmonic:1", "harmonic:1", "harmonic:2", "harmonic:2"
-        ]
-        notes = {s.note for s in report.skipped}
-        assert notes == {"phase 2 has support outside its labeled region"}
+    def test_audit_checks_once_and_builds_no_whole_pair(self, monkeypatch):
+        spec, fields, w = self.pair()
+        u = make_phase_field(spec.grid, fields)
+        checks = []
+        real_check = functional.check_admissible
+
+        def counted(*args):
+            checks.append(args)
+            return real_check(*args)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the audit built a whole pair")
+
+        for name, module in list(sys.modules.items()):
+            if name == "phasemin" or name.startswith("phasemin."):
+                for attr, stub in (
+                    ("check_admissible", counted),
+                    ("make_phase_field", refused),
+                    ("make_partition", refused),
+                ):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, stub)
+        report = audit(u, w, spec, seeded_probes(spec.grid, 4, 0.12, seed=0))
+        assert len(report.entries) == 4 * (2 + 4)
+        assert len(checks) == 1
 
 
 def zero_pair(grid, n):
@@ -396,14 +458,14 @@ class TestCutoff:
         grid = make_grid(2, (16, 16), 1 / 16)
         spec = make_functional_spec(grid, [0.0], [1.0], NONNEGATIVE, PowerLaw(0.1, 0.0))
         u, w = zero_pair(grid, 1)
-        u2, w2, dj = cutoff_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.5, [1])
+        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 0.25, 0.5, [1])
         assert dj == 0.0
         assert np.all(u2.fields[0].values == 0.0)
 
     def test_empty_phase_selection_is_identity(self):
         grid = make_grid(2, (16, 16), 1 / 16)
         spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
-        u2, w2, dj = cutoff_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.5, [])
+        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 0.25, 0.5, [])
         assert dj == 0.0
         assert np.array_equal(u2.fields[0].values, u.fields[0].values)
         assert np.array_equal(w2.labels, w.labels)
@@ -412,7 +474,7 @@ class TestCutoff:
         grid = make_grid(2, (24, 24), 1 / 24)
         spec, u, w = solved_full_domain_pair(grid, 4.0, 0.1)
         j = total(u, w, spec)
-        u2, w2, dj = cutoff_competitor(u, w, spec, (0.5, 0.5), 100.0, 0.5, [1])
+        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 100.0, 0.5, [1])
         assert np.all(u2.fields[0].values == 0.0)
         assert np.all(w2.labels == 0)
         assert dj == pytest.approx(-j, rel=1e-12, abs=1e-15)
@@ -421,7 +483,7 @@ class TestCutoff:
         grid = make_grid(2, (32, 32), 1 / 32)
         spec, u, w = solved_full_domain_pair(grid, 2.0, 0.0)
         x0, r, a = (0.5, 0.5), 0.25, 0.5
-        u2, w2, dj = cutoff_competitor(u, w, spec, x0, r, a, [1])
+        u2, w2, dj = cutoff_pair(u, w, spec, x0, r, a, [1])
         d = np.sqrt(np.sum((cell_centers(grid) - np.array(x0)) ** 2, axis=-1))
         inner = d < a * r
         outer = d >= r
@@ -440,13 +502,13 @@ class TestCutoff:
         spec = make_functional_spec(grid, [0.0], [2.0], NONNEGATIVE, PerRegion((q,)))
         w = make_partition(grid, 1, np.ones(grid.shape, dtype=int))
         u = make_phase_field(grid, [solve_phase(spec, w, 1, 1e-10).values])
-        u2, w2, dj = cutoff_competitor(u, w, spec, (0.5, 0.5), 100.0, 0.5, [1])
+        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 100.0, 0.5, [1])
         assert np.all(u2.fields[0].values == 0.0)
         assert np.array_equal(w2.labels, w.labels)
         # Positive weight: now every vacated cell is trashed.
         q2 = make_field(grid, np.ones(grid.shape) * 0.05)
         spec2 = make_functional_spec(grid, [0.0], [2.0], NONNEGATIVE, PerRegion((q2,)))
-        u3, w3, dj3 = cutoff_competitor(u, w, spec2, (0.5, 0.5), 100.0, 0.5, [1])
+        u3, w3, dj3 = cutoff_pair(u, w, spec2, (0.5, 0.5), 100.0, 0.5, [1])
         assert np.all(w3.labels == 0)
 
     def test_validation(self):
@@ -474,7 +536,7 @@ class TestHarmonic:
         grid = make_grid(2, (16, 16), 1 / 16)
         spec = make_functional_spec(grid, [0.0], [1.0], NONNEGATIVE, PowerLaw(0.0, 0.0))
         u, w = zero_pair(grid, 1)
-        _, _, dj = harmonic_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.5, 1)
+        _, _, dj = harmonic_pair(u, w, spec, (0.5, 0.5), 0.25, 0.5, 1)
         assert dj == 0.0
 
     def test_harmonic_field_is_fixed_point(self):
@@ -486,7 +548,7 @@ class TestHarmonic:
         x = cell_centers(grid)[..., 0]
         u = make_phase_field(grid, [x.copy()])
         w = make_partition(grid, 1, np.ones(grid.shape, dtype=int))
-        u2, w2, dj = harmonic_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.5, 1)
+        u2, w2, dj = harmonic_pair(u, w, spec, (0.5, 0.5), 0.25, 0.5, 1)
         assert np.allclose(u2.fields[0].values, x, atol=1e-9)
         assert np.array_equal(w2.labels, w.labels)
         assert abs(dj) < 1e-9
@@ -503,7 +565,7 @@ class TestHarmonic:
         w = make_partition(grid, 1, labels)
         u = make_phase_field(grid, [solve_phase(spec, w, 1, 1e-10).values])
         x0, r, a = (0.3, 0.5), 0.2, 0.5
-        u2, w2, dj = harmonic_competitor(u, w, spec, x0, r, a, 1)
+        u2, w2, dj = harmonic_pair(u, w, spec, x0, r, a, 1)
         assert np.array_equal(u2.fields[0].values, u.fields[0].values)
         d = np.sqrt(np.sum((cell_centers(grid) - np.array(x0)) ** 2, axis=-1))
         n_inner = int(np.count_nonzero(d < a * r))
@@ -515,7 +577,7 @@ class TestHarmonic:
         spec, u, w = solved_full_domain_pair(grid, 8.0, 0.05)
         before = float(np.max(np.abs(u.fields[0].values)))
         for a in (0.5, 0.75):
-            u2, _, _ = harmonic_competitor(u, w, spec, (0.5, 0.5), 0.3, a, 1)
+            u2, _, _ = harmonic_pair(u, w, spec, (0.5, 0.5), 0.3, a, 1)
             after = float(np.max(np.abs(u2.fields[0].values)))
             assert after <= before + 1e-12
 
@@ -536,7 +598,7 @@ class TestHarmonic:
             ],
         )
         x0, r, a = (0.45, 0.5), 0.2, 0.5
-        u2, w2, dj = harmonic_competitor(u, w, spec, x0, r, a, 1)
+        u2, w2, dj = harmonic_pair(u, w, spec, x0, r, a, 1)
         d = np.sqrt(np.sum((cell_centers(grid) - np.array(x0)) ** 2, axis=-1))
         inner = d < a * r
         assert np.all(w2.labels[inner] == 1)
@@ -544,7 +606,7 @@ class TestHarmonic:
         outside = d >= r
         assert np.array_equal(w2.labels[outside], w.labels[outside])
         assert np.array_equal(u2.fields[0].values[outside], u.fields[0].values[outside])
-        # admissibility was re-checked by total() inside; delta is finite
+        # window_delta checked the edit for admissibility; delta is finite
         assert np.isfinite(dj)
 
     def test_validation(self):

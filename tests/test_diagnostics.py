@@ -120,6 +120,15 @@ class TestRadialEnergy:
         with pytest.raises(ValueError):
             radial_energy(u, CENTER, [0.2, 0.1])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_radii_rejected(self, bad):
+        _, u = one_cone(32)
+        with pytest.raises(ValueError, match="radii must be finite"):
+            radial_energy(u, CENTER, [bad])
+        with pytest.raises(ValueError, match="radii must be"):  # nan is not increasing
+            radial_energy(u, CENTER, [0.1, 0.2, bad])
+
 
 class TestAcf:
     def test_zero_part(self):
@@ -358,6 +367,14 @@ class TestBlowup:
         with pytest.raises(ValueError):
             blowup_rescale(u, (0.1, 0.1), 2.0 / 64)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_radius_rejected(self, bad):
+        grid = unit_grid(64)
+        u = make_phase_field(grid, [np.zeros(grid.shape)])
+        with pytest.raises(ValueError, match=f"rescale radius {bad} must be finite"):
+            blowup_rescale(u, (0.1, 0.1), bad)
+
 
 class TestPhaseCount:
     def test_interior_point_counts_zero(self):
@@ -389,6 +406,14 @@ class TestPhaseCount:
         grid, u = one_cone(64)
         with pytest.raises(ValueError):
             phase_count_at(u, CENTER, 2.0 * grid.spacing)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_radius_rejected(self, bad):
+        _, u = two_cone(64, 1.0, 1.0)
+        with pytest.raises(ValueError, match=f"radius {bad} must be finite"):
+            phase_count_at(u, CENTER, bad)
+        with pytest.raises(ValueError, match=f"radius {bad} must be finite"):
+            phase_count_map(u, bad)
 
 
 class TestLipschitz:

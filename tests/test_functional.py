@@ -251,10 +251,10 @@ class TestHelpers:
 @st.composite
 def window_edits(draw):
     """A random admissible pair on a small 1D/2D grid with holes, an index
-    box, and a second admissible pair that differs from it only on the box
-    cells whose face neighbors all lie in the box: new labels and new fields
-    there.  Phases (1 to 3) are free or nonnegative, priced by a power law
-    or by per-region weights of both signs."""
+    box, and an edit of the pair on the box: new labels and new fields on
+    some of its cells, face layers included, as window arrays.  Phases (1
+    to 3) are free or nonnegative, priced by a power law or by per-region
+    weights of both signs."""
     dim = draw(st.sampled_from([1, 2]))
     if dim == 1:
         shape = (draw(st.integers(3, 40)),)
@@ -286,21 +286,27 @@ def window_edits(draw):
         return make_phase_field(grid, fields), w
 
     u, w = pair(rng.integers(0, n + 1, shape))
-    box, inner = [], []
+    box = []
     for size in shape:
         lo = draw(st.integers(0, size - 1))
-        hi = draw(st.integers(lo + 1, size))
-        box.append(slice(lo, hi))
-        # a cell next to a box face that is not a grid face has a neighbor
-        # outside the box; such cells keep their values
-        inner.append(slice(lo + (lo > 0), hi - (hi < size)))
-    edit = np.zeros(shape, dtype=bool)
-    edit[tuple(inner)] = rng.random(edit[tuple(inner)].shape) < 0.7
+        box.append(slice(lo, draw(st.integers(lo + 1, size))))
+    box = tuple(box)
+    edit = rng.random(shape) < 0.7
     u_new, w_new = pair(rng.integers(0, n + 1, shape))
-    labels = np.where(edit, w_new.labels, w.labels)
-    fields = [np.where(edit, b.values, a.values) for a, b in zip(u.fields, u_new.fields)]
-    star = (make_phase_field(grid, fields), make_partition(grid, n, labels))
-    return spec, tuple(box), (u, w), star
+    labels = np.where(edit, w_new.labels, w.labels)[box]
+    fields = [np.where(edit, b.values, a.values)[box] for a, b in zip(u.fields, u_new.fields)]
+    return spec, box, (u, w), (labels, fields)
+
+
+def applied(pair, box, star):
+    """The whole pair that the window edit ``(box, star)`` makes of ``pair``."""
+    (u, w), (labels, fields) = pair, star
+    new_labels = w.labels.copy()
+    new_labels[box] = labels
+    new_fields = [f.values.copy() for f in u.fields]
+    for new, vals in zip(new_fields, fields):
+        new[box] = vals
+    return make_phase_field(u.grid, new_fields), make_partition(u.grid, w.num_phases, new_labels)
 
 
 class TestWindowDelta:
@@ -311,7 +317,7 @@ class TestWindowDelta:
     def test_matches_difference_of_totals(self, case):
         spec, box, pair, star = case
         j = total(*pair, spec)
-        want = total(*star, spec) - j
+        want = total(*applied(pair, box, star), spec) - j
         assert abs(window_delta(spec, box, pair, star) - want) <= 1e-12 * (1.0 + abs(j))
 
     def test_checks_the_star_first(self):
@@ -322,26 +328,45 @@ class TestWindowDelta:
         # the pair puts phase 2 on a phase-1 cell, the star phase 1 on trash
         u = make_phase_field(g, [np.zeros(6), np.array([1.0, 0, 0, 1, 1, 1])])
         u_star = make_phase_field(g, [np.array([0, 0, 1.0, 0, 0, 0]), np.zeros(6)])
+        labels = w.labels
         with pytest.raises(ValueError, match="phase 1 has support outside"):
-            window_delta(spec, box, (u, w), (u_star, w))
+            window_delta(spec, box, (u, w), (labels, [f.values for f in u_star.fields]))
         with pytest.raises(ValueError, match="phase 2 has support outside"):
-            window_delta(spec, box, (u, w), (make_phase_field(g, [np.zeros(6)] * 2), w))
+            window_delta(spec, box, (u, w), (labels, [np.zeros(6)] * 2))
 
-    def test_box_rule_is_checked(self):
+    def test_checks_the_star_labels_and_shapes(self):
+        mask = np.ones(6, dtype=bool)
+        mask[4] = False
+        g = make_grid(1, (6,), 1 / 6, mask=mask)
+        spec = make_functional_spec(g, [0.0, 0.0], [1.0, 1.0], FREE, PowerLaw(0.1, 0.0))
+        w = make_partition(g, 2, np.array([1, 1, 0, 2, 0, 2]))
+        pair = (make_phase_field(g, [np.zeros(6)] * 2), w)
+        box = (slice(2, 5),)
+        for labels in ([0, 3, 0], [-1, 0, 0], [0, 0, 1]):
+            with pytest.raises(ValueError, match=r"labels must lie in 0\.\.2 and be 0 off"):
+                window_delta(spec, box, pair, (np.array(labels), [np.zeros(3)] * 2))
+        for star in ((np.zeros(4, dtype=int), [np.zeros(4)] * 2), (np.zeros(3), [np.zeros(3)])):
+            with pytest.raises(ValueError, match="star must hold labels and 2 fields"):
+                window_delta(spec, box, pair, star)
+        # cell 2 joins phase 1 at marginal cost 0.1 per unit volume
+        star = (np.array([1, 2, 0]), [np.zeros(3)] * 2)
+        assert window_delta(spec, box, pair, star) == pytest.approx(0.1 / 6)
+
+    def test_edit_from_a_box_face_is_priced_exactly(self):
         g = grid_1d(8)
         spec = make_functional_spec(g, [0.0], [1.0], FREE, PowerLaw(0.0, 0.0))
         w = make_partition(g, 1, np.ones(8, dtype=int))
         u = make_phase_field(g, [np.ones(8)])
         raised = np.ones(8)
         raised[3] = 2.0
-        star = (make_phase_field(g, [raised]), w)
-        # a box from cell 3 would price the face between cells 2 and 3 as
-        # a wall slot: 55.875 instead of the true 16 - 1/8
-        with pytest.raises(ValueError, match="box rule"):
-            window_delta(spec, (slice(3, 6),), (u, w), star)
-        assert window_delta(spec, (slice(2, 6),), (u, w), star) == pytest.approx(15.875)
+        # the edited cell 3 lies on the face of a box from cell 3; the window
+        # grown by one cell prices the face between cells 2 and 3 as an edge,
+        # not as a wall slot: 16 - 1/8, not 55.875
+        for box in ((slice(3, 6),), (slice(2, 6),)):
+            star = (w.labels[box], [raised[box]])
+            assert window_delta(spec, box, (u, w), star) == pytest.approx(15.875)
 
-    def test_box_rule_compares_labels(self):
+    def test_label_edit_on_a_box_face_is_priced_exactly(self):
         g = grid_1d(8)
         spec = make_functional_spec(g, [0.0], [1.0], FREE, PowerLaw(0.5, 0.0))
         w = make_partition(g, 1, np.ones(8, dtype=int))
@@ -350,8 +375,7 @@ class TestWindowDelta:
         u = make_phase_field(g, [vals])
         labels = np.ones(8, dtype=int)
         labels[5] = 0
-        star = (u, make_partition(g, 1, labels))
-        with pytest.raises(ValueError, match="layer 5 of axis 0"):
-            window_delta(spec, (slice(2, 6),), (u, w), star)
-        want = total(*star, spec) - total(u, w, spec)
-        assert window_delta(spec, (slice(2, 7),), (u, w), star) == pytest.approx(want)
+        want = total(u, make_partition(g, 1, labels), spec) - total(u, w, spec)
+        for box in ((slice(2, 6),), (slice(2, 7),)):
+            star = (labels[box], [vals[box]])
+            assert window_delta(spec, box, (u, w), star) == pytest.approx(want)

@@ -68,6 +68,14 @@ class TestConstruction:
             as_point(unit_grid_1d(4), bad)
         assert as_point(unit_grid_2d(4), (0.25, 0.5)).tolist() == [0.25, 0.5]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_make_grid_rejects_non_finite_origin(self, bad):
+        with pytest.raises(ValueError, match="finite coordinates"):
+            make_grid(2, (8, 8), 0.125, origin=(bad, 0.0))
+        with pytest.raises(ValueError, match="finite coordinates"):
+            make_grid(1, (8,), 0.125, origin=bad)
+        assert make_grid(2, (8, 8), 0.125, origin=(-1.0, 0.0)).origin == (-1.0, 0.0)
+
     def test_cell_centers_shape(self):
         g = unit_grid_2d(4)
         c = cell_centers(g)
