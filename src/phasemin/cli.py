@@ -22,8 +22,8 @@ dotted section keys.  Recognized keys:
     pipeline.tol_solve   field-solve residual tolerance                (1e-8)
     init.seeds           region seed points 'x y ; x y ; ...'  (index stripes)
     landscape.potential  potential V: constant or file:<path>          (0)
-    diagnose.point       probe point (nearest free-boundary cell to center)
-    diagnose.radii       profile radii                       (0.05 0.1 0.2)
+    diagnose.point       point in the grid's box (nearest free-boundary cell to center)
+    diagnose.radii       profile radii, each in (2h, box diameter]   (0.05 0.1 0.2)
     probes.count         audit probe count                             (20)
     probes.radius        audit ball radius                             (0.1)
     probes.seed          audit probe RNG seed                          (0)

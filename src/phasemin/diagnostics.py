@@ -14,11 +14,17 @@ Conventions shared by all routines:
 * the discrete boundary of a part is the set of its support cells that
   touch an in-mask non-support face neighbor (walls do not count);
 * singular radial weights are evaluated at cell centers, with cells closer
-  than ``h/2`` to the probe point excluded.
+  than ``h/2`` to the probe point excluded;
+* every routine takes a PhaseField, and probes it by one rule: a point
+  must lie in the grid's bounding box (``grid.as_point``), and a radius
+  must be finite, above 2h and at most the box diameter (``_check_radii``),
+  at least 4h where a routine says so; radii lists are nonempty and
+  strictly increasing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +39,6 @@ from .functional import (
 )
 from .grid import (
     Grid,
-    ScalarField,
     as_point,
     bounding_box,
     cell_centers,
@@ -144,29 +149,37 @@ class InterfaceReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_radii(grid: Grid, radii) -> NDArray:
+def _check_radii(grid: Grid, radii, least: float = 0.0) -> NDArray:
+    """The probe radii as a float array, one radius or a list of them.
+
+    Raises:
+        ValueError: unless the list is nonempty and strictly increasing, and
+            each radius is finite, above 2h, at least ``least`` and at most
+            the bounding-box diameter.
+    """
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if r.ndim != 1 or len(r) == 0:
         raise ValueError("radii must be a nonempty 1-d sequence")
     if not np.all(np.diff(r) > 0.0):
         raise ValueError("radii must be strictly increasing")
-    if not np.all(np.isfinite(r) & (r > 2.0 * grid.spacing)):
-        raise ValueError(f"all radii must be finite and exceed 2h = {2 * grid.spacing}")
+    lo, hi = bounding_box(grid)
+    diameter = math.hypot(*(hi - lo).tolist())
+    h2 = 2.0 * grid.spacing
+    bad = ~(np.isfinite(r) & (r > h2) & (r >= least) & (r <= diameter))
+    if np.any(bad):
+        floor = f"at least {least}" if least > h2 else f"above 2h = {h2}"
+        raise ValueError(
+            f"radius {r[bad][0]} must be finite, {floor} and at most "
+            f"the bounding-box diameter {diameter}"
+        )
     return r
 
 
-def _as_fields(u) -> tuple[Grid, tuple[ScalarField, ...]]:
-    if isinstance(u, ScalarField):
-        return u.grid, (u,)
-    return u.grid, tuple(u.fields)
-
-
 def _part_values(u, phase: Phase) -> tuple[Grid, NDArray]:
-    grid, fields = _as_fields(u)
-    if not 1 <= phase.index <= len(fields):
-        raise ValueError(f"phase index {phase.index} out of range 1..{len(fields)}")
-    vals = fields[phase.index - 1].values
-    return grid, np.maximum(phase.sign * vals, 0.0)
+    if not 1 <= phase.index <= len(u.fields):
+        raise ValueError(f"phase index {phase.index} out of range 1..{len(u.fields)}")
+    vals = u.fields[phase.index - 1].values
+    return u.grid, np.maximum(phase.sign * vals, 0.0)
 
 
 def _grad_sq_cells(grid: Grid, vals: NDArray) -> NDArray:
@@ -201,9 +214,8 @@ def free_boundary_cells(u, phase: Phase) -> NDArray[np.bool_]:
 
 def _phase_parts(u) -> list[Phase]:
     """All parts with nonempty support, positive parts first per index."""
-    _, fields = _as_fields(u)
     parts = []
-    for i, f in enumerate(fields, start=1):
+    for i, f in enumerate(u.fields, start=1):
         if np.any(f.values > 0.0):
             parts.append(Phase(i, 1))
         if np.any(f.values < 0.0):
@@ -225,19 +237,15 @@ def radial_energy(u, x0, radii) -> RadialProfile:
 
     An edge counts as soon as one endpoint's center lies in the ball, so
     the profile is exactly nondecreasing in r.
-
-    Args:
-        u: PhaseField or single ScalarField.
-        x0: ball center; radii: strictly increasing, all > 2h.
     """
-    grid, fields = _as_fields(u)
+    grid = u.grid
     pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
     d = distances(grid, pt)
     values = []
     for r in r_arr:
         region = d < r
-        values.append(sum(gradient_energy(f, region=region) for f in fields))
+        values.append(sum(gradient_energy(f, region=region) for f in u.fields))
     return RadialProfile(tuple(float(r) for r in r_arr), tuple(values), "energy")
 
 
@@ -353,8 +361,7 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
     del w  # labels do not enter: the ratios are support-based
     grid, vals = _part_values(u, Phase(i, 1))
     pt = as_point(grid, x0)
-    if not r > 2.0 * grid.spacing:
-        raise ValueError(f"radius must exceed 2h = {2 * grid.spacing}")
+    r = float(_check_radii(grid, r)[0])
     h = grid.spacing
     boundary = free_boundary_cells(u, Phase(i, 1))
     if not np.any(boundary):
@@ -428,18 +435,33 @@ def interface_measure(
     return InterfaceReport(mu_density=tuple(mu_density), h_density=float(h_density))
 
 
-def _fit_normal(pts: NDArray, dim: int) -> NDArray:
-    """Total-least-squares unit normal of a cloud of boundary points."""
-    if dim == 1:
-        return np.array([1.0])
-    if len(pts) < 2:
-        raise ValueError("normal fit needs at least 2 boundary cells")
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[-1] <= 0.0:
-        raise ValueError("normal fit is rank-deficient (coincident boundary cells)")
-    return evecs[:, 0]
+def _plane_fit(
+    centers: NDArray, plane: NDArray, first: NDArray, origin: NDArray | None = None
+) -> tuple[NDArray, NDArray]:
+    """Unit normal of a plane fitted to some cells, and offsets along it.
+
+    ``centers`` holds one cell center per row; ``plane`` and ``first``
+    select rows.  The normal is the total-least-squares fit to the
+    ``plane`` cells, turned so that the ``first`` cells lie on its positive
+    side on average.  The offsets are every cell's, signed, from ``origin``
+    (by default the mean of the ``plane`` cells).
+    """
+    if not np.any(plane):
+        raise ValueError("no boundary cells inside the fitting ball")
+    pts = centers[plane]
+    normal = np.array([1.0])
+    if centers.shape[1] > 1:
+        if len(pts) < 2:
+            raise ValueError("normal fit needs at least 2 boundary cells")
+        centered = pts - pts.mean(axis=0)
+        evals, evecs = np.linalg.eigh(centered.T @ centered)
+        if evals[-1] <= 0.0:
+            raise ValueError("normal fit is rank-deficient (coincident boundary cells)")
+        normal = evecs[:, 0]
+    s = (centers - (pts.mean(axis=0) if origin is None else origin)) @ normal
+    if np.any(first) and float(np.mean(s[first])) < 0.0:
+        return -normal, -s
+    return normal, s
 
 
 def _one_sided_slope(s: NDArray, v: NDArray) -> float:
@@ -465,10 +487,9 @@ def el_interface_check(
         ValueError: no part present in the ball, more than two present,
             a degenerate normal fit, or an empty regression window.
     """
-    grid, fields = _as_fields(u)
+    grid = u.grid
     pt = as_point(grid, x0)
-    if not r_fit > 2.0 * grid.spacing:
-        raise ValueError(f"r_fit must exceed 2h = {2 * grid.spacing}")
+    r_fit = float(_check_radii(grid, r_fit)[0])
     h = grid.spacing
     d = distances(grid, pt)
     ball = (d < r_fit) & grid.mask
@@ -487,20 +508,9 @@ def el_interface_check(
     for part, _ in present:
         boundary |= free_boundary_cells(u, part)
     boundary &= ball
-    if not np.any(boundary):
-        raise ValueError("no boundary cells inside the fitting ball")
     centers = cell_centers(grid).reshape(-1, grid.dim)
-    b_pts = centers[boundary.reshape(-1)]
-    normal = _fit_normal(b_pts, grid.dim)
-    origin = b_pts.mean(axis=0)
-
-    s_all = (centers - origin) @ normal
-    # orient the normal toward the first part's support
-    _, vals1 = present[0]
-    sel1 = (ball & (vals1 > 0.0)).reshape(-1)
-    if float(np.mean(s_all[sel1])) < 0.0:
-        normal = -normal
-        s_all = -s_all
+    first = (ball & (present[0][1] > 0.0)).reshape(-1)  # the normal points into it
+    _, s_all = _plane_fit(centers, boundary.reshape(-1), first)
 
     lam = volume_marginal(w, spec.volume_term, at=pt)
     slopes = []
@@ -543,39 +553,28 @@ def flatness(
     grid, vals1 = _part_values(u, phi1)
     pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
-    vals2 = None
+    in1 = (vals1 > 0.0).reshape(-1)
     boundary = free_boundary_cells(u, phi1)
+    wrong_below = in1  # one part: the zero set fills the ball below
     if phi2 is not None:
         _, vals2 = _part_values(u, phi2)
         boundary = boundary | free_boundary_cells(u, phi2)
+        wrong_below = ~(vals2 > 0.0).reshape(-1)
     centers = cell_centers(grid).reshape(-1, grid.dim)
     d = distances(grid, pt)
     betas = []
     normals = []
     for r in r_arr:
-        ball = (d < r) & grid.mask
-        b_sel = (boundary & ball).reshape(-1)
-        if not np.any(b_sel):
-            raise ValueError(f"no boundary cells inside B({tuple(pt.tolist())}, {r})")
-        normal = _fit_normal(centers[b_sel], grid.dim)
-        s = (centers - pt) @ normal
-        sel1 = (ball & (vals1 > 0.0)).reshape(-1)
-        if np.any(sel1) and float(np.mean(s[sel1])) < 0.0:
-            normal = -normal
-            s = -s
+        ball = ((d < r) & grid.mask).reshape(-1)
+        b_sel = boundary.reshape(-1) & ball
+        normal, s = _plane_fit(centers, b_sel, ball & in1, pt)
         beta = float(np.max(np.abs(s[b_sel]))) / r
-        flat_ball = ball.reshape(-1)
-        not1 = flat_ball & ~(vals1 > 0.0).reshape(-1) & (s > 0.0)
-        if np.any(not1):
-            beta = max(beta, float(np.max(s[not1])) / r)
-        if vals2 is not None:
-            not2 = flat_ball & ~(vals2 > 0.0).reshape(-1) & (s < 0.0)
-            if np.any(not2):
-                beta = max(beta, float(np.max(-s[not2])) / r)
-        else:
-            below = flat_ball & (vals1 > 0.0).reshape(-1) & (s < 0.0)
-            if np.any(below):
-                beta = max(beta, float(np.max(-s[below])) / r)
+        above = ball & ~in1 & (s > 0.0)
+        if np.any(above):
+            beta = max(beta, float(np.max(s[above])) / r)
+        below = ball & wrong_below & (s < 0.0)
+        if np.any(below):
+            beta = max(beta, float(np.max(-s[below])) / r)
         betas.append(min(beta, 1.0))
         normals.append(normal)
     profile = RadialProfile(tuple(float(r) for r in r_arr), tuple(betas), "flatness")
@@ -595,14 +594,13 @@ def blowup_rescale(u: PhaseField, x0, rk: float) -> PhaseField:
     quotients are preserved up to interpolation error.
 
     Raises:
-        ValueError: if rk is not finite and at least 4h, or the sampling
-            window exits the bounding box.
+        ValueError: if rk is not a probe radius of at least 4h, or the
+            sampling window exits the bounding box.
     """
     grid = u.grid
     pt = as_point(grid, x0)
     h = grid.spacing
-    if not (np.isfinite(rk) and rk >= 4.0 * h):
-        raise ValueError(f"rescale radius {rk} must be finite and at least 4h = {4 * h}")
+    rk = float(_check_radii(grid, rk, 4.0 * h)[0])
     out_grid = make_grid(grid.dim, grid.shape, grid.spacing, origin=(0.0,) * grid.dim)
     out_centers = cell_centers(out_grid).reshape(-1, grid.dim)
     pts = pt + rk * out_centers
@@ -627,12 +625,11 @@ def phase_count_at(u, x0, r: float) -> int:
     ``r >= 4h``.
 
     Raises:
-        ValueError: if r is not finite and at least 4h.
+        ValueError: if r is not a probe radius of at least 4h.
     """
-    grid, _ = _as_fields(u)
+    grid = u.grid
     pt = as_point(grid, x0)
-    if not (np.isfinite(r) and r >= 4.0 * grid.spacing):
-        raise ValueError(f"radius {r} must be finite and at least 4h = {4 * grid.spacing}")
+    _check_radii(grid, r, 4.0 * grid.spacing)
     near = distances(grid, pt) <= 2.0 * grid.spacing * (1.0 + 1e-9)
     count = 0
     for part in _phase_parts(u):
@@ -654,9 +651,8 @@ def phase_count_map(u, r: float) -> NDArray[np.int64]:
     Only each part's boundary cells are dilated, by 2h: as in
     phase_count_at, that implies its support meets the radius-r ball.
     """
-    grid, _ = _as_fields(u)
-    if not (np.isfinite(r) and r >= 4.0 * grid.spacing):
-        raise ValueError(f"radius {r} must be finite and at least 4h = {4 * grid.spacing}")
+    grid = u.grid
+    _check_radii(grid, r, 4.0 * grid.spacing)
     counts = np.zeros(grid.shape, dtype=np.int64)
     near = 2.0 * grid.spacing * (1.0 + 1e-9)
     for part in _phase_parts(u):
@@ -672,13 +668,13 @@ def lipschitz_estimate(u, region=None) -> float:
     difference quotients of the function).  ``region`` optionally restricts
     to edges with both endpoints inside a boolean cell set.
     """
-    grid, fields = _as_fields(u)
+    grid = u.grid
     reg = np.ones(grid.shape, dtype=bool) if region is None else np.asarray(region)
     if reg.shape != grid.shape:
         raise ValueError(f"region shape {reg.shape} does not match grid {grid.shape}")
     m = grid.mask & reg
     best = 0.0
-    for f in fields:
+    for f in u.fields:
         v = f.values
         for lt, rt, _, _ in edge_slices(grid.dim):
             sel = m[lt] & m[rt]

@@ -203,17 +203,23 @@ def cell_centers(grid: Grid) -> NDArray[np.float64]:
 
 
 def as_point(grid: Grid, x: float | Sequence[float]) -> NDArray[np.float64]:
-    """A physical point as a float array of shape ``(dim,)``; 1D takes a scalar.
+    """A point of the grid's bounding box as a float array of shape ``(dim,)``.
+
+    1D takes a scalar.  A coordinate may pass the box by ``1e-12 * (1 + |x|)``.
 
     Raises:
-        ValueError: if the point does not have the grid's dimension or has
-            a non-finite coordinate.
+        ValueError: if the point does not have the grid's dimension, has a
+            non-finite coordinate or lies outside the bounding box.
     """
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     if pt.shape != (grid.dim,):
         raise ValueError(f"point {x!r} does not match grid dimension {grid.dim}")
     if not np.all(np.isfinite(pt)):
         raise ValueError(f"point {tuple(pt.tolist())} has a non-finite coordinate")
+    lo, hi = bounding_box(grid)
+    eps = 1e-12 * (1.0 + np.abs(pt))
+    if np.any(pt < lo - eps) or np.any(pt > hi + eps):
+        raise ValueError(f"point {tuple(pt.tolist())} outside the bounding box")
     return pt
 
 
@@ -295,14 +301,9 @@ def sample(f: ScalarField, x: float | Sequence[float]) -> float:
         x: point inside the grid's physical bounding box.
 
     Raises:
-        ValueError: if ``x`` lies outside the bounding box.
+        ValueError: if ``x`` is not a point of the box (:func:`as_point`).
     """
-    grid = f.grid
-    pt = as_point(grid, x)
-    lo, hi = bounding_box(grid)
-    eps = 1e-12 * (1.0 + np.abs(pt))
-    if np.any(pt < lo - eps) or np.any(pt > hi + eps):
-        raise ValueError(f"sample point {tuple(pt.tolist())} outside bounding box")
+    pt = as_point(f.grid, x)
     return float(sample_many(f, pt[np.newaxis, :])[0])
 
 

@@ -99,6 +99,7 @@ class TestBuildPlan:
             ("pipeline.tol_j = nan", "pipeline.tol_j"),
             ("probes.seed = -1", "probes.seed"),
             ("init.seeds = nan 0.5", "init.seeds"),
+            ("diagnose.point = 5 5", "diagnose.point"),
         ],
     )
     def test_errors_name_the_key(self, tmp_path, override, key):
@@ -168,6 +169,7 @@ class TestBuildPlan:
             ("minimize audit", "probes.radius = 0.6", "probes.radius"),
             ("minimize diagnose", "diagnose.radii = 0.1 0.2", "diagnose.radii"),
             ("minimize diagnose", "diagnose.radii = 0.5 0.6 inf", "diagnose.radii"),
+            ("minimize diagnose", "diagnose.radii = 0.3 0.4 1e300", "diagnose.radii"),
         ],
     )
     def test_stage_values_checked_when_requested(self, tmp_path, stages, override, key):
@@ -395,6 +397,7 @@ class TestRun:
                 ],
                 "diagnose.point",
             ),
+            (["diagnose.point = 5 5"], "diagnose.point"),
         ],
     )
     def test_bad_values_exit_2_naming_the_key(self, tmp_path, capsys, lines, key):

@@ -523,6 +523,15 @@ class TestCutoff:
         with pytest.raises(ValueError):
             cutoff_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.5, [2])
 
+    def test_point_outside_the_box_rejected(self):
+        grid = make_grid(2, (32, 32), 1 / 32)
+        spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
+        for x0 in ((5.0, 5.0), (0.5, -0.01)):
+            with pytest.raises(ValueError, match="outside the bounding box"):
+                cutoff_competitor(u, w, spec, x0, 0.25, 0.5, [1])
+            with pytest.raises(ValueError, match="outside the bounding box"):
+                harmonic_competitor(u, w, spec, x0, 0.25, 0.5, 1)
+
     def test_radius_must_be_positive_and_finite(self):
         grid = make_grid(2, (16, 16), 1 / 16)
         spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)

@@ -124,9 +124,10 @@ class TestRadialEnergy:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_radii_rejected(self, bad):
         _, u = one_cone(32)
-        with pytest.raises(ValueError, match="radii must be finite"):
+        with pytest.raises(ValueError, match=f"radius {bad} must be finite"):
             radial_energy(u, CENTER, [bad])
-        with pytest.raises(ValueError, match="radii must be"):  # nan is not increasing
+        # nan is not increasing
+        with pytest.raises(ValueError, match=f"radius {bad} must be finite|increasing"):
             radial_energy(u, CENTER, [0.1, 0.2, bad])
 
 
@@ -372,7 +373,7 @@ class TestBlowup:
     def test_non_finite_radius_rejected(self, bad):
         grid = unit_grid(64)
         u = make_phase_field(grid, [np.zeros(grid.shape)])
-        with pytest.raises(ValueError, match=f"rescale radius {bad} must be finite"):
+        with pytest.raises(ValueError, match=f"radius {bad} must be finite"):
             blowup_rescale(u, (0.1, 0.1), bad)
 
 
@@ -414,6 +415,83 @@ class TestPhaseCount:
             phase_count_at(u, CENTER, bad)
         with pytest.raises(ValueError, match=f"radius {bad} must be finite"):
             phase_count_map(u, bad)
+
+
+def probe_routines():
+    """Every routine that takes a point or radii, as ``call(u, x0, r)``.
+
+    ``u`` is a two-part cone with its interface through the center, so each
+    call succeeds at the center with radius 0.2.
+    """
+    grid = unit_grid(64)
+    spec = make_functional_spec(
+        grid, [0.0, 0.0], [0.0, 0.0], NONNEGATIVE, PowerLaw(0.3, 0.0)
+    )
+
+    def w(u):
+        return partition_from_supports(u)
+
+    return {
+        "radial_energy": lambda u, x0, r: radial_energy(u, x0, [0.1, r]),
+        "acf_profile": lambda u, x0, r: acf_profile(u, Phase(1), x0, [0.1, r]),
+        "acf_product": lambda u, x0, r: acf_product(u, Phase(1), Phase(2), x0, [r]),
+        "weiss_profile": lambda u, x0, r: weiss_profile(u, 1, 1.0, x0, [r]),
+        "density_report": lambda u, x0, r: density_report(u, w(u), 1, x0, r),
+        "interface_measure": lambda u, x0, r: interface_measure(u, 1, x0, [r]),
+        "el_interface_check": lambda u, x0, r: el_interface_check(u, w(u), spec, x0, r),
+        "flatness": lambda u, x0, r: flatness(u, Phase(1), Phase(2), x0, [r]),
+        "blowup_rescale": lambda u, x0, r: blowup_rescale(u, x0, r),
+        "phase_count_at": lambda u, x0, r: phase_count_at(u, x0, r),
+        "phase_count_map": lambda u, x0, r: phase_count_map(u, r),
+    }
+
+
+class TestProbeRule:
+    """One point rule and one radius rule, shared by every routine."""
+
+    @pytest.mark.parametrize("name", sorted(probe_routines()))
+    def test_radius_above_the_diameter_rejected(self, name):
+        _, u = two_cone(64, 1.0, 1.0)
+        call = probe_routines()[name]
+        if name != "blowup_rescale":  # a zoom of 0.2 from the center leaves the box
+            call(u, CENTER, 0.2)
+        for r in (1.5, 1e100, 1e300, np.inf):
+            with pytest.raises(ValueError, match="at most the bounding-box diameter"):
+                call(u, CENTER, r)
+
+    @pytest.mark.parametrize("name", sorted(set(probe_routines()) - {"phase_count_map"}))
+    def test_point_outside_the_box_rejected(self, name):
+        _, u = two_cone(64, 1.0, 1.0)
+        call = probe_routines()[name]
+        for x0 in ((5.0, 5.0), (0.5, -0.01), (1.0 + 1e-9, 0.5)):
+            with pytest.raises(ValueError, match="outside the bounding box"):
+                call(u, x0, 0.2)
+
+    def test_diameter_is_a_radius(self):
+        _, u = two_cone(64, 1.0, 1.0)
+        prof = radial_energy(u, CENTER, [0.1, np.sqrt(2.0)])
+        assert prof.radii[-1] == np.sqrt(2.0)
+        assert phase_count_map(u, np.sqrt(2.0)).shape == u.grid.shape
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_single_radius_routines_reject_infinity(self):
+        _, u = two_cone(64, 1.0, 1.0)
+        w = partition_from_supports(u)
+        spec = make_functional_spec(
+            u.grid, [0.0, 0.0], [0.0, 0.0], NONNEGATIVE, PowerLaw(0.3, 0.0)
+        )
+        with pytest.raises(ValueError, match="radius inf must be finite"):
+            density_report(u, w, 1, CENTER, np.inf)
+        with pytest.raises(ValueError, match="radius inf must be finite"):
+            el_interface_check(u, w, spec, CENTER, np.inf)
+
+    def test_least_radius_is_named(self):
+        _, u = two_cone(64, 1.0, 1.0)
+        h = u.grid.spacing
+        with pytest.raises(ValueError, match=f"at least {4.0 * h}"):
+            phase_count_at(u, CENTER, 3.0 * h)
+        with pytest.raises(ValueError, match=f"above 2h = {2.0 * h}"):
+            radial_energy(u, CENTER, [2.0 * h])
 
 
 class TestLipschitz:

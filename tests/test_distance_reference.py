@@ -13,7 +13,6 @@ import pytest
 
 from phasemin.diagnostics import (
     Phase,
-    _as_fields,
     _ball_volume,
     _dilate,
     _part_values,
@@ -266,7 +265,7 @@ def test_dilate_matches_offset_loop(shape, h):
 
 
 def offset_phase_count_map(u, r):
-    grid, _ = _as_fields(u)
+    grid = u.grid
     counts = np.zeros(grid.shape, dtype=np.int64)
     for part in _phase_parts(u):
         _, vals = _part_values(u, part)

@@ -68,6 +68,15 @@ class TestConstruction:
             as_point(unit_grid_1d(4), bad)
         assert as_point(unit_grid_2d(4), (0.25, 0.5)).tolist() == [0.25, 0.5]
 
+    def test_as_point_requires_the_bounding_box(self):
+        g = unit_grid_2d(4)
+        for x in ((5.0, 5.0), (-0.01, 0.5), (0.5, 1.0 + 1e-9), (1e300, 0.5)):
+            with pytest.raises(ValueError, match="outside the bounding box"):
+                as_point(g, x)
+        # the box's corners, and a slack of 1e-12 * (1 + |x|) past them
+        assert as_point(g, (0.0, 1.0)).tolist() == [0.0, 1.0]
+        assert as_point(g, (-1e-13, 1.0 + 1e-12)).tolist() == [-1e-13, 1.0 + 1e-12]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_make_grid_rejects_non_finite_origin(self, bad):
         with pytest.raises(ValueError, match="finite coordinates"):
@@ -210,7 +219,7 @@ class TestSample:
     def test_out_of_box_errors(self):
         g = unit_grid_1d(8)
         f = make_field(g, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the bounding box"):
             sample(f, 1.25)
 
     def test_half_cell_rim_clamps(self):

@@ -36,7 +36,13 @@ from phasemin.elliptic import (
     solve_landscape,
     solve_phase,
 )
-from phasemin.functional import FREE, PowerLaw, make_functional_spec, make_partition
+from phasemin.functional import (
+    FREE,
+    PowerLaw,
+    make_functional_spec,
+    make_partition,
+    make_phase_field,
+)
 from phasemin.grid import (
     distances,
     gradient_energy,
@@ -534,7 +540,8 @@ def test_free_boundary_cells_match_cell_loop(dim, seed):
             expected[cell] = any(
                 not wall and not support[nbr] for nbr, wall in slots(grid, cell)
             )
-        assert np.array_equal(free_boundary_cells(f, Phase(1, sign)), expected)
+        u = make_phase_field(f.grid, [f])
+        assert np.array_equal(free_boundary_cells(u, Phase(1, sign)), expected)
 
 
 @pytest.mark.parametrize("dim,seed", CASES)
