@@ -12,9 +12,9 @@ edit on the ball's window, returned with the exact objective change
   data, while the other phases are radially cut off; annulus labels are
   copied along rays from just outside the ball.
 
-The window is the index box of the cells with ``|c_a - x0_a| < r + h``
-along every axis.  Only cells with d < r change, so it holds every changed
-cell and every face neighbor of one, and a competitor is the box with the
+The window (``grid.ball_window``) is the index box of the cells with
+``|c_a - x0_a| < r + h`` along every axis.  Only cells with d < r change,
+so it holds every changed cell, and a competitor is the box with the
 edited labels and fields on it: ``(box, (labels, fields))``, arrays of the
 box's shape.  :func:`~phasemin.functional.window_delta` prices it exactly
 on the box grown by one cell, and checks the edit and the pair there.
@@ -45,6 +45,7 @@ from .grid import (
     Grid,
     as_point,
     axis_centers,
+    ball_window,
     bounding_box,
     format_float,
 )
@@ -100,27 +101,6 @@ class AuditReport:
     worst: AuditEntry | None
 
 
-def _window(grid: Grid, pt: NDArray, r: float):
-    """The window of a ball, its cells' offsets and distances from ``pt``.
-
-    The window is the index box of the cells with ``|c_a - pt_a| < r + h``
-    along every axis (empty when there are none).  Returns ``(box, offsets,
-    d)``: the box, the per-axis offsets ``c_a - pt_a`` as an open mesh, and
-    the distances, summed per axis as in ``grid.distances`` and so
-    bit-identical to its values.
-    """
-    reach = r + grid.spacing
-    box, offsets = [], []
-    for axis in range(grid.dim):
-        off = axis_centers(grid, axis) - pt[axis]
-        hits = np.flatnonzero(np.abs(off) < reach)
-        cut = slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0)
-        box.append(cut)
-        offsets.append(off[cut])
-    offsets = np.ix_(*offsets)
-    return tuple(box), offsets, np.sqrt(sum(o**2 for o in offsets))
-
-
 def _ramp(d: NDArray, r: float, a: float) -> NDArray:
     """0 up to radius ``a r``, rising linearly to 1 at ``r``."""
     return np.clip((d - a * r) / ((1.0 - a) * r), 0.0, 1.0)
@@ -164,7 +144,7 @@ def cutoff_competitor(
         raise ValueError(f"cutoff radius r must be positive and finite, got {r}")
     grid = spec.grid
     pt = as_point(grid, x0)
-    box, _, d = _window(grid, pt, r)
+    box, _, d = ball_window(grid, pt, r)
     if not np.any(grid.mask[box] & (d < r)):
         raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} misses every masked cell")
     chosen = sorted(set(int(i) for i in phases))
@@ -268,7 +248,7 @@ def harmonic_competitor(
         raise ValueError(
             f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the bounding box"
         )
-    box, offsets, d = _window(grid, pt, r)
+    box, offsets, d = ball_window(grid, pt, r)
     if not np.all(grid.mask[box][d < r + h]):
         raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the mask")
 

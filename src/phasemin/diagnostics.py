@@ -20,6 +20,14 @@ Conventions shared by all routines:
   must be finite, above 2h and at most the box diameter (``_check_radii``),
   at least 4h where a routine says so; radii lists are nonempty and
   strictly increasing.
+
+A probe routine reads only the window (``grid.ball_window``) of
+``B(x0, R + h)``, R its largest radius (``r + 2h`` in density_report,
+``2h`` in phase_count_at): the ball, its cells' face neighbors and a cell
+to spare for rounding, so results are bit-identical to whole-grid ones.
+Whole-grid by design: weiss_profile's sampled part (grid coordinates), the
+error message of density_report (global gap), radial_energy (pinned
+summation grouping), and blowup_rescale, phase_count_map, lipschitz_estimate.
 """
 
 from __future__ import annotations
@@ -39,9 +47,11 @@ from .functional import (
 )
 from .grid import (
     Grid,
+    ScalarField,
     as_point,
+    axis_centers,
+    ball_window,
     bounding_box,
-    cell_centers,
     distances,
     edge_energies,
     edge_slices,
@@ -53,6 +63,7 @@ from .grid import (
     make_grid,
     neighbor_sum,
     sample_many,
+    sample_mesh,
     squared_distance_transform,
 )
 
@@ -182,6 +193,22 @@ def _part_values(u, phase: Phase) -> tuple[Grid, NDArray]:
     return u.grid, np.maximum(phase.sign * vals, 0.0)
 
 
+def _window(u, pt: NDArray, r: float) -> tuple[tuple[slice, ...], NDArray, PhaseField]:
+    """The probe window of ``B(pt, r)``: box, distances from ``pt``, fields on
+    it; take coordinates from ``u.grid``, as the box grid's are not exact."""
+    grid = u.grid
+    box, _, d = ball_window(grid, pt, r + grid.spacing)
+    start = tuple(o + grid.spacing * c.start for o, c in zip(grid.origin, box))
+    sub = make_grid(grid.dim, d.shape, grid.spacing, start, grid.mask[box])
+    return box, d, PhaseField(sub, tuple(ScalarField(sub, f.values[box]) for f in u.fields))
+
+
+def _box_centers(grid: Grid, box: tuple[slice, ...]) -> NDArray:
+    """Centers of a box's cells, one row per cell in row-major order."""
+    axes = [axis_centers(grid, a)[cut] for a, cut in enumerate(box)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+
+
 def _grad_sq_cells(grid: Grid, vals: NDArray) -> NDArray:
     """Cellwise squared-gradient estimate consistent with the edge energy.
 
@@ -257,11 +284,12 @@ def acf_profile(u, phase: Phase, x0, radii) -> RadialProfile:
     weighted by ``|c - x0|**(2-n)``, times the cell volume.  Scaling the
     part by ``a`` multiplies the profile by ``a**2`` exactly.
     """
-    grid, vals = _part_values(u, phase)
+    grid = u.grid
     pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
-    d = distances(grid, pt)
-    gsq = _grad_sq_cells(grid, vals)
+    _, d, uw = _window(u, pt, float(r_arr[-1]))
+    sub, vals = _part_values(uw, phase)
+    gsq = _grad_sq_cells(sub, vals)
     keep = d >= 0.5 * grid.spacing
     weight = np.where(keep, np.where(d > 0, d, 1.0) ** (2 - grid.dim), 0.0)
     dens = gsq * weight * grid.cell_volume
@@ -302,27 +330,28 @@ def weiss_profile(u, i: int, lambda_i: float, x0, radii) -> RadialProfile:
     interpolated central differencing along the ray through each cell, and
     cells within h/2 of x0 excluded throughout.  Constant on exact cones.
     """
-    grid, vals = _part_values(u, Phase(i, 1))
+    grid, part = _part_values(u, Phase(i, 1))  # sampled in the grid's coordinates
     pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
     h = grid.spacing
-    d = distances(grid, pt)
+    box, d, uw = _window(u, pt, float(r_arr[-1]))
+    sub, vals = _part_values(uw, Phase(i, 1))
     keep = d >= 0.5 * h
-    gsq = _grad_sq_cells(grid, vals)
+    gsq = _grad_sq_cells(sub, vals)
     support = vals > 0.0
 
-    centers = cell_centers(grid).reshape(-1, grid.dim)
+    centers = _box_centers(grid, box)
     d_flat = d.reshape(-1)
-    keep_flat = keep.reshape(-1) & grid.mask.reshape(-1)
+    keep_flat = keep.reshape(-1) & sub.mask.reshape(-1)
     sel = np.flatnonzero(keep_flat & (d_flat < float(r_arr[-1])))
     rho_hat = (centers[sel] - pt) / d_flat[sel][:, None]
     lo, hi = bounding_box(grid)
-    field = make_field(grid, vals)
+    field = ScalarField(grid, part)
     up = sample_many(field, np.clip(centers[sel] + h * rho_hat, lo, hi))
     dn = sample_many(field, np.clip(centers[sel] - h * rho_hat, lo, hi))
-    dr_sq = np.zeros(grid.num_cells)
+    dr_sq = np.zeros(d.size)
     dr_sq[sel] = ((up - dn) / (2.0 * h)) ** 2
-    dr_sq = dr_sq.reshape(grid.shape)
+    dr_sq = dr_sq.reshape(d.shape)
 
     radial_dens = np.where(keep, np.where(d > 0, d, 1.0) ** (1 - grid.dim), 0.0) * dr_sq
     hn = grid.cell_volume
@@ -359,31 +388,32 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
         ValueError: if x0 is farther than h from the part's boundary cells.
     """
     del w  # labels do not enter: the ratios are support-based
-    grid, vals = _part_values(u, Phase(i, 1))
+    grid = u.grid
     pt = as_point(grid, x0)
     r = float(_check_radii(grid, r)[0])
     h = grid.spacing
-    boundary = free_boundary_cells(u, Phase(i, 1))
-    if not np.any(boundary):
-        raise ValueError(f"part {i}+ has no boundary cells on this grid")
-    d = distances(grid, pt)
-    gap = float(np.min(d[boundary]))
-    if gap > h * (1.0 + 1e-9):
+    _, d, uw = _window(u, pt, r + 2.0 * h)
+    sub, vals = _part_values(uw, Phase(i, 1))
+    support = vals > 0.0
+    if not np.any(free_boundary_cells(uw, Phase(i, 1)) & (d <= h * (1.0 + 1e-9))):
+        boundary = free_boundary_cells(u, Phase(i, 1))
+        if not np.any(boundary):
+            raise ValueError(f"part {i}+ has no boundary cells on this grid")
+        gap = float(np.min(distances(grid, pt)[boundary]))
         raise ValueError(
             f"probe {tuple(pt.tolist())} is {format_float(gap)} from the nearest "
             f"boundary cell of part {i}+; within h = {format_float(h)} required"
         )
 
-    ball = (d < r) & grid.mask
+    ball = (d < r) & sub.mask
     hn = grid.cell_volume
     mean_sq = float(np.sum(vals[ball] ** 2)) * hn / _ball_volume(grid.dim, r) / r**2
-    support = vals > 0.0
     pos_vol = float(np.count_nonzero(ball & support)) * hn / r**grid.dim
     comp_vol = float(np.count_nonzero(ball & ~support)) * hn / r**grid.dim
 
     # distance of each in-ball support cell to the nearest zero-set cell,
     # searched on the window's index box
-    window = (d < r + 2.0 * h) & grid.mask
+    window = (d < r + 2.0 * h) & sub.mask
     box = index_box(window)
     targets = (ball & support)[box]
     delta = h * np.sqrt(squared_distance_transform((window & ~support)[box])[targets])
@@ -410,18 +440,19 @@ def interface_measure(
     in 1D) at the smallest radius >= 4h.  With ``spec=None`` the bulk
     source is zero (synthetic fields).
     """
-    grid, vals = _part_values(u, Phase(i, 1))
+    grid = u.grid
     pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
     h = grid.spacing
-    lap = laplacian_apply(make_field(grid, vals)).values
-    bulk = np.zeros(grid.shape)
+    box, d, uw = _window(u, pt, float(r_arr[-1]))
+    sub, vals = _part_values(uw, Phase(i, 1))
+    lap = laplacian_apply(make_field(sub, vals)).values
+    bulk = np.zeros(sub.shape)
     if spec is not None:
-        fv = spec.f[i - 1].values
-        gv = spec.g[i - 1].values
+        fv = spec.f[i - 1].values[box]
+        gv = spec.g[i - 1].values[box]
         bulk = np.where(vals > 0.0, fv * vals - 0.5 * gv, 0.0)
     dens = (lap - bulk) * grid.cell_volume
-    d = distances(grid, pt)
     omega = 2.0 if grid.dim == 2 else 1.0
     mu_density = []
     h_density = None
@@ -491,12 +522,12 @@ def el_interface_check(
     pt = as_point(grid, x0)
     r_fit = float(_check_radii(grid, r_fit)[0])
     h = grid.spacing
-    d = distances(grid, pt)
-    ball = (d < r_fit) & grid.mask
+    box, d, uw = _window(u, pt, r_fit)
+    ball = (d < r_fit) & uw.grid.mask
 
     present = []
-    for part in _phase_parts(u):
-        _, vals = _part_values(u, part)
+    for part in _phase_parts(uw):
+        _, vals = _part_values(uw, part)
         if np.any(vals[ball] > 0.0):
             present.append((part, vals))
     if not present:
@@ -504,11 +535,11 @@ def el_interface_check(
     if len(present) > 2:
         raise ValueError(f"{len(present)} parts meet the ball; at most 2 supported")
 
-    boundary = np.zeros(grid.shape, dtype=bool)
+    boundary = np.zeros(d.shape, dtype=bool)
     for part, _ in present:
-        boundary |= free_boundary_cells(u, part)
+        boundary |= free_boundary_cells(uw, part)
     boundary &= ball
-    centers = cell_centers(grid).reshape(-1, grid.dim)
+    centers = _box_centers(grid, box)
     first = (ball & (present[0][1] > 0.0)).reshape(-1)  # the normal points into it
     _, s_all = _plane_fit(centers, boundary.reshape(-1), first)
 
@@ -550,22 +581,23 @@ def flatness(
     Raises:
         ValueError: as in el_interface_check, per radius.
     """
-    grid, vals1 = _part_values(u, phi1)
+    grid = u.grid
     pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
+    box, d, uw = _window(u, pt, float(r_arr[-1]))
+    sub, vals1 = _part_values(uw, phi1)
     in1 = (vals1 > 0.0).reshape(-1)
-    boundary = free_boundary_cells(u, phi1)
+    boundary = free_boundary_cells(uw, phi1)
     wrong_below = in1  # one part: the zero set fills the ball below
     if phi2 is not None:
-        _, vals2 = _part_values(u, phi2)
-        boundary = boundary | free_boundary_cells(u, phi2)
+        _, vals2 = _part_values(uw, phi2)
+        boundary = boundary | free_boundary_cells(uw, phi2)
         wrong_below = ~(vals2 > 0.0).reshape(-1)
-    centers = cell_centers(grid).reshape(-1, grid.dim)
-    d = distances(grid, pt)
+    centers = _box_centers(grid, box)
     betas = []
     normals = []
     for r in r_arr:
-        ball = ((d < r) & grid.mask).reshape(-1)
+        ball = ((d < r) & sub.mask).reshape(-1)
         b_sel = boundary.reshape(-1) & ball
         normal, s = _plane_fit(centers, b_sel, ball & in1, pt)
         beta = float(np.max(np.abs(s[b_sel]))) / r
@@ -602,18 +634,17 @@ def blowup_rescale(u: PhaseField, x0, rk: float) -> PhaseField:
     h = grid.spacing
     rk = float(_check_radii(grid, rk, 4.0 * h)[0])
     out_grid = make_grid(grid.dim, grid.shape, grid.spacing, origin=(0.0,) * grid.dim)
-    out_centers = cell_centers(out_grid).reshape(-1, grid.dim)
-    pts = pt + rk * out_centers
     lo, hi = bounding_box(grid)
     eps = 1e-9 * h
-    if np.any(pts < lo - eps) or np.any(pts > hi + eps):
-        raise ValueError(
-            f"rescaled window from {tuple(pt.tolist())} at scale {rk} exits the bounding box"
-        )
-    pts = np.clip(pts, lo, hi)
-    fields = [
-        (sample_many(f, pts) / rk).reshape(grid.shape) for f in u.fields
-    ]
+    coords = []
+    for a in range(grid.dim):
+        x = pt[a] + rk * axis_centers(out_grid, a)
+        if np.any(x < lo[a] - eps) or np.any(x > hi[a] + eps):
+            raise ValueError(
+                f"rescaled window from {tuple(pt.tolist())} at scale {rk} exits the bounding box"
+            )
+        coords.append(np.clip(x, lo[a], hi[a]))
+    fields = [v / rk for v in sample_mesh(u.fields, np.ix_(*coords))]
     return make_phase_field(out_grid, fields)
 
 
@@ -630,10 +661,11 @@ def phase_count_at(u, x0, r: float) -> int:
     grid = u.grid
     pt = as_point(grid, x0)
     _check_radii(grid, r, 4.0 * grid.spacing)
-    near = distances(grid, pt) <= 2.0 * grid.spacing * (1.0 + 1e-9)
+    reach = 2.0 * grid.spacing * (1.0 + 1e-9)
+    _, d, uw = _window(u, pt, reach)
     count = 0
-    for part in _phase_parts(u):
-        if np.any(free_boundary_cells(u, part) & near):
+    for part in _phase_parts(uw):
+        if np.any(free_boundary_cells(uw, part) & (d <= reach)):
             count += 1
     return count
 

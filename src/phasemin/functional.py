@@ -20,6 +20,7 @@ index box and checks it, and the pair, only on the box grown by one cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -128,6 +129,13 @@ class Partition:
     grid: Grid
     num_phases: int
     labels: NDArray[np.int64]
+
+    @cached_property
+    def _label_counts(self) -> NDArray[np.int64]:
+        """Cells per label ``0..N``, counted once: the labels are read-only."""
+        counts = np.bincount(self.labels.ravel(), minlength=self.num_phases + 1)
+        counts.setflags(write=False)
+        return counts
 
 
 def make_functional_spec(
@@ -242,9 +250,7 @@ def partition_from_supports(u: PhaseField) -> Partition:
 def region_volumes(w: Partition) -> tuple[float, ...]:
     """Per-phase volumes ``count(label == i) * h**n`` for i = 1..N."""
     vol = w.grid.cell_volume
-    return tuple(
-        float(np.count_nonzero(w.labels == i)) * vol for i in range(1, w.num_phases + 1)
-    )
+    return tuple(float(c) * vol for c in w._label_counts[1 : w.num_phases + 1])
 
 
 def energy(u: PhaseField) -> float:
@@ -379,8 +385,7 @@ def window_delta(
     delta = edge * grid.spacing ** (grid.dim - 2) + mass * grid.cell_volume
     term = spec.volume_term
     if isinstance(term, PowerLaw):
-        counts = np.bincount(w.labels.ravel(), minlength=n + 1)[1:]
-        for i, count in enumerate(counts, start=1):
+        for i, count in enumerate(w._label_counts[1 : n + 1], start=1):
             moved = int(np.count_nonzero(lab1 == i)) - int(np.count_nonzero(lab0 == i))
             v0 = float(count) * grid.cell_volume
             v1 = float(count + moved) * grid.cell_volume

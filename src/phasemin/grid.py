@@ -5,10 +5,11 @@ grid description (cell counts, spacing, origin, domain mask), scalar fields
 living on grid cells, probe points and their distance fields, the face-edge
 stencil (its per-axis edge and face slices, the neighbor sum and the edge
 energy, and the wall count, the Laplacian and the gradient energy built on
-them), the exact squared distance transform of a cell set, multilinear
-sampling, and a plain-text serialization format for fields.  A ball is
-selected as ``distances(grid, pt) < r``; a mask is stored as a field of 0/1
-values and read back as ``load_field(p).values != 0``.
+them), the window of a ball, the exact squared distance transform of a
+cell set, multilinear sampling (at scattered points or on a tensor grid),
+and a plain-text serialization format for fields.  A ball is selected as
+``distances(grid, pt) < r``; a mask is stored as a field of 0/1 values and
+read back as ``load_field(p).values != 0``.
 
 Conventions
 -----------
@@ -56,10 +57,12 @@ __all__ = [
     "bounding_box",
     "as_point",
     "distances",
+    "ball_window",
     "index_box",
     "squared_distance_transform",
     "sample",
     "sample_many",
+    "sample_mesh",
     "edge_slices",
     "neighbor_sum",
     "laplacian_apply",
@@ -233,6 +236,26 @@ def distances(grid: Grid, pt: NDArray) -> NDArray[np.float64]:
     return np.sqrt(sum(d**2 for d in offsets))
 
 
+def ball_window(grid: Grid, pt: NDArray, r: float):
+    """The window of a ball, its cells' offsets and distances from ``pt``.
+
+    The index box of the cells with ``|c_a - pt_a| < r + h`` along every
+    axis (empty if none): ``B(pt, r)`` and, but for rounding near r, its
+    cells' face neighbors.  Returns the box, the offsets ``c_a - pt_a`` as
+    an open mesh, and the distances, bit-identical to :func:`distances`.
+    """
+    reach = r + grid.spacing
+    box, offsets = [], []
+    for axis in range(grid.dim):
+        off = axis_centers(grid, axis) - pt[axis]
+        hits = np.flatnonzero(np.abs(off) < reach)
+        cut = slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0)
+        box.append(cut)
+        offsets.append(off[cut])
+    offsets = np.ix_(*offsets)
+    return tuple(box), offsets, np.sqrt(sum(o**2 for o in offsets))
+
+
 def index_box(cells: NDArray[np.bool_]) -> tuple[slice, ...]:
     """Index box of the set cells, one slice per axis; ``cells`` must be non-empty."""
     box = []
@@ -308,26 +331,35 @@ def sample(f: ScalarField, x: float | Sequence[float]) -> float:
 
 
 def sample_many(f: ScalarField, pts: NDArray) -> NDArray[np.float64]:
-    """Multilinear interpolation of a field at each row of ``pts``.
+    """Multilinear interpolation of a field at each row of ``pts``, shape
+    ``(k, dim)``, by the stencil of :func:`sample`; points are not
+    range-checked, so callers keep them inside the bounding box."""
+    return sample_mesh([f], pts.T)[0]
 
-    Same stencil as :func:`sample`, vectorized over an array of shape
-    ``(k, dim)``; the points are not range-checked, so callers keep them
-    inside the bounding box.
+
+def sample_mesh(fields: Sequence[ScalarField], coords: Sequence[NDArray]) -> list[NDArray]:
+    """:func:`sample_many` of fields on one grid, at points given per axis.
+
+    ``coords`` holds one coordinate array per axis, broadcasting together:
+    of one length for scattered points, or an open mesh (``np.ix_``) for a
+    tensor grid, whose stencils are built per axis.  One array per field.
     """
-    grid = f.grid
-    t = (pts - np.asarray(grid.origin)) / grid.spacing
-    i0 = np.clip(np.floor(t).astype(np.int64), 0, np.asarray(grid.shape) - 2)
-    w = np.clip(t - i0, 0.0, 1.0)
-    out = np.zeros(len(pts))
+    grid = fields[0].grid
+    stencils = []
+    for axis, x in enumerate(coords):
+        t = (x - grid.origin[axis]) / grid.spacing
+        i0 = np.clip(np.floor(t).astype(np.int64), 0, grid.shape[axis] - 2)
+        stencils.append((i0, np.clip(t - i0, 0.0, 1.0)))
+    outs = [np.zeros(np.broadcast_shapes(*(np.shape(x) for x in coords))) for _ in fields]
     for corner in range(1 << grid.dim):
-        weight = np.ones(len(pts))
-        idx = []
-        for a in range(grid.dim):
+        idx, weight = [], 1.0
+        for a, (i0, w) in enumerate(stencils):
             bit = (corner >> a) & 1
-            idx.append(i0[:, a] + bit)
-            weight = weight * (w[:, a] if bit else 1.0 - w[:, a])
-        out += weight * f.values[tuple(idx)]
-    return out
+            idx.append(i0 + bit)
+            weight = weight * (w if bit else 1.0 - w)
+        for out, f in zip(outs, fields):
+            out += weight * f.values[tuple(idx)]
+    return outs
 
 
 @cache
