@@ -24,7 +24,7 @@ dotted section keys.  Recognized keys:
     landscape.potential  potential V: constant or file:<path>          (0)
     diagnose.point       point in the grid's box (nearest free-boundary cell to center)
     diagnose.radii       profile radii, each in (2h, box diameter]   (0.05 0.1 0.2)
-    probes.count         audit probe count                             (20)
+    probes.count         audit probe count, at most 1000000            (20)
     probes.radius        audit ball radius                             (0.1)
     probes.seed          audit probe RNG seed                          (0)
 
@@ -105,6 +105,8 @@ __all__ = [
 ]
 
 STAGES = ("landscape", "minimize", "diagnose", "audit")
+# far above any audit that finishes, yet its probe centers fit in memory
+MAX_PROBES = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -354,8 +356,8 @@ def build_plan(config_path) -> RunPlan:
         _construct("diagnose.radii", _check_radii, grid, diag_radii)
 
     probe_count = reader.get_int("probes.count", "20")
-    if probe_count < 1:
-        raise ConfigError(f"probes.count: must be >= 1, got {probe_count}")
+    if not 1 <= probe_count <= MAX_PROBES:
+        raise ConfigError(f"probes.count: must be in [1, {MAX_PROBES}], got {probe_count}")
     probe_radius = reader.get_float("probes.radius", "0.1")
     if not probe_radius > 0:
         raise ConfigError(f"probes.radius: must be > 0, got {probe_radius}")

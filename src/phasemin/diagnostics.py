@@ -25,9 +25,13 @@ A probe routine reads only the window (``grid.ball_window``) of
 ``B(x0, R + h)``, R its largest radius (``r + 2h`` in density_report,
 ``2h`` in phase_count_at): the ball, its cells' face neighbors and a cell
 to spare for rounding, so results are bit-identical to whole-grid ones.
+density_report's distance transform computes only its in-ball support
+cells, and phase_count_map transforms only the index box of each part's
+boundary cells, grown by its dilation's steps.
 Whole-grid by design: weiss_profile's sampled part (grid coordinates), the
 error message of density_report (global gap), radial_energy (pinned
-summation grouping), and blowup_rescale, phase_count_map, lipschitz_estimate.
+summation grouping), and blowup_rescale, phase_count_map's boundary cells,
+lipschitz_estimate.
 """
 
 from __future__ import annotations
@@ -416,7 +420,7 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
     window = (d < r + 2.0 * h) & sub.mask
     box = index_box(window)
     targets = (ball & support)[box]
-    delta = h * np.sqrt(squared_distance_transform((window & ~support)[box])[targets])
+    delta = h * np.sqrt(squared_distance_transform((window & ~support)[box], at=targets))
     ok = delta >= 2.0 * h
     floor = float(np.min(vals[box][targets][ok] / delta[ok])) if np.any(ok) else 0.0
     ratios = {
@@ -671,10 +675,21 @@ def phase_count_at(u, x0, r: float) -> int:
 
 
 def _dilate(mask: NDArray[np.bool_], grid: Grid, radius: float) -> NDArray[np.bool_]:
-    """Cells within the given center distance of any set cell."""
+    """Cells within the given center distance of any set cell.
+
+    The transform runs on the set's index box grown by the radius's steps:
+    a cell outside it is more than that many cells from every set cell
+    along some axis.
+    """
     steps = int(np.floor(radius / grid.spacing + 1e-9))
-    sq = squared_distance_transform(mask, cap=steps)
-    return sq * grid.spacing**2 <= radius**2 + 1e-12
+    out = np.zeros(grid.shape, dtype=bool)
+    if np.any(mask):
+        box = tuple(
+            slice(max(c.start - steps, 0), c.stop + steps) for c in index_box(mask)
+        )
+        sq = squared_distance_transform(mask[box], cap=steps)
+        out[box] = sq * grid.spacing**2 <= radius**2 + 1e-12
+    return out
 
 
 def phase_count_map(u, r: float) -> NDArray[np.int64]:

@@ -267,43 +267,112 @@ def index_box(cells: NDArray[np.bool_]) -> tuple[slice, ...]:
 
 
 def squared_distance_transform(
-    features: NDArray[np.bool_], cap: int | None = None
+    features: NDArray[np.bool_],
+    cap: int | None = None,
+    at: NDArray[np.bool_] | None = None,
 ) -> NDArray[np.float64]:
-    """Squared distance, in cells, from every cell to the nearest feature cell.
+    """Squared distance, in cells, from each cell to the nearest feature cell.
 
     Exact and separable (Felzenszwalb & Huttenlocher, *Distance Transforms
     of Sampled Functions*, 2012): a forward and a backward index scan along
-    axis 0 give each cell ``g``, its distance to the nearest feature in its
-    column; in 2D a min-plus over column shifts, ``min_s g[:, j+s]**2 +
+    axis 0 give each cell ``g``, its squared distance to the nearest feature
+    in its column; in 2D a min-plus over column shifts, ``min_s g[:, j+s] +
     s**2``, combines the columns.  Values are integers held as floats, and
     ``inf`` where no feature is in reach.  Extra memory is a few arrays the
     size of ``features``.
+
+    Exit bound: in row i no candidate from shift s lies below ``min_j g[i,
+    j] + s**2``, so row i is done once ``s**2`` reaches its spread, its
+    largest current value at a read cell minus its smallest ``g`` (0 if
+    that is ``inf``: no feature in reach).  The spreads are recomputed
+    every few shifts, and a shift writes only the rows not yet done.  So
+    the shifts follow the spread of distances within rows, not the largest
+    distance: at a flat interface along the rows none runs.
 
     Args:
         features: boolean array, 1D or 2D.
         cap: if given, only features at most ``cap`` cells away along every
             axis are searched.  Each squared distance up to ``cap**2`` is
             still exact, and every larger one stays above ``cap**2``.
+        at: if given, a boolean array of the shape of ``features``, the
+            cells the caller reads: the result is then ``out[at]``, 1D in
+            row-major order, equal to the full transform there.  Values at
+            other cells are not computed.
     """
+    out = _column_sq(features, cap)
+    if features.ndim == 2:
+        out = _min_plus(out, at, cap)
+    return out if at is None else out[at]
+
+
+def _column_sq(features: NDArray[np.bool_], cap: int | None) -> NDArray[np.float64]:
+    """Squared distance along axis 0 to the nearest feature of the same
+    column, ``inf`` if none is within ``cap`` cells."""
     n0 = features.shape[0]
     idx = np.arange(n0, dtype=float).reshape((n0,) + (1,) * (features.ndim - 1))
-    before = np.maximum.accumulate(np.where(features, idx, -np.inf), axis=0)
-    after = np.minimum.accumulate(np.where(features, idx, np.inf)[::-1], axis=0)[::-1]
-    g = np.minimum(idx - before, after - idx)
+    # in place: on large boxes a fresh temporary costs more than its pass
+    before = np.where(features, idx, -np.inf)
+    np.maximum.accumulate(before, axis=0, out=before)
+    after = np.where(features, idx, np.inf)
+    np.minimum.accumulate(after[::-1], axis=0, out=after[::-1])
+    g = np.minimum(np.subtract(idx, before, out=before), np.subtract(after, idx, out=after), out=before)
     if cap is not None:
         g[g > cap] = np.inf
     g *= g
-    if features.ndim == 1:
-        return g
-    limit = features.shape[1] - 1 if cap is None else min(cap, features.shape[1] - 1)
+    return g
+
+
+_RECHECK = 4  # shifts between recomputations of the row spreads
+
+
+def _min_plus(
+    g: NDArray[np.float64], read: NDArray[np.bool_] | None, cap: int | None
+) -> NDArray[np.float64]:
+    """The min-plus ``min_s g[:, j+s] + s**2`` over ``|s| <= cap``, exact at
+    the read cells (every cell if ``read`` is None).
+
+    The row spreads are recomputed every ``_RECHECK`` shifts, and a shift
+    writes only the index box of the read cells in the rows not yet done.
+    """
+    n0, n1 = g.shape
+    limit = n1 - 1 if cap is None else min(cap, n1 - 1)
+    floor = g.min(axis=1, initial=np.inf)
     out = g.copy()
+    padded = None
+    lo, hi = 0, n0
     for s in range(1, limit + 1):
-        s2 = float(s * s)
-        if s2 >= out.max():
-            break  # every farther column adds at least s**2
-        np.minimum(out[:, s:], g[:, :-s] + s2, out=out[:, s:])
-        np.minimum(out[:, :-s], g[:, s:] + s2, out=out[:, :-s])
+        if (s - 1) % _RECHECK == 0:
+            rows = None if read is None else read[lo:hi]
+            live = np.flatnonzero(_row_spread(out[lo:hi], rows, floor[lo:hi]) > s * s)
+            if live.size == 0:
+                break
+            lo, hi = lo + int(live[0]), lo + int(live[-1]) + 1
+            c0, c1 = 0, n1
+            if read is not None:
+                cols = np.flatnonzero(read[lo:hi].any(axis=0))
+                c0, c1 = int(cols[0]), int(cols[-1]) + 1
+            if padded is None:
+                # inf columns on both sides: a shift is one min of two slices
+                padded = np.full((n0, n1 + 2 * limit), np.inf)
+                padded[:, limit : limit + n1] = g
+                cand = np.empty_like(g)
+            box, c = out[lo:hi, c0:c1], cand[lo:hi, c0:c1]
+        left = padded[lo:hi, limit + c0 - s : limit + c1 - s]
+        right = padded[lo:hi, limit + c0 + s : limit + c1 + s]
+        np.add(np.minimum(left, right, out=c), float(s * s), out=c)
+        np.minimum(box, c, out=box)
     return out
+
+
+def _row_spread(
+    out: NDArray[np.float64], read: NDArray[np.bool_] | None, floor: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Per row: the largest ``out`` at a read cell minus ``floor``, the row's
+    smallest ``g``; 0 for a row with no feature in reach, and ``-inf`` for a
+    row with no read cell."""
+    masked = out if read is None else np.where(read, out, -np.inf)
+    top = masked.max(axis=1, initial=-np.inf)
+    return np.subtract(top, floor, out=np.zeros_like(floor), where=np.isfinite(floor))
 
 
 def bounding_box(grid: Grid) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

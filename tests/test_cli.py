@@ -107,6 +107,22 @@ class TestBuildPlan:
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             build_plan(p)
 
+    @pytest.mark.parametrize("count", ["0", "1000001", "100000000000"])
+    def test_probe_count_bound(self, tmp_path, monkeypatch, count):
+        # rejected before any probe center is drawn, so nothing is allocated
+        def no_draw(*args):
+            raise AssertionError("probe centers drawn")
+
+        monkeypatch.setattr(cli, "seeded_probes", no_draw)
+        text = with_line(BASE, "pipeline.stages = minimize audit")
+        p = write_config(tmp_path / "c.txt", with_line(text, f"probes.count = {count}"))
+        with pytest.raises(ConfigError, match=r"probes\.count: must be in \[1, 1000000\]"):
+            build_plan(p)
+
+    def test_probe_count_at_bound(self, tmp_path):
+        p = write_config(tmp_path / "c.txt", with_line(BASE, f"probes.count = {cli.MAX_PROBES}"))
+        assert build_plan(p).probe_count == cli.MAX_PROBES
+
     def test_missing_required_key(self, tmp_path):
         text = BASE.replace("volume_term.kind = power_law\n", "")
         text = text.replace("volume_term.a = 0.1\n", "")

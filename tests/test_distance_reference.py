@@ -3,7 +3,9 @@
 The references here use no package distance code: the transform is checked
 against pairwise squared distances between cell indices, ``density_report``
 against a copy of its former pairwise search over cell centers, and
-``phase_count_map`` against a copy of its former offset-loop dilation.
+``phase_count_map`` against a copy of its former offset-loop dilation.  A
+work count pins the transform's exit bound: its scans make one
+``np.minimum`` call and each min-plus shift makes two.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from phasemin import diagnostics
 from phasemin.diagnostics import (
     Phase,
     _ball_volume,
@@ -29,6 +32,7 @@ from phasemin.grid import (
     make_grid,
     squared_distance_transform,
 )
+from phasemin.oracle import ConeOnePhase, make_cone
 
 SHAPES = [(1,), (2,), (9,), (40,), (1, 1), (1, 7), (7, 1), (6, 11), (13, 5), (24, 24)]
 
@@ -88,6 +92,108 @@ class TestTransform:
             near = exact <= cap * cap
             assert np.array_equal(got[near], exact[near])
             assert np.all(got[~near] > cap * cap)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("cap", [None, 0, 2, 6])
+    def test_at_reads_the_full_transform(self, shape, cap):
+        rng = np.random.default_rng(sum(shape) + (cap or 0))
+        one = np.zeros(shape, dtype=bool)
+        one[tuple(rng.integers(0, n) for n in shape)] = True
+        reads = [rng.random(shape) < 0.3, np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool), one]
+        for feats in feature_sets(shape, seed=sum(shape)):
+            want = brute_sq(feats, cap=cap)
+            for at in reads:
+                got = squared_distance_transform(feats, cap=cap, at=at)
+                assert got.shape == (np.count_nonzero(at),)
+                assert np.array_equal(got, want[at])
+
+    @pytest.mark.parametrize("shape", [s for s in SHAPES if len(s) == 2])
+    @pytest.mark.parametrize("cap", [None, 2, 6])
+    def test_transpose_commutes(self, shape, cap):
+        i, j = np.indices(shape)
+        # half-planes normal to each axis, where the min-plus runs no shift
+        # in one orientation and every shift in reach in the other, and
+        # tilted ones
+        halves = [i < shape[0] // 2, j < shape[1] // 2, 2 * i + j < shape[0], i + 2 * j < shape[1]]
+        for feats in feature_sets(shape, seed=sum(shape) + 1) + halves:
+            got = squared_distance_transform(feats.T, cap=cap)
+            assert np.array_equal(got, squared_distance_transform(feats, cap=cap).T)
+            assert np.array_equal(got, brute_sq(feats.T, cap=cap))
+
+
+# ---------------------------------------------------------------------------
+# work count: the min-plus shifts that the exit bound lets run
+# ---------------------------------------------------------------------------
+
+
+class CountingMinimum:
+    """``np.minimum`` counting its calls; ``accumulate`` and the other ufunc
+    attributes pass through uncounted."""
+
+    def __init__(self, ufunc):
+        self.ufunc = ufunc
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+
+@pytest.fixture
+def minimum_calls(monkeypatch):
+    counter = CountingMinimum(np.minimum)
+    monkeypatch.setattr(np, "minimum", counter)
+    return counter
+
+
+# one call for the scans: any shift makes it at least 3
+NO_SHIFT_CALLS = 1
+
+
+def test_half_plane_runs_no_shift(minimum_calls):
+    # an interface along the rows: every row holds one distance
+    shape = (40, 53)
+    zero = np.indices(shape)[0] < 17
+    got = squared_distance_transform(zero, at=~zero)
+    assert minimum_calls.calls == NO_SHIFT_CALLS
+    assert np.array_equal(got, brute_sq(zero)[~zero])
+
+
+@pytest.mark.parametrize("normal", [(1, 2), (0, 1)])
+def test_other_half_planes_run_shifts(normal, minimum_calls):
+    # the counter sees shifts where the bound allows them: a tilted
+    # interface, and one along the columns, where the shifts alone find the
+    # distances
+    i, j = np.indices((40, 53))
+    zero = normal[0] * i + normal[1] * j < 17
+    got = squared_distance_transform(zero, at=~zero)
+    assert minimum_calls.calls > NO_SHIFT_CALLS
+    assert np.array_equal(got, brute_sq(zero)[~zero])
+
+
+def test_benchmark_cone_density_report_runs_no_shift(monkeypatch, minimum_calls):
+    # the structure_scan benchmark's seed-0 sweep at its largest radius: a
+    # slope-1 one-phase cone along x at h = 1/256, probes on its plane
+    grid = make_grid(2, (256, 256), 1.0 / 256.0)
+    u = make_cone(ConeOnePhase(1.0, (1.0, 0.0)), grid)
+    w = partition_from_supports(u)
+    per_call = []
+
+    def counted(*args, **kwargs):
+        before = minimum_calls.calls
+        out = squared_distance_transform(*args, **kwargs)
+        per_call.append(minimum_calls.calls - before)
+        return out
+
+    monkeypatch.setattr(diagnostics, "squared_distance_transform", counted)
+    for y in np.linspace(0.3, 0.7, 4):
+        ratios = density_report(u, w, 1, (0.5, float(y)), 0.2).density_ratios
+        assert ratios["growth_floor"] > 0.0
+    assert len(per_call) == 4
+    assert max(per_call) <= NO_SHIFT_CALLS
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +362,23 @@ def test_dilate_matches_offset_loop(shape, h):
     u = random_phase_field(len(shape), shape, h, seed=3)
     grid = u.grid
     support = u.fields[0].values > 0.0
+    # sets in a small index box, one touching the first face of every axis and
+    # one away from the faces, so the transform's crop is clipped or not
+    rng = np.random.default_rng(len(shape))
+    at_face = np.zeros(shape, dtype=bool)
+    at_face[tuple(slice(0, 5) for _ in shape)] = rng.random((5,) * len(shape)) < 0.4
+    at_face[(0,) * len(shape)] = True
+    inner = np.zeros(shape, dtype=bool)
+    inner[tuple(slice(n // 2 - 2, n // 2 + 2) for n in shape)] = rng.random((4,) * len(shape)) < 0.5
+    inner[tuple(n // 2 for n in shape)] = True
+    empty = np.zeros(shape, dtype=bool)
     # at h = 1/256 the offset (3, 0) passes this radius's 1e-12 slack, yet lies
     # beyond its 2-step offset box
     below_3h = np.sqrt(9.0 * h * h - 0.5e-12)
-    for radius in (2.0 * h, 2.0 * h * (1.0 + 1e-9), below_3h, 6.0 * h, 0.1):
-        want = offset_dilate(support, grid, radius)
-        assert np.array_equal(_dilate(support, grid, radius), want)
+    for mask in (support, at_face, inner, empty):
+        for radius in (2.0 * h, 2.0 * h * (1.0 + 1e-9), below_3h, 6.0 * h, 0.1):
+            want = offset_dilate(mask, grid, radius)
+            assert np.array_equal(_dilate(mask, grid, radius), want)
 
 
 def offset_phase_count_map(u, r):
