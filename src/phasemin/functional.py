@@ -13,12 +13,16 @@ phase) and a :class:`Partition` (one label per cell, label 0 being the
 unassigned "trash" zone with no volume cost).  Admissibility means each
 field vanishes off its own labeled region and respects its sign
 constraint.  :func:`check_admissible` checks it on a whole pair, and
-:func:`total` runs it; :func:`window_delta` prices an edit of a pair on an
-index box and checks it, and the pair, only on the box grown by one cell.
+:func:`total` runs it; :func:`total_by_parts` prices a pair known to be
+admissible by summation by parts, unchecked.  :func:`window_delta` prices
+an edit of a pair on an index box and checks it, and the pair, only on the
+box grown by one cell; :func:`cell_set_delta` does the same for an edit on
+a set of cells, on the cells.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -26,7 +30,17 @@ from typing import Sequence, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, ScalarField, edge_energies, gradient_energy, make_field, sample
+from .grid import (
+    Grid,
+    ScalarField,
+    edge_energies,
+    gradient_energy,
+    index_box,
+    make_field,
+    neighbor_sum,
+    sample,
+    wall_slot_count,
+)
 
 __all__ = [
     "PowerLaw",
@@ -47,7 +61,9 @@ __all__ = [
     "volume_value",
     "check_admissible",
     "total",
+    "total_by_parts",
     "window_delta",
+    "cell_set_delta",
     "volume_marginal",
     "cell_marginals",
     "truncate_to_sign",
@@ -323,6 +339,32 @@ def total(u: PhaseField, w: Partition, spec: FunctionalSpec) -> float:
     return energy(u) + mass_term(u, spec) + volume_value(w, spec.volume_term)
 
 
+def total_by_parts(u: PhaseField, w: Partition, spec: FunctionalSpec) -> float:
+    """:func:`total` by summation by parts, for an admissible pair it does not check.
+
+    Each phase's energy plus mass term is ``h**n * sum v ((-lap_h + f) v - g)``,
+    with the stencil of :mod:`phasemin.grid`: ``h**(n-2) * sum v (deg v - N(v))``
+    plus ``h**n * sum (v v f - v g)``, one neighbor sum on the index box of
+    the phase's region.  The identity is exact for any field that vanishes
+    off its region, solved or not; the result equals :func:`total` but for
+    rounding.
+    """
+    grid = spec.grid
+    walls = wall_slot_count(grid)
+    edge = mass = 0.0
+    for i, (fld, f, g) in enumerate(zip(u.fields, spec.f, spec.g), start=1):
+        region = w.labels == i
+        if not np.any(region):
+            continue
+        box = index_box(region)
+        v = fld.values[box]
+        deg = 2 * grid.dim + walls[box]
+        edge += float(np.sum(v * (deg * v - neighbor_sum(v))))
+        mass += float(np.sum(v * v * f.values[box] - v * g.values[box]))
+    energy_and_mass = edge * grid.spacing ** (grid.dim - 2) + mass * grid.cell_volume
+    return energy_and_mass + volume_value(w, spec.volume_term)
+
+
 def window_delta(
     spec: FunctionalSpec,
     box: tuple[slice, ...],
@@ -352,9 +394,7 @@ def window_delta(
             then if the star's labels, then its fields, then ``pair`` on
             the window are not admissible (see :func:`check_admissible`).
     """
-    grid, n = spec.grid, spec.num_phases
-    (u, w), (labels, fields) = pair, star
-    labels = np.asarray(labels)
+    grid = spec.grid
     window, inner = [], []
     for cut, size in zip(box, grid.shape):
         start, stop, _ = cut.indices(size)
@@ -363,24 +403,88 @@ def window_delta(
         inner.append(slice(start - lo, stop - lo))
     window, inner = tuple(window), tuple(inner)
     mask = grid.mask[window]
+    lab0, lab1, old, new = _edited(spec, pair, star, window, inner)
+    edge = 0.0
+    for v0, v1 in zip(old, new):
+        for (_, e0), (_, e1) in zip(edge_energies(v0, mask), edge_energies(v1, mask)):
+            edge += float(np.sum(e1 - e0))
+    return _edit_delta(spec, pair[1], window, edge, lab0, lab1, old, new)
+
+
+def cell_set_delta(
+    spec: FunctionalSpec,
+    cells: tuple[NDArray, ...],
+    pair: tuple[PhaseField, Partition],
+    star: tuple[NDArray, Sequence[NDArray]],
+) -> float:
+    """``J(star) - J(pair)`` for an edit of ``pair`` on a set of cells.
+
+    ``cells`` holds one index array per axis, as ``np.nonzero`` returns
+    them (row-major, no cell twice).  ``star = (labels, fields)`` holds
+    the edited pair's labels and one field per phase, one entry per cell;
+    every other cell keeps the values of ``pair``.  The change is priced on
+    the cells by summation by parts: with ``d`` the field change and ``s``
+    the sum of the old and the new field, the energy changes by
+    ``sum d (deg s - N(s))`` times ``h**(n-2)`` (``N`` and ``deg`` as in
+    :mod:`phasemin.grid`), which reads ``s`` at the cells' face neighbors;
+    the mass and volume terms change as in :func:`window_delta`.  The work
+    is in the number of cells, not in the size of their index box.  On a
+    box it agrees with :func:`window_delta` but for rounding only, so the
+    audit keeps that one.
+
+    Raises:
+        ValueError: if the cells are not in row-major order without
+            repeats or leave the grid, or the arrays do not fit them and the
+            phase count; then if the star's labels, then its fields, then
+            ``pair`` on the cells are not admissible (see
+            :func:`check_admissible`).
+    """
+    grid = spec.grid
+    read = tuple(np.asarray(idx, dtype=np.intp) for idx in cells)
+    flat = np.ravel_multi_index(read, grid.shape)
+    if np.any(np.diff(flat) <= 0):
+        raise ValueError("a cell set must be in row-major order, each cell once")
+    lab0, lab1, old, new = _edited(spec, pair, star, read, ...)
+    edge = sum(
+        _set_energy_change(grid, read, flat, f.values, v0, v1)
+        for f, v0, v1 in zip(pair[0].fields, old, new)
+    )
+    return _edit_delta(spec, pair[1], read, edge, lab0, lab1, old, new)
+
+
+def _edited(spec: FunctionalSpec, pair, star, read, inner):
+    """The checked labels and fields of ``pair`` at the index ``read`` before
+    and after the edit ``star``, which replaces their part ``inner``."""
+    n, mask = spec.num_phases, spec.grid.mask[read]
+    (u, w), (labels, fields) = pair, star
+    labels = np.asarray(labels)
     shape = mask[inner].shape
     if len(fields) != n or u.num_phases != n or w.num_phases != n or any(
         np.shape(a) != shape for a in (labels, *fields)
     ):
-        raise ValueError(f"star must hold labels and {n} fields of the box's shape {shape}")
+        raise ValueError(f"star must hold labels and {n} fields of shape {shape}")
     _check_arrays(spec, mask[inner], labels, fields)
-    lab0 = w.labels[window]
-    old = [f.values[window] for f in u.fields]
+    lab0 = w.labels[read]
+    old = [f.values[read] for f in u.fields]
     _check_arrays(spec, mask, lab0, old)
     lab1 = lab0.copy()
     lab1[inner] = labels
-    edge = mass = 0.0
-    for v0, new, f, g in zip(old, fields, spec.f, spec.g):
-        v1 = v0.copy()
-        v1[inner] = new
-        for (_, e0), (_, e1) in zip(edge_energies(v0, mask), edge_energies(v1, mask)):
-            edge += float(np.sum(e1 - e0))
-        fw, gw = f.values[window], g.values[window]
+    new = [v0.copy() for v0 in old]
+    for v1, vals in zip(new, fields):
+        v1[inner] = vals
+    return lab0, lab1, old, new
+
+
+def _edit_delta(
+    spec: FunctionalSpec, w: Partition, read, edge: float, lab0, lab1, old, new
+) -> float:
+    """An edit's objective change from its edge energy change ``edge``
+    (without ``h**(n-2)``) and its labels and fields before and after at
+    the index ``read``, which covers every changed cell."""
+    grid, n = spec.grid, spec.num_phases
+    mass = 0.0
+    for v0, v1, f, g in zip(old, new, spec.f, spec.g):
+        fw, gw = f.values[read], g.values[read]
         mass += float(np.sum((v1 * v1 * fw - v1 * gw) - (v0 * v0 * fw - v0 * gw)))
     delta = edge * grid.spacing ** (grid.dim - 2) + mass * grid.cell_volume
     term = spec.volume_term
@@ -392,10 +496,33 @@ def window_delta(
             delta += term.cost(v1) - term.cost(v0)
     else:
         for i, q in enumerate(term.weights, start=1):
-            qw = q.values[window]
+            qw = q.values[read]
             gained = np.where(lab1 == i, qw, 0.0) - np.where(lab0 == i, qw, 0.0)
             delta += float(np.sum(gained)) * grid.cell_volume
     return delta
+
+
+def _set_energy_change(
+    grid: Grid, cells: tuple[NDArray, ...], flat: NDArray, values: NDArray,
+    old: NDArray, new: NDArray,
+) -> float:
+    """Edge energy change, without ``h**(n-2)``, of a field ``values`` that
+    takes the values ``new`` instead of ``old`` at the cells of a set, whose
+    row-major flat indices are ``flat``: ``sum d (deg s - N(s))`` with
+    ``d = new - old`` and ``s = old + new``."""
+    s = old + new
+    nbr = np.zeros_like(s)
+    everywhere = values.reshape(-1)
+    for axis, (idx, size) in enumerate(zip(cells, grid.shape)):
+        stride = math.prod(grid.shape[axis + 1 :])
+        for step in (1, -1):
+            inside = (idx + step >= 0) & (idx + step < size)
+            nb = flat[inside] + step * stride
+            at = np.minimum(np.searchsorted(flat, nb), flat.size - 1)
+            # s is twice the unchanged value at a neighbor outside the set
+            nbr[inside] += np.where(flat[at] == nb, s[at], 2.0 * everywhere[nb])
+    deg = 2 * grid.dim + wall_slot_count(grid)[cells]
+    return float(np.sum((new - old) * (deg * s - nbr)))
 
 
 def volume_marginal(w: Partition, vt: VolumeTerm, at=None) -> tuple[float, ...]:

@@ -39,6 +39,7 @@ of an edge between masked cells and all of a wall edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Sequence
@@ -454,19 +455,52 @@ def edge_slices(dim: int) -> tuple[tuple[tuple[slice, ...], ...], ...]:
     return tuple(out)
 
 
+@cache
+def _shifts(shape: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
+    """Per axis after the first that has edges: the index of its last and of
+    its first cell layer, and its flat stride in a C-ordered array."""
+    out = []
+    for axis in range(1, len(shape)):
+        if shape[axis] > 1 and 0 not in shape:
+            layer = (slice(None),) * axis
+            out.append((layer + (-1,), layer + (0,), math.prod(shape[axis + 1 :])))
+    return tuple(out)
+
+
 def neighbor_sum(values: NDArray, out: NDArray | None = None) -> NDArray:
     """Sum of the face-neighbor values of every cell, zero beyond the box.
 
     The sum goes to ``out`` when given (same shape and dtype as ``values``,
-    not overlapping it) and to a new array otherwise; it is returned."""
+    not overlapping it; any memory layout) and to a new C-ordered array
+    otherwise; it is returned.  Each cell adds its neighbors axis by axis,
+    the upper one first, to a zero: the order of slice adds
+    ``out[:-1] += values[1:]; out[1:] += values[:-1]`` along each axis.
+    Axis 0 runs those slice adds; each later axis adds the flat buffer
+    shifted by its stride, which is contiguous where its slices are not,
+    and puts back the boundary layer that the shift wraps into."""
+    values = np.ascontiguousarray(values)
     if out is None:
-        out = np.zeros_like(values)
+        acc = np.zeros_like(values)
+    elif out.flags.c_contiguous:
+        acc = out
+        acc.fill(0)
     else:
-        out.fill(0)
-    for left, right, _, _ in edge_slices(values.ndim):
-        out[left] += values[right]
-        out[right] += values[left]
-    return out
+        acc = np.zeros(values.shape, out.dtype)
+    if values.ndim:
+        acc[:-1] += values[1:]
+        acc[1:] += values[:-1]
+    flat, vals = acc.reshape(-1), values.reshape(-1)
+    for last, first, stride in _shifts(values.shape):
+        keep = acc[last].copy()
+        flat[:-stride] += vals[stride:]
+        acc[last] = keep
+        keep = acc[first].copy()
+        flat[stride:] += vals[:-stride]
+        acc[first] = keep
+    if out is not None and out is not acc:
+        out[...] = acc
+        return out
+    return acc
 
 
 def wall_slot_count(grid: Grid) -> NDArray[np.int8]:

@@ -27,6 +27,13 @@ Each relabel decision uses an upper bound on its true objective change
 sweep never increases J for nonnegative phases; a revert safeguard in
 ``minimize`` protects the remaining cases.
 
+Within the loop a cycle's solved pair is priced by ``total_by_parts``
+(summation by parts, one neighbor sum per phase on its region's box: a
+pass over the labelled grid, only a cheaper one than ``total``), and its
+sweep by ``cell_set_delta`` on the cells the sweep relabelled.  ``total``
+runs on the initial pair and on the returned pair only, so the reported
+final J is the full objective of the pair returned.
+
 The result is a sweep fixed point that depends on the initial partition,
 not always a local minimizer.  With every volume marginal >= 0 (any power
 law, or per-region weights >= 0) no phase a cell could move to costs less
@@ -46,11 +53,13 @@ from .functional import (
     Partition,
     PhaseField,
     cell_marginals,
+    cell_set_delta,
     make_partition,
     make_phase_field,
     region_volumes,
     restrict_support,
     total,
+    total_by_parts,
     truncate_to_sign,
 )
 from .grid import Grid, cell_centers, neighbor_sum, wall_slot_count
@@ -77,7 +86,12 @@ class SolveReport:
         j_history: objective after the initial pair, then one pair per
             outer cycle: after its field solve and after its sweep.  Loose
             cycles record their loose values; a redone cycle records its
-            ``tol_solve`` values only.
+            ``tol_solve`` values only.  The first entry and the last (and
+            the one before it when the last sweep was discarded, the same
+            pair) are :func:`total`; the solve value is
+            :func:`total_by_parts` of the solved pair, and the sweep value
+            that plus :func:`cell_set_delta` of the sweep's edit on its
+            relabelled cells, each equal to ``total`` but for rounding.
         converged: True when the loop stopped before the iteration cap:
             the relative objective change dropped below ``tol_j``, the
             partition reached a fixed point, or the sweep was discarded.
@@ -232,6 +246,19 @@ def update_partition(spec: FunctionalSpec, u: PhaseField, w: Partition) -> Parti
     return make_partition(grid, n, np.argmin(costs, axis=0))
 
 
+def _sweep(
+    spec: FunctionalSpec, u: PhaseField, w: Partition
+) -> tuple[PhaseField, Partition, int, float]:
+    """One label sweep of the solved pair ``(u, w)``: the swept pair, the
+    number of relabelled cells and the exact objective change, priced by
+    :func:`cell_set_delta` on those cells."""
+    w_new = update_partition(spec, u, w)
+    u_new = restrict_support(u, w_new)
+    cells = np.nonzero(w_new.labels != w.labels)
+    star = (w_new.labels[cells], [f.values[cells] for f in u_new.fields])
+    return u_new, w_new, cells[0].size, cell_set_delta(spec, cells, (u, w), star)
+
+
 def minimize(
     spec: FunctionalSpec,
     init: tuple[PhaseField, Partition] | None = None,
@@ -287,15 +314,15 @@ def minimize(
         tol = tol_solve if cycle in (1, max_outer) else max(tol_solve, LOOSE_TOL)
         while True:
             u = update_fields(spec, w, u, tol)
-            j_fields = total(u, w, spec)
-            w_new = update_partition(spec, u, w)
-            u_new = restrict_support(u, w_new)
-            j_new = total(u_new, w_new, spec)
-            if j_new > j_fields + slack:
+            j_fields = total_by_parts(u, w, spec)
+            u_new, w_new, moved, delta = _sweep(spec, u, w)
+            j_new = j_fields + delta
+            discarded = delta > slack
+            if discarded:
                 # the sweep's estimate was optimistic (possible with mixed-sign
                 # fields); discard it, so the loop stops at the solved pair
                 u_new, w_new, j_new = u, w, j_fields
-            same_partition = bool(np.array_equal(w_new.labels, w.labels))
+            same_partition = discarded or moved == 0
             converged = same_partition or abs(j - j_new) <= tol_j * (1.0 + abs(j_new))
             if not converged or tol == tol_solve:
                 break
@@ -310,6 +337,10 @@ def minimize(
         if converged:
             break
         j = j_new
+    # the returned pair, which is also the solved one after a discarded sweep
+    j_history[-1] = total(u, w, spec)
+    if discarded:
+        j_history[-2] = j_history[-1]
 
     report = SolveReport(
         iterations=len(outer_volumes) - 1,

@@ -1,12 +1,10 @@
 """Independent reference solutions used to check the main code paths.
 
-Three oracles live here, none of which touches the grid solver:
+Two oracles live here, neither of which touches the grid solver:
 
 * :func:`oracle_two_phase_1d` — a brute-force scan over two-phase interval
   configurations on (0,1), with each side's ODE solved by exact trapezoid
   antiderivatives of the sampled source terms.
-* :func:`torsion_square_reference` — the classical double sine series for
-  the unit-square problem with unit source and zero boundary data.
 * :func:`make_cone` — exact piecewise-linear half-plane profiles sampled
   onto a grid, used as known-answer inputs for the diagnostics.
 """
@@ -25,8 +23,6 @@ from .grid import Grid, bounding_box, cell_centers
 __all__ = [
     "OracleResult",
     "oracle_two_phase_1d",
-    "torsion_square_reference",
-    "torsion_square_value",
     "ConeOnePhase",
     "ConeTwoPhase",
     "make_cone",
@@ -196,35 +192,6 @@ def oracle_two_phase_1d(
         s_star=s_star,
         j_star=j_star,
     )
-
-
-def torsion_square_value(x: float, y: float, max_index: int = 401) -> float:
-    """Double sine series for the unit-source problem on the unit square.
-
-    Evaluates ``sum over odd m,n of 16/(pi^4 m n (m^2+n^2)) sin(m pi x)
-    sin(n pi y)`` truncated at ``max_index``.
-    """
-    m = np.arange(1, max_index + 1, 2, dtype=float)
-    sin_x = np.sin(m * np.pi * x) / m
-    sin_y = np.sin(m * np.pi * y) / m
-    denom = m[:, None] ** 2 + m[None, :] ** 2
-    coeff = (sin_x[:, None] * sin_y[None, :]) / denom
-    return float(16.0 / np.pi**4 * np.sum(coeff))
-
-
-def torsion_square_reference() -> float:
-    """Center (= maximum) value of the unit-square reference solution.
-
-    The series truncation is grown until successive evaluations differ by
-    less than 1e-9, an empirical tail bound well below the 1e-8 target.
-    """
-    prev = torsion_square_value(0.5, 0.5, max_index=101)
-    for max_index in (201, 401, 801, 1601):
-        cur = torsion_square_value(0.5, 0.5, max_index=max_index)
-        if abs(cur - prev) < 1e-9:
-            return cur
-        prev = cur
-    return prev
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,10 @@ from phasemin.oracle import (
     ConeTwoPhase,
     make_cone,
     oracle_two_phase_1d,
-    torsion_square_reference,
 )
 
 from conftest import CONFIG_DIR
+from torsion_series import torsion_square_reference
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:

@@ -120,3 +120,51 @@ def test_flipped_raster_byte_and_missing_file(reruns, tmp_path, capsys):
 )
 def test_token_rules(a, b, rtol, same):
     assert (compare_runs.compare_text(a, b, rtol)[2] is None) is same
+
+
+@pytest.fixture(scope="module")
+def descent():
+    """This tree's fine_descent result at seed 0, run in a subprocess."""
+    return compare_runs.run_descents([TOOL.parent.parent], [0])[0]
+
+
+def test_descent_compares_equal_to_itself(descent, capsys):
+    assert compare_runs.compare_descents(descent, descent, [0], 0.0)
+    out = capsys.readouterr().out
+    assert "seed 0: labels equal, field max_abs 0 max_rel 0, j_history max_rel 0" in out
+    cycles = int(descent["cycles_0"])
+    assert cycles > 0 and f"cycles {cycles} {cycles} matches" in out
+
+
+def test_flipped_label_compares_unequal(descent, capsys):
+    flipped = dict(descent, labels_0=descent["labels_0"].copy())
+    flipped["labels_0"][0, 0] = 3 - flipped["labels_0"][0, 0]
+    assert not compare_runs.compare_descents(descent, flipped, [0], 1.0)
+    assert "labels differ" in capsys.readouterr().out
+
+
+def test_descent_tolerance_and_cycles(descent, capsys):
+    nudged = dict(descent, j_history_0=descent["j_history_0"] * (1.0 + 1e-14))
+    assert not compare_runs.compare_descents(descent, nudged, [0], 0.0)
+    assert compare_runs.compare_descents(descent, nudged, [0], 1e-13)
+    longer = dict(descent, cycles_0=descent["cycles_0"] + 1)
+    assert not compare_runs.compare_descents(descent, longer, [0], 1.0)
+    capsys.readouterr()
+
+
+def test_descent_main(descent, monkeypatch, capsys):
+    tree = TOOL.parent.parent
+    flipped = dict(descent, labels_0=1 - descent["labels_0"])
+    monkeypatch.setattr(compare_runs, "DESCENT_SEEDS", [0])
+    for results, want, verdict in (([descent, descent], 0, "same"), ([descent, flipped], 1, "different")):
+        monkeypatch.setattr(compare_runs, "run_descents", lambda trees, seeds, r=results: r)
+        code, out = compare(capsys, "--descent", tree, tree)
+        assert code == want
+        assert out.rstrip().endswith(verdict)
+
+
+def test_descent_needs_source_trees(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        compare_runs.main(["--descent", str(tmp_path), str(tmp_path)])
+    assert exc.value.code == 2
+    assert "perfbench/workloads.py" in capsys.readouterr().err

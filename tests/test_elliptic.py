@@ -17,7 +17,8 @@ from phasemin.functional import (
     total,
 )
 from phasemin.grid import ScalarField, axis_centers, make_field, make_grid
-from phasemin.oracle import torsion_square_reference
+
+from torsion_series import torsion_square_reference
 
 
 def one_phase_spec(grid, f, g, sign=NONNEGATIVE):

@@ -11,6 +11,7 @@ from phasemin.functional import (
     NONNEGATIVE,
     PerRegion,
     PowerLaw,
+    cell_set_delta,
     energy,
     make_functional_spec,
     make_partition,
@@ -19,6 +20,7 @@ from phasemin.functional import (
     partition_from_supports,
     region_volumes,
     total,
+    total_by_parts,
     truncate_to_sign,
     volume_marginal,
     volume_value,
@@ -366,6 +368,13 @@ class TestWindowDelta:
             star = (w.labels[box], [raised[box]])
             assert window_delta(spec, box, (u, w), star) == pytest.approx(15.875)
 
+    @settings(max_examples=100, deadline=None)
+    @given(window_edits())
+    def test_total_by_parts_matches_total_on_unsolved_pairs(self, case):
+        spec, _, pair, _ = case
+        j = total(*pair, spec)
+        assert abs(total_by_parts(*pair, spec) - j) <= 1e-13 * (1.0 + abs(j))
+
     def test_label_edit_on_a_box_face_is_priced_exactly(self):
         g = grid_1d(8)
         spec = make_functional_spec(g, [0.0], [1.0], FREE, PowerLaw(0.5, 0.0))
@@ -379,3 +388,53 @@ class TestWindowDelta:
         for box in ((slice(2, 6),), (slice(2, 7),)):
             star = (labels[box], [vals[box]])
             assert window_delta(spec, box, (u, w), star) == pytest.approx(want)
+
+
+class TestCellSetDelta:
+    """The cell-set identity against the difference of two full totals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(window_edits(), st.integers(0, 2**32 - 1))
+    def test_cell_set_matches_difference_of_totals(self, case, seed):
+        """The edit on a random subset of the box's cells, given as a cell set."""
+        spec, box, pair, (labels, fields) = case
+        rng = np.random.default_rng(seed)
+        chosen = np.zeros(spec.grid.shape, dtype=bool)
+        chosen[box] = rng.random(labels.shape) < 0.6
+        picked = chosen[box]
+        # the box's cells in row-major order are the grid's, so the picks line up
+        cells = np.nonzero(chosen)
+        star = (labels[picked], [f[picked] for f in fields])
+        (u, w), grid = pair, spec.grid
+        edited_labels = w.labels.copy()
+        edited_labels[cells] = star[0]
+        edited_fields = [f.values.copy() for f in u.fields]
+        for new, vals in zip(edited_fields, star[1]):
+            new[cells] = vals
+        edited = (
+            make_phase_field(grid, edited_fields),
+            make_partition(grid, w.num_phases, edited_labels),
+        )
+        j = total(*pair, spec)
+        want = total(*edited, spec) - j
+        assert abs(cell_set_delta(spec, cells, pair, star) - want) <= 1e-13 * (1.0 + abs(j))
+
+    def test_cell_set_order_and_shapes_are_checked(self):
+        g = grid_1d(6)
+        spec = make_functional_spec(g, [0.0], [1.0], FREE, PowerLaw(0.1, 0.0))
+        w = make_partition(g, 1, np.ones(6, dtype=int))
+        pair = (make_phase_field(g, [np.zeros(6)]), w)
+        star = (np.zeros(2, dtype=int), [np.zeros(2)])
+        for cells in ((np.array([3, 1]),), (np.array([2, 2]),)):
+            with pytest.raises(ValueError, match="row-major order"):
+                cell_set_delta(spec, cells, pair, star)
+        with pytest.raises(ValueError):
+            cell_set_delta(spec, (np.array([4, 6]),), pair, star)
+        with pytest.raises(ValueError, match="star must hold labels and 1 fields"):
+            cells = (np.array([1, 4]),)
+            cell_set_delta(spec, cells, pair, (np.zeros(3, dtype=int), [np.zeros(3)]))
+        # cells 1 and 4 leave phase 1 at marginal cost 0.1 per unit volume
+        assert cell_set_delta(spec, (np.array([1, 4]),), pair, star) == pytest.approx(-0.2 / 6)
+        # an empty set changes nothing
+        empty = (np.zeros(0, dtype=int), [np.zeros(0)])
+        assert cell_set_delta(spec, (np.zeros(0, dtype=int),), pair, empty) == 0.0

@@ -132,6 +132,40 @@ class TestLaplacian:
         assert out[2, 2] == 0.0
 
 
+def slice_neighbor_sum(values, out=None):
+    """The slice-loop neighbor sum, axis by axis, upper neighbor first."""
+    if out is None:
+        out = np.zeros_like(values)
+    else:
+        out.fill(0)
+    for axis in range(values.ndim):
+        left = (slice(None),) * axis + (slice(None, -1),)
+        right = (slice(None),) * axis + (slice(1, None),)
+        out[left] += values[right]
+        out[right] += values[left]
+    return out
+
+
+NEIGHBOR_SHAPES = [
+    (7,), (1,), (0,), (5, 6), (1, 6), (6, 1), (1, 1), (0, 4), (4, 0),
+    (3, 4, 5), (1, 4, 3), (3, 1, 2), (2, 3, 1), (2, 0, 3), (2, 2, 2),
+]
+
+
+def neighbor_values(shape, dtype, seed=6):
+    """Values of ``dtype`` with signed zeros among floats and both signs
+    among integers; ``bool`` gives a 0/1 mask cast to int8, as the wall
+    count uses it."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape) * 40.0
+    if dtype is bool:
+        return (v > 0.0).astype(np.int8)
+    if dtype is np.float64:
+        v[v < -20.0] = -0.0
+        return v
+    return v.astype(dtype)
+
+
 class TestNeighborSum:
     @pytest.mark.parametrize("shape", [(7,), (5, 6)])
     def test_output_buffer_is_bit_identical(self, shape):
@@ -141,6 +175,49 @@ class TestNeighborSum:
         out = np.full(shape, np.nan)
         assert neighbor_sum(v, out) is out
         assert out.tobytes() == neighbor_sum(v).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8, np.int64, bool])
+    @pytest.mark.parametrize("shape", NEIGHBOR_SHAPES)
+    def test_matches_the_slice_loop_byte_for_byte(self, shape, dtype):
+        v = neighbor_values(shape, dtype)
+        want = slice_neighbor_sum(v)
+        got = neighbor_sum(v)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        out = np.full(shape, 7, dtype=v.dtype)
+        assert neighbor_sum(v, out) is out
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8])
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 4, 5), (6, 1), (2, 3, 1)])
+    def test_non_contiguous_values_and_out(self, shape, dtype):
+        v = neighbor_values(shape, dtype, seed=7)
+        want = slice_neighbor_sum(v)
+        # a transposed copy and a strided window hold the same values
+        transposed = np.ascontiguousarray(v.T).T
+        padded = np.zeros(tuple(2 * n + 1 for n in shape), dtype=v.dtype)
+        window = padded[tuple(slice(1, None, 2) for _ in shape)]
+        window[...] = v
+        assert not window.flags.c_contiguous
+        for values in (transposed, window):
+            assert neighbor_sum(values).tobytes() == want.tobytes()
+            out = np.full(shape[::-1], 3, dtype=v.dtype).T
+            assert neighbor_sum(values, out) is out
+            assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+        # a strided ``out`` inside a larger buffer is written in place only
+        big = np.full(tuple(2 * n + 1 for n in shape), 9, dtype=v.dtype)
+        out = big[tuple(slice(1, None, 2) for _ in shape)]
+        assert neighbor_sum(v, out) is out
+        assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+        untouched = np.ones(big.shape, dtype=bool)
+        untouched[tuple(slice(1, None, 2) for _ in shape)] = False
+        assert np.all(big[untouched] == 9)
+
+    def test_signed_zeros_sum_to_positive_zero(self):
+        v = np.full((3, 4), -0.0)
+        got = neighbor_sum(v)
+        assert got.tobytes() == slice_neighbor_sum(v).tobytes()
+        assert not np.any(np.signbit(got))
 
 
 class TestGradientEnergy:

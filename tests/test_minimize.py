@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from phasemin.elliptic import SolverError
 from phasemin.functional import (
@@ -22,6 +22,7 @@ from phasemin.functional import (
     region_volumes,
     restrict_support,
     total,
+    total_by_parts,
 )
 from phasemin.grid import axis_centers, laplacian_apply, make_grid
 from phasemin.minimize import (
@@ -605,3 +606,81 @@ class TestLooseCycles:
         assert tol_last == tol_solve
         if np.array_equal(w.labels, w_last.labels):
             assert all(r <= 10 * tol_solve for r in true_residuals(spec, w, u))
+
+
+@st.composite
+def solved_pairs(draw):
+    """A small random 1D/2D problem with its fields solved on a random
+    partition at a loose (1e-2) or a tight (1e-10) tolerance: masks, free
+    and nonnegative phases (the latter with nonnegative sources), and a
+    power law or per-region weights of both signs."""
+    dim = draw(st.sampled_from([1, 2]))
+    if dim == 1:
+        shape = (draw(st.integers(4, 24)),)
+    else:
+        shape = (draw(st.integers(3, 9)), draw(st.integers(3, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) >= draw(st.sampled_from([0.0, 0.1, 0.3]))
+    grid = make_grid(dim, shape, 1.0 / shape[0], mask=mask)
+    n = draw(st.integers(1, 3))
+    signs = [draw(st.sampled_from([FREE, NONNEGATIVE])) for _ in range(n)]
+    f = [make_field(grid, rng.uniform(0.0, draw(st.sampled_from([0.0, 5.0])), shape))
+         for _ in range(n)]
+    g = [
+        make_field(grid, rng.uniform(-10.0 if sign == FREE else 0.0, 10.0, shape))
+        for sign in signs
+    ]
+    if draw(st.booleans()):
+        volume = PowerLaw(
+            draw(st.floats(0.0, 0.2)), draw(st.floats(0.0, 0.2)), draw(st.floats(0.5, 2.0))
+        )
+    else:
+        volume = PerRegion(
+            tuple(make_field(grid, rng.uniform(-0.2, 0.2, shape)) for _ in range(n))
+        )
+    spec = make_functional_spec(grid, f, g, signs, volume)
+    w = make_partition(grid, n, rng.integers(0, n + 1, shape))
+    try:
+        u = update_fields(spec, w, zero_fields(grid, n), draw(st.sampled_from([1e-2, 1e-10])))
+    except SolverError:
+        assume(False)
+    return spec, u, w
+
+
+class TestJPricing:
+    """``minimize`` prices each cycle's solved pair by summation by parts and
+    its sweep by the edit on the relabelled cells, not by ``total``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(solved_pairs())
+    def test_field_priced_j_matches_total(self, case):
+        spec, u, w = case
+        j = total(u, w, spec)
+        assert abs(total_by_parts(u, w, spec) - j) <= 1e-13 * (1.0 + abs(j))
+
+    @settings(max_examples=150, deadline=None)
+    @given(solved_pairs())
+    def test_sweep_delta_matches_difference_of_totals(self, case):
+        spec, u, w = case
+        u_new, w_new, moved, delta = minimize_module._sweep(spec, u, w)
+        assert np.array_equal(w_new.labels, update_partition(spec, u, w).labels)
+        assert moved == np.count_nonzero(w_new.labels != w.labels)
+        j = total(u, w, spec)
+        want = total(u_new, w_new, spec) - j
+        assert abs(delta - want) <= 1e-13 * (1.0 + abs(j))
+
+    def test_total_runs_on_the_initial_and_the_returned_pair_only(self):
+        spec, init = mirrored_ramps(64)
+        calls = []
+
+        def counted(u, w, spec):
+            calls.append((u, w))
+            return total(u, w, spec)
+
+        with mock.patch.object(minimize_module, "total", counted):
+            u, w, rep = minimize(spec, init=init)
+        assert rep.iterations > 2
+        assert len(calls) == 2
+        assert calls[-1][0] is u and calls[-1][1] is w
+        assert rep.outer_j[0] == total(*init, spec)
+        assert rep.outer_j[-1] == rep.j_history[-1] == total(u, w, spec)

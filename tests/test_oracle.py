@@ -20,9 +20,9 @@ from phasemin.oracle import (
     ConeTwoPhase,
     make_cone,
     oracle_two_phase_1d,
-    torsion_square_reference,
-    torsion_square_value,
 )
+
+from torsion_series import torsion_square_reference, torsion_square_value
 
 
 class TestTwoPhaseScan:
