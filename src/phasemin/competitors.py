@@ -16,12 +16,18 @@ The window (``grid.ball_window``) is the index box of the cells with
 ``|c_a - x0_a| < r + h`` along every axis.  Only cells with d < r change,
 so it holds every changed cell, and a competitor is the box with the
 edited labels and fields on it: ``(box, (labels, fields))``, arrays of the
-box's shape.  :func:`~phasemin.functional.window_delta` prices it exactly
+box's shape.  :func:`~phasemin.functional.window_deltas` prices it exactly
 on the box grown by one cell, and checks the edit and the pair there.
 
 On a converged pair every competitor should (near-)fail to improve the
 objective; the audit checks the whole pair once and aggregates many such
-attempts.
+attempts.  It prices each probe once: one construction path builds all
+of a probe's stars (two cut-offs, and each main at a = 1/2 and a = 3/4)
+from the probe's window, its pair values and its ray sources, taken once;
+each inner ball is factored once for all mains (one dense solve with a
+right-hand side per main); and one batched pass of the window identity
+prices the stars.  :func:`cutoff_competitor` and
+:func:`harmonic_competitor` are that path's one-star case.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .functional import (
     PhaseField,
     cell_marginals,
     check_admissible,
-    window_delta,
+    window_deltas,
 )
 from .grid import (
     Grid,
@@ -106,6 +112,145 @@ def _ramp(d: NDArray, r: float, a: float) -> NDArray:
     return np.clip((d - a * r) / ((1.0 - a) * r), 0.0, 1.0)
 
 
+def _attempt(fn, *args):
+    """``fn(*args)``, or the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return err
+
+
+def _check_arguments(spec: FunctionalSpec, r: float, kind: str, a: float, arg) -> None:
+    """The checks a construction makes before it reads the grid."""
+    if kind == "cutoff":
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"cutoff fraction a must lie in (0,1), got {a}")
+        if not (r > 0.0 and np.isfinite(r)):
+            raise ValueError(f"cutoff radius r must be positive and finite, got {r}")
+        return
+    if not 0.5 <= a < 1.0:
+        raise ValueError(f"harmonic fraction a must lie in [1/2, 1), got {a}")
+    if not r > 0.0:
+        raise ValueError(f"harmonic radius r must be positive, got {r}")
+    if not 1 <= arg <= spec.num_phases:
+        raise ValueError(f"main phase {arg} out of range 1..{spec.num_phases}")
+
+
+def _probe(
+    u: PhaseField,
+    w: Partition,
+    spec: FunctionalSpec,
+    x0,
+    r: float,
+    tries,
+    lam: list[NDArray] | None,
+) -> tuple[tuple[slice, ...] | None, list, list]:
+    """Build and price the competitors ``tries`` of the probe ``(x0, r)``.
+
+    Each try is ``(kind, a, arg)``: ``("cutoff", a, phases)`` or
+    ``("harmonic", a, main)``.  The probe's window work is done once: the
+    point and its window, the window values of the pair, the ray sources of
+    every cell with r/2 <= d < r, one harmonic extension per inner ball for
+    all its mains, and one :func:`window_deltas` call for all the stars.
+    ``lam`` is :func:`cell_marginals` of ``w``, needed by cut-offs only.
+    Returns the window (None if no star was built), the stars and their
+    ``ΔJ``, one per try; a try that fails has the ValueError its
+    construction raised in both places.
+    """
+    grid = spec.grid
+    stars = [_attempt(_check_arguments, spec, r, *t) for t in tries]
+    todo = [k for k, star in enumerate(stars) if star is None]
+    if not todo:
+        return None, stars, stars
+    pt = _attempt(as_point, grid, x0)
+    if isinstance(pt, ValueError):
+        stars = [pt if star is None else star for star in stars]
+        return None, stars, stars
+    box, offsets, d = ball_window(grid, pt, r)
+    where = tuple(pt.tolist())
+    labels0 = w.labels[box]
+    values = [f.values[box] for f in u.fields]
+    kinds = {tries[k][0] for k in todo}
+
+    if "cutoff" in kinds:
+        missed = not np.any(grid.mask[box] & (d < r))
+        costly = np.zeros(d.shape, dtype=bool)
+        for i, lam_i in enumerate(lam, start=1):
+            costly |= (labels0 == i) & (lam_i[box] > 0.0)
+
+    if "harmonic" in kinds:
+        h = grid.spacing
+        lo, hi = bounding_box(grid)
+        room = None
+        if np.any(pt - (r + h) < lo) or np.any(pt + (r + h) > hi):
+            room = ValueError(f"ball at {where} radius {r} (+margin h) leaves the bounding box")
+        elif not np.all(grid.mask[box][d < r + h]):
+            room = ValueError(f"ball at {where} radius {r} (+margin h) leaves the mask")
+        else:
+            # each cell's source depends on that cell alone, and every star's
+            # relabelled cells lie at r/2 <= d < r
+            rays = (d >= 0.5 * r) & (d < r)
+            ray_labels = labels0.copy()
+            ray_labels[rays] = w.labels[_ray_sources(grid, pt, r, offsets, rays)]
+            # one extension per inner ball, for all of its mains
+            harmonic = [tries[k] for k in todo if tries[k][0] == "harmonic"]
+            extension = {}
+            for a in dict.fromkeys(b for _, b, _ in harmonic):
+                mains = [m for _, b, m in harmonic if b == a]
+                data = np.stack([values[m - 1] for m in mains])
+                rows = harmonic_extension(grid, box, d < a * r, data)
+                extension.update(((a, m), row) for m, row in zip(mains, rows))
+
+    for k in todo:
+        kind, a, arg = tries[k]
+        if kind == "cutoff":
+            if missed:
+                stars[k] = ValueError(f"ball at {where} radius {r} misses every masked cell")
+                continue
+            chosen = sorted(set(int(i) for i in arg))
+            bad = [i for i in chosen if not 1 <= i <= spec.num_phases]
+            if bad:
+                stars[k] = ValueError(f"phase index {bad[0]} out of range 1..{spec.num_phases}")
+                continue
+            ramp = _ramp(d, r, a)
+            fields = [v * ramp if i in chosen else v for i, v in enumerate(values, start=1)]
+            vacated = np.logical_and.reduce([vals == 0.0 for vals in fields])
+            labels = labels0.copy()
+            labels[(d < a * r) & vacated & costly] = 0
+            stars[k] = (labels, fields)
+        elif room is not None:
+            stars[k] = room
+        else:
+            main = arg
+            inner = d < a * r
+            main_vals = values[main - 1]
+            relabel = (d >= a * r) & (d < r) & (main_vals == 0.0)
+            labels = labels0.copy()
+            labels[relabel] = ray_labels[relabel]
+            labels[inner] = main
+            ramp = _ramp(d, r, a)
+            fields = [np.where(labels == i, v, 0.0) * ramp for i, v in enumerate(values, 1)]
+            vals = fields[main - 1] = main_vals.copy()
+            vals[inner] = extension[a, main]
+            if spec.sign_constraints[main - 1] == NONNEGATIVE:
+                np.maximum(vals, 0.0, out=vals)
+            stars[k] = (labels, fields)
+
+    built = [star for star in stars if not isinstance(star, ValueError)]
+    priced = iter(window_deltas(spec, box, (u, w), built))
+    deltas = [star if isinstance(star, ValueError) else next(priced) for star in stars]
+    return box, stars, deltas
+
+
+def _competitor(u, w, spec, x0, r, kind, a, arg):
+    """One construction at one probe: ``(box, (labels, fields), ΔJ)``."""
+    lam = cell_marginals(spec, w) if kind == "cutoff" else None
+    box, (star,), (delta,) = _probe(u, w, spec, x0, r, [(kind, a, arg)], lam)
+    if isinstance(delta, ValueError):
+        raise delta
+    return box, star, delta
+
+
 def cutoff_competitor(
     u: PhaseField,
     w: Partition,
@@ -138,30 +283,7 @@ def cutoff_competitor(
             mask, or a pair inadmissible on the grown window (see
             :func:`window_delta`).
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"cutoff fraction a must lie in (0,1), got {a}")
-    if not (r > 0.0 and np.isfinite(r)):
-        raise ValueError(f"cutoff radius r must be positive and finite, got {r}")
-    grid = spec.grid
-    pt = as_point(grid, x0)
-    box, _, d = ball_window(grid, pt, r)
-    if not np.any(grid.mask[box] & (d < r)):
-        raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} misses every masked cell")
-    chosen = sorted(set(int(i) for i in phases))
-    for i in chosen:
-        if not 1 <= i <= spec.num_phases:
-            raise ValueError(f"phase index {i} out of range 1..{spec.num_phases}")
-    ramp = _ramp(d, r, a)
-    fields = [f.values[box] for f in u.fields]
-    fields = [v * ramp if i in chosen else v for i, v in enumerate(fields, start=1)]
-    vacated = np.logical_and.reduce([vals == 0.0 for vals in fields])
-    labels = w.labels[box].copy()
-    costly = np.zeros(labels.shape, dtype=bool)
-    for i, lam in enumerate(cell_marginals(spec, w), start=1):
-        costly |= (labels == i) & (lam[box] > 0.0)
-    labels[(d < a * r) & vacated & costly] = 0
-    star = (labels, fields)
-    return box, star, window_delta(spec, box, (u, w), star)
+    return _competitor(u, w, spec, x0, r, "cutoff", a, phases)
 
 
 def _ray_sources(
@@ -234,39 +356,7 @@ def harmonic_competitor(
             box, or a pair inadmissible on the grown window (see
             :func:`window_delta`).
     """
-    if not 0.5 <= a < 1.0:
-        raise ValueError(f"harmonic fraction a must lie in [1/2, 1), got {a}")
-    if not r > 0.0:
-        raise ValueError(f"harmonic radius r must be positive, got {r}")
-    if not 1 <= main <= spec.num_phases:
-        raise ValueError(f"main phase {main} out of range 1..{spec.num_phases}")
-    grid = spec.grid
-    h = grid.spacing
-    pt = as_point(grid, x0)
-    lo, hi = bounding_box(grid)
-    if np.any(pt - (r + h) < lo) or np.any(pt + (r + h) > hi):
-        raise ValueError(
-            f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the bounding box"
-        )
-    box, offsets, d = ball_window(grid, pt, r)
-    if not np.all(grid.mask[box][d < r + h]):
-        raise ValueError(f"ball at {tuple(pt.tolist())} radius {r} (+margin h) leaves the mask")
-
-    inner = d < a * r
-    main_vals = u.fields[main - 1].values[box]
-    relabel = (d >= a * r) & (d < r) & (main_vals == 0.0)
-    labels = w.labels[box].copy()
-    labels[relabel] = w.labels[_ray_sources(grid, pt, r, offsets, relabel)]
-    labels[inner] = main
-
-    ramp = _ramp(d, r, a)
-    fields = [np.where(labels == i, f.values[box], 0.0) * ramp for i, f in enumerate(u.fields, 1)]
-    vals = fields[main - 1] = main_vals.copy()
-    vals[inner] = harmonic_extension(grid, box, inner, main_vals)
-    if spec.sign_constraints[main - 1] == NONNEGATIVE:
-        np.maximum(vals, 0.0, out=vals)
-    star = (labels, fields)
-    return box, star, window_delta(spec, box, (u, w), star)
+    return _competitor(u, w, spec, x0, r, "harmonic", a, main)
 
 
 def audit(
@@ -280,8 +370,10 @@ def audit(
     The pair is checked for admissibility once, on the whole grid.  At each
     probe ``(x0, r)`` the cut-off competitor is evaluated with all phases
     damped and the harmonic competitor with every phase as ``main``, each
-    at inner fractions a = 1/2 and a = 3/4.  Probes violating a
-    competitor's preconditions are recorded as skips, not errors.
+    at inner fractions a = 1/2 and a = 3/4; the probe's stars are built and
+    priced together (see :func:`cutoff_competitor` and
+    :func:`harmonic_competitor`).  Probes violating a competitor's
+    preconditions are recorded as skips, not errors.
 
     Args:
         u, w: the pair under audit.
@@ -296,22 +388,23 @@ def audit(
             :func:`~phasemin.functional.check_admissible`).
     """
     check_admissible(u, w, spec)
+    lam = cell_marginals(spec, w)
     entries: list[AuditEntry] = []
     skipped: list[AuditSkip] = []
     all_phases = tuple(range(1, spec.num_phases + 1))
-    # (construction, kind, main, a, last argument), in report order
-    tries = [(cutoff_competitor, "cutoff", None, a, all_phases) for a in (0.5, 0.75)] + [
-        (harmonic_competitor, "harmonic", m, a, m) for m in all_phases for a in (0.5, 0.75)
+    # (kind, a, last argument), in report order
+    tries = [("cutoff", a, all_phases) for a in (0.5, 0.75)] + [
+        ("harmonic", a, m) for m in all_phases for a in (0.5, 0.75)
     ]
     for x0, r in probes:
         key = tuple(float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float)))
-        for build, kind, main, a, arg in tries:
-            try:
-                dj = build(u, w, spec, x0, r, a, arg)[2]
-                entries.append(AuditEntry(key, float(r), kind, a, main, dj))
-            except ValueError as err:
+        for (kind, a, arg), dj in zip(tries, _probe(u, w, spec, x0, r, tries, lam)[2]):
+            main = None if kind == "cutoff" else arg
+            if isinstance(dj, ValueError):
                 note = kind if main is None else f"{kind}:{main}"
-                skipped.append(AuditSkip(key, float(r), note, str(err)))
+                skipped.append(AuditSkip(key, float(r), note, str(dj)))
+            else:
+                entries.append(AuditEntry(key, float(r), kind, a, main, dj))
     # the worst entry is the first with the smallest ΔJ
     worst = min(entries, key=lambda e: e.delta_j) if entries else None
     min_dj = 0.0 if worst is None else worst.delta_j

@@ -32,13 +32,19 @@ a damped Jacobi sweep ``x += OMEGA D^-1 (b - A x)`` is
 neighbor sum and ``OMEGA D^-1 b`` formed once per level and cycle.  The
 cycle smooths with ``SWEEPS`` sweeps before the coarse correction and as
 many after it, restricts residuals by averaging the children and prolongs
-corrections by copying them to the children; the coarsest level only
-smooths.  Restriction is ``2**-dim`` times the transpose of prolongation and
-Jacobi sweeps from a zero guess apply a polynomial in ``D^-1 A`` times
-``D^-1``, so the V-cycle is a symmetric positive-definite preconditioner.
-The inner products that feed the iterates, ``r.z`` and ``p.Ap``, stay
-``np.sum`` of a product, never ``np.dot``/``np.vdot``, whose BLAS summation
-order numpy does not fix: reruns must write identical fields.
+corrections by copying them to the children.  A coarsest level of at most
+``MIN_COARSE_CELLS`` region cells is solved exactly: ``_levels`` stores the
+inverse of its operator on those cells (symmetrized, at most 8 by 8), and
+the cycle applies it as ``np.sum`` of a product.  A coarsest level left
+with more cells by the side or the empty-region stop is smoothed instead,
+with ``2 * SWEEPS + COARSEST_EXTRA_SWEEPS`` sweeps.  Restriction is
+``2**-dim`` times the transpose of prolongation, Jacobi sweeps from a zero
+guess apply a polynomial in ``D^-1 A`` times ``D^-1``, and the coarsest
+solve is symmetric positive definite, so the V-cycle is a symmetric
+positive-definite preconditioner.  The inner products that feed the
+iterates, ``r.z`` and ``p.Ap``, stay ``np.sum`` of a product, never
+``np.dot``/``np.vdot``, whose BLAS summation order numpy does not fix:
+reruns must write identical fields.
 """
 
 from __future__ import annotations
@@ -70,10 +76,11 @@ SWEEPS = 2
 counts keep the V-cycle symmetric."""
 
 COARSEST_EXTRA_SWEEPS = 16
-"""Sweeps on the coarsest level on top of its ``2 * SWEEPS``."""
+"""Sweeps on a smoothed coarsest level on top of its ``2 * SWEEPS``."""
 
 MIN_COARSE_CELLS = 8
-"""Coarsening stops once a level has at most this many region cells."""
+"""Coarsening stops once a level has at most this many region cells, and
+such a coarsest level is solved exactly."""
 
 DIRECT_CELLS = 512
 """Largest region :func:`harmonic_extension` solves with one dense solve.
@@ -108,10 +115,13 @@ class _Level:
     and ``OMEGA/(h**2 D)`` on the region and 0 off it.  ``rhs`` and ``out``
     hold the right-hand side and the V-cycle output (on the finest level CG's
     ``r`` and ``z``), ``damped`` holds ``damp * rhs``; ``work`` and ``nbr``
-    are spare."""
+    are spare.  An exactly solved coarsest level holds its region ``cells``
+    (one index array per axis) and the ``inverse`` of its operator on them;
+    other levels hold None."""
 
     __slots__ = (
-        "diag", "inv_h2", "damp", "damp_nbr", "rhs", "out", "damped", "work", "nbr"
+        "diag", "inv_h2", "damp", "damp_nbr", "rhs", "out", "damped", "work", "nbr",
+        "cells", "inverse",
     )
 
     def __init__(
@@ -130,6 +140,7 @@ class _Level:
         self.damped = np.zeros(region.shape)
         self.work = np.zeros(region.shape)
         self.nbr = np.zeros(region.shape)
+        self.cells = self.inverse = None
 
 
 def _children(a: NDArray, shape: tuple[int, ...]) -> list[NDArray]:
@@ -168,14 +179,32 @@ def _levels(
     levels = [_Level(region, walls, coeff, h2)]
     while min(region.shape) > 2 and np.count_nonzero(region) > MIN_COARSE_CELLS:
         shape = tuple(n // 2 for n in region.shape)
-        region = _child_reduce(np.logical_and, region, shape)
-        if not np.any(region):
+        coarse = _child_reduce(np.logical_and, region, shape)
+        if not np.any(coarse):
             break
+        region = coarse
         walls = _child_reduce(np.add, walls, shape) / 2 ** (dim - 1)
         coeff = _child_reduce(np.add, coeff * 0.5**dim, shape)
         h2 *= 4.0
         levels.append(_Level(region, walls, coeff, h2))
+    if np.count_nonzero(region) <= MIN_COARSE_CELLS:
+        _invert(levels[-1], region)
     return box, levels
+
+
+def _invert(level: _Level, region: NDArray[np.bool_]) -> None:
+    """Store the level's region cells and the inverse of its operator on
+    them, assembled column by column with :func:`_apply`."""
+    cells = np.nonzero(region)
+    unit, column = np.zeros(region.shape), np.zeros(region.shape)
+    mat = np.empty((cells[0].size,) * 2)
+    for j, cell in enumerate(zip(*cells)):
+        unit[cell] = 1.0
+        _apply(level, unit, column)
+        mat[:, j] = column[cells]
+        unit[cell] = 0.0
+    inverse = np.linalg.inv(mat)
+    level.cells, level.inverse = cells, 0.5 * (inverse + inverse.T)
 
 
 def _apply(level: _Level, v: NDArray, out: NDArray) -> None:
@@ -202,6 +231,10 @@ def _vcycle(levels: list[_Level], k: int = 0) -> None:
     """``levels[k].out = M levels[k].rhs``: one V-cycle from a zero guess."""
     level = levels[k]
     b, x, t = level.rhs, level.out, level.work
+    if level.inverse is not None:
+        x.fill(0.0)
+        x[level.cells] = np.sum(level.inverse * b[level.cells], axis=1)
+        return
     np.multiply(level.damp, b, out=level.damped)
     np.copyto(x, level.damped)  # the first sweep, from x = 0
     if k == len(levels) - 1:
@@ -412,32 +445,38 @@ def solve_landscape(
 def harmonic_extension(
     grid: Grid, box: tuple[slice, ...], inner: NDArray[np.bool_], data: NDArray
 ) -> NDArray:
-    """Discrete harmonic extension of ``data`` into the cell set ``inner``.
+    """Discrete harmonic extensions of ``k`` data sets into the cell set ``inner``.
 
-    Solves ``lap x = 0`` on ``inner`` with ``x = data`` on every other cell
-    and the usual zero at wall slots, i.e. ``(-lap_inner) x = N(data)/h**2``
-    where ``N`` is :func:`neighbor_sum` of the data with ``inner`` zeroed.
-    ``inner`` and ``data`` are arrays of the shape of the grid window
-    ``box``; every inner cell must be masked, and its face neighbors must lie
-    in the window, so that the window holds the whole system.
+    For each ``data[j]`` solves ``lap x = 0`` on ``inner`` with ``x =
+    data[j]`` on every other cell and the usual zero at wall slots, i.e.
+    ``(-lap_inner) x = N(data[j])/h**2`` where ``N`` is :func:`neighbor_sum`
+    of the data with ``inner`` zeroed.  ``inner`` is an array of the shape
+    of the grid window ``box`` and ``data`` a stack of ``k`` such arrays;
+    every inner cell must be masked, and its face neighbors must lie in the
+    window, so that the window holds the whole system.
 
     A set of at most :data:`DIRECT_CELLS` cells is solved exactly, by one
-    dense solve of the system times ``h**2``: ``deg = 2*dim + walls`` on the
-    diagonal and -1 for each pair of face-neighbor inner cells.  A larger
-    set runs :func:`_pcg` to a relative residual of 1e-10 on the full grid.
+    dense solve with ``k`` right-hand sides of the system times ``h**2``:
+    ``deg = 2*dim + walls`` on the diagonal and -1 for each pair of
+    face-neighbor inner cells.  A larger set runs :func:`_pcg` to a relative
+    residual of 1e-10 on the full grid, once per data set.
 
     Returns:
-        The extension at the inner cells, in row-major order of the window.
+        An array of shape ``(k, #inner)``: row j is the extension of
+        ``data[j]`` at the inner cells, in row-major order of the window.
     """
-    nbr = neighbor_sum(np.where(inner, 0.0, data))[inner]
-    n = nbr.size
+    nbr = np.stack([neighbor_sum(np.where(inner, 0.0, d))[inner] for d in data])
+    n = nbr.shape[1]
     if n > DIRECT_CELLS:
         region = np.zeros(grid.shape, dtype=bool)
         region[box] = inner
-        rhs = np.zeros(grid.shape)
-        rhs[box][inner] = nbr / grid.spacing**2
-        x, _, _ = _pcg(grid, region, np.zeros(grid.shape), rhs, 1e-10)
-        return x[box][inner]
+        out = np.empty_like(nbr)
+        for row, b in zip(out, nbr):
+            rhs = np.zeros(grid.shape)
+            rhs[box][inner] = b / grid.spacing**2
+            x, _, _ = _pcg(grid, region, np.zeros(grid.shape), rhs, 1e-10)
+            row[...] = x[box][inner]
+        return out
     index = np.zeros(inner.shape, dtype=np.int64)
     index[inner] = np.arange(n)
     mat = np.diag((2 * grid.dim + wall_slot_count(grid)[box][inner]).astype(float))
@@ -445,4 +484,4 @@ def harmonic_extension(
         pair = inner[left] & inner[right]
         i, j = index[left][pair], index[right][pair]
         mat[i, j] = mat[j, i] = -1.0
-    return np.linalg.solve(mat, nbr)
+    return np.linalg.solve(mat, nbr.T).T

@@ -16,7 +16,8 @@ constraint.  :func:`check_admissible` checks it on a whole pair, and
 :func:`total` runs it; :func:`total_by_parts` prices a pair known to be
 admissible by summation by parts, unchecked.  :func:`window_delta` prices
 an edit of a pair on an index box and checks it, and the pair, only on the
-box grown by one cell; :func:`cell_set_delta` does the same for an edit on
+box grown by one cell, and :func:`window_deltas` prices several edits of
+one box in one pass; :func:`cell_set_delta` does the same for an edit on
 a set of cells, on the cells.
 """
 
@@ -63,6 +64,7 @@ __all__ = [
     "total",
     "total_by_parts",
     "window_delta",
+    "window_deltas",
     "cell_set_delta",
     "volume_marginal",
     "cell_marginals",
@@ -387,12 +389,34 @@ def window_delta(
     too; a power law prices the global volumes, so its change is taken
     between the per-phase label counts of ``pair`` and those counts plus
     the window's change.  No full-grid objective is evaluated, and the
-    result is never the difference of two totals of size |J|.
+    result is never the difference of two totals of size |J|.  This is the
+    one-star case of :func:`window_deltas`.
 
     Raises:
         ValueError: if the arrays do not fit the box and the phase count;
             then if the star's labels, then its fields, then ``pair`` on
             the window are not admissible (see :func:`check_admissible`).
+    """
+    (delta,) = window_deltas(spec, box, pair, [star])
+    if isinstance(delta, ValueError):
+        raise delta
+    return delta
+
+
+def window_deltas(
+    spec: FunctionalSpec,
+    box: tuple[slice, ...],
+    pair: tuple[PhaseField, Partition],
+    stars: Sequence[tuple[NDArray, Sequence[NDArray]]],
+) -> list[float | ValueError]:
+    """:func:`window_delta` of each of several edits of ``pair`` on one box.
+
+    The pair's side of the window identity (its labels, fields, per-slot
+    edge energies and mass terms on the window, and its check there) is
+    formed once, and the edits are priced together on a stack of windows;
+    each result equals :func:`window_delta` of its star bit for bit.  A
+    star that :func:`window_delta` would refuse gets the ValueError it
+    would raise in place of its change.
     """
     grid = spec.grid
     window, inner = [], []
@@ -403,12 +427,14 @@ def window_delta(
         inner.append(slice(start - lo, stop - lo))
     window, inner = tuple(window), tuple(inner)
     mask = grid.mask[window]
-    lab0, lab1, old, new = _edited(spec, pair, star, window, inner)
-    edge = 0.0
+    out, lab0, lab1, old, new = _edited(spec, pair, stars, window, inner)
+    axes = tuple(range(1, lab1.ndim))
+    edge = np.zeros(lab1.shape[0])
     for v0, v1 in zip(old, new):
         for (_, e0), (_, e1) in zip(edge_energies(v0, mask), edge_energies(v1, mask)):
-            edge += float(np.sum(e1 - e0))
-    return _edit_delta(spec, pair[1], window, edge, lab0, lab1, old, new)
+            edge += np.sum(e1 - e0, axis=axes)
+    deltas = iter(_edit_delta(spec, pair[1], window, edge, lab0, lab1, old, new))
+    return [float(next(deltas)) if res is None else res for res in out]
 
 
 def cell_set_delta(
@@ -444,61 +470,84 @@ def cell_set_delta(
     flat = np.ravel_multi_index(read, grid.shape)
     if np.any(np.diff(flat) <= 0):
         raise ValueError("a cell set must be in row-major order, each cell once")
-    lab0, lab1, old, new = _edited(spec, pair, star, read, ...)
+    (err,), lab0, lab1, old, new = _edited(spec, pair, [star], read, ...)
+    if err is not None:
+        raise err
     edge = sum(
-        _set_energy_change(grid, read, flat, f.values, v0, v1)
+        _set_energy_change(grid, read, flat, f.values, v0, v1[0])
         for f, v0, v1 in zip(pair[0].fields, old, new)
     )
-    return _edit_delta(spec, pair[1], read, edge, lab0, lab1, old, new)
+    return float(_edit_delta(spec, pair[1], read, np.array([edge]), lab0, lab1, old, new)[0])
 
 
-def _edited(spec: FunctionalSpec, pair, star, read, inner):
-    """The checked labels and fields of ``pair`` at the index ``read`` before
-    and after the edit ``star``, which replaces their part ``inner``."""
+def _edited(spec: FunctionalSpec, pair, stars, read, inner):
+    """Check the edits ``stars`` of ``pair`` and the pair at the index ``read``.
+
+    Each star replaces the part ``inner`` of ``read``.  Returns the list of
+    outcomes, the ValueError that refused each star or None, then the labels
+    and fields of ``pair`` at ``read`` and, stacked along a leading axis,
+    the same after each star that passed."""
     n, mask = spec.num_phases, spec.grid.mask[read]
-    (u, w), (labels, fields) = pair, star
-    labels = np.asarray(labels)
+    u, w = pair
     shape = mask[inner].shape
-    if len(fields) != n or u.num_phases != n or w.num_phases != n or any(
-        np.shape(a) != shape for a in (labels, *fields)
-    ):
-        raise ValueError(f"star must hold labels and {n} fields of shape {shape}")
-    _check_arrays(spec, mask[inner], labels, fields)
+    out, passed = [], []
+    for labels, fields in stars:
+        labels = np.asarray(labels)
+        try:
+            if len(fields) != n or u.num_phases != n or w.num_phases != n or any(
+                np.shape(a) != shape for a in (labels, *fields)
+            ):
+                raise ValueError(f"star must hold labels and {n} fields of shape {shape}")
+            _check_arrays(spec, mask[inner], labels, fields)
+        except ValueError as err:
+            out.append(err)
+            continue
+        out.append(None)
+        passed.append((labels, fields))
     lab0 = w.labels[read]
     old = [f.values[read] for f in u.fields]
-    _check_arrays(spec, mask, lab0, old)
-    lab1 = lab0.copy()
-    lab1[inner] = labels
-    new = [v0.copy() for v0 in old]
-    for v1, vals in zip(new, fields):
-        v1[inner] = vals
-    return lab0, lab1, old, new
+    if passed:
+        try:
+            _check_arrays(spec, mask, lab0, old)
+        except ValueError as err:
+            out = [err if res is None else res for res in out]
+            passed = []
+    lab1 = np.repeat(lab0[None], len(passed), axis=0)
+    new = [np.repeat(v0[None], len(passed), axis=0) for v0 in old]
+    for k, (labels, fields) in enumerate(passed):
+        lab1[k][inner] = labels
+        for v1, vals in zip(new, fields):
+            v1[k][inner] = vals
+    return out, lab0, lab1, old, new
 
 
 def _edit_delta(
-    spec: FunctionalSpec, w: Partition, read, edge: float, lab0, lab1, old, new
-) -> float:
-    """An edit's objective change from its edge energy change ``edge``
-    (without ``h**(n-2)``) and its labels and fields before and after at
-    the index ``read``, which covers every changed cell."""
+    spec: FunctionalSpec, w: Partition, read, edge: NDArray, lab0, lab1, old, new
+) -> NDArray:
+    """The objective changes of edits from their edge energy changes
+    ``edge`` (without ``h**(n-2)``) and the labels and fields at the index
+    ``read``, which covers every changed cell: ``lab0`` and ``old`` before,
+    ``lab1`` and ``new`` after, stacked one edit per leading entry."""
     grid, n = spec.grid, spec.num_phases
-    mass = 0.0
+    axes = tuple(range(1, lab1.ndim))
+    mass = np.zeros(lab1.shape[0])
     for v0, v1, f, g in zip(old, new, spec.f, spec.g):
         fw, gw = f.values[read], g.values[read]
-        mass += float(np.sum((v1 * v1 * fw - v1 * gw) - (v0 * v0 * fw - v0 * gw)))
+        mass += np.sum((v1 * v1 * fw - v1 * gw) - (v0 * v0 * fw - v0 * gw), axis=axes)
     delta = edge * grid.spacing ** (grid.dim - 2) + mass * grid.cell_volume
     term = spec.volume_term
     if isinstance(term, PowerLaw):
         for i, count in enumerate(w._label_counts[1 : n + 1], start=1):
-            moved = int(np.count_nonzero(lab1 == i)) - int(np.count_nonzero(lab0 == i))
+            moved = np.count_nonzero(lab1 == i, axis=axes) - np.count_nonzero(lab0 == i)
             v0 = float(count) * grid.cell_volume
-            v1 = float(count + moved) * grid.cell_volume
-            delta += term.cost(v1) - term.cost(v0)
+            delta += [
+                term.cost(float(count + m) * grid.cell_volume) - term.cost(v0) for m in moved
+            ]
     else:
         for i, q in enumerate(term.weights, start=1):
             qw = q.values[read]
             gained = np.where(lab1 == i, qw, 0.0) - np.where(lab0 == i, qw, 0.0)
-            delta += float(np.sum(gained)) * grid.cell_volume
+            delta += np.sum(gained, axis=axes) * grid.cell_volume
     return delta
 
 

@@ -527,16 +527,18 @@ def laplacian_apply(f: ScalarField) -> ScalarField:
 def edge_energies(values: NDArray, mask: NDArray[np.bool_]):
     """The face-edge energy without its ``h**(n-2)`` factor, slot by slot.
 
-    ``values`` must vanish off ``mask``.  Per axis yields ``(cells, energy)``
-    for the in-box edges, with ``cells = (left, right)`` and energy
-    ``(1 + (m[left] ^ m[right])) * d**2``, then for the wall slots of each
-    box face, with ``cells = (first,)`` then ``(last,)`` and energy ``2 * v**2``.
+    ``values`` must vanish off ``mask``; it has the mask's shape, or leading
+    axes on top of it that stack fields on the same box.  Per axis yields
+    ``(cells, energy)`` for the in-box edges, with ``cells = (left, right)``
+    and energy ``(1 + (m[left] ^ m[right])) * d**2``, then for the wall slots
+    of each box face, with ``cells = (first,)`` then ``(last,)`` and energy
+    ``2 * v**2``; ``cells`` index the mask's axes.
     """
-    for left, right, first, last in edge_slices(values.ndim):
-        d = values[right] - values[left]
+    for left, right, first, last in edge_slices(mask.ndim):
+        d = values[(Ellipsis, *right)] - values[(Ellipsis, *left)]
         yield (left, right), (1 + (mask[left] ^ mask[right])) * d * d
-        yield (first,), 2.0 * values[first] ** 2
-        yield (last,), 2.0 * values[last] ** 2
+        yield (first,), 2.0 * values[(Ellipsis, *first)] ** 2
+        yield (last,), 2.0 * values[(Ellipsis, *last)] ** 2
 
 
 def gradient_energy(f: ScalarField, region: NDArray[np.bool_] | None = None) -> float:

@@ -237,13 +237,24 @@ def update_partition(spec: FunctionalSpec, u: PhaseField, w: Partition) -> Parti
         bulk[on_i] = mass[on_i]
         keep_lam[on_i] = lam[i - 1][on_i] * hn
 
-    costs = np.empty((n + 1,) + grid.shape)
-    costs[0] = release  # move to trash
-    for ell in range(1, n + 1):
-        costs[ell] = release + lam[ell - 1] * hn
+    # a running minimum over the labels in order, as np.argmin over them
+    # would pick: ties go to the lowest label, and the first nan cost wins
     keep_cost = bulk + keep_lam
-    np.put_along_axis(costs, labels[None], keep_cost[None], axis=0)
-    return make_partition(grid, n, np.argmin(costs, axis=0))
+    best = release.copy()  # move to trash
+    np.copyto(best, keep_cost, where=labels == 0)
+    choice = np.zeros(grid.shape, dtype=np.int64)
+    nan_best = np.isnan(best)
+    for ell in range(1, n + 1):
+        cost = release + lam[ell - 1] * hn
+        np.copyto(cost, keep_cost, where=labels == ell)
+        take = cost < best
+        nan_cost = np.isnan(cost)
+        nan_cost &= ~nan_best
+        take |= nan_cost
+        nan_best |= nan_cost
+        np.copyto(best, cost, where=take)
+        np.copyto(choice, ell, where=take)
+    return make_partition(grid, n, choice)
 
 
 def _sweep(

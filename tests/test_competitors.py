@@ -9,6 +9,7 @@ the window edits, written into copies of the pair by ``cutoff_pair`` and
 
 from __future__ import annotations
 
+import importlib
 import sys
 
 import numpy as np
@@ -39,6 +40,7 @@ from phasemin.functional import (
 )
 from phasemin.grid import (
     as_point,
+    ball_window,
     bounding_box,
     cell_centers,
     distances,
@@ -46,6 +48,8 @@ from phasemin.grid import (
     make_grid,
 )
 from phasemin.minimize import initial_partition, minimize
+
+competitors_module = importlib.import_module("phasemin.competitors")
 
 
 def applied(pair, box, star):
@@ -435,6 +439,85 @@ class TestAdmissibility:
         report = audit(u, w, spec, seeded_probes(spec.grid, 4, 0.12, seed=0))
         assert len(report.entries) == 4 * (2 + 4)
         assert len(checks) == 1
+
+
+def random_stars(rng, spec, box, count):
+    """Edits on ``box``, admissible or breaking one rule each: a field off
+    its labels, a label out of range, a negative nonnegative phase, or a
+    missing field."""
+    n = spec.num_phases
+    mask = spec.grid.mask[box]
+    stars = []
+    for _ in range(count):
+        labels = np.where(mask, rng.integers(0, n + 1, mask.shape), 0)
+        fields = [rng.normal(size=mask.shape) * (labels == i) for i in range(1, n + 1)]
+        for i, sign in enumerate(spec.sign_constraints):
+            if sign == NONNEGATIVE:
+                fields[i] = np.abs(fields[i])
+        fault = int(rng.integers(0, 8))
+        if mask.size and fault == 1:
+            fields[0].flat[int(rng.integers(mask.size))] += 1.0
+        elif mask.size and fault == 2:
+            labels.flat[int(rng.integers(mask.size))] = n + 1
+        elif fault == 3:
+            fields[-1] = fields[-1] - 1.0
+        elif fault == 4:
+            fields = fields[1:]
+        stars.append((labels, fields))
+    return stars
+
+
+class TestBatchedPricing:
+    """``window_deltas`` prices several edits of one window together, bit
+    for bit as ``window_delta`` prices each."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(audited_pairs(), st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+    def test_matches_one_star_at_a_time(self, case, seed, count, stray):
+        spec, u, w, x0, r = case
+        rng = np.random.default_rng(seed)
+        box = ball_window(spec.grid, np.atleast_1d(np.asarray(x0, dtype=float)), r)[0]
+        if stray and u.fields[0].values[box].size:
+            # the pair itself may break a rule on the window
+            fields = [f.values.copy() for f in u.fields]
+            fields[0][box].flat[int(rng.integers(fields[0][box].size))] += 1.0
+            u = make_phase_field(spec.grid, fields)
+        stars = random_stars(rng, spec, box, count)
+        got = functional.window_deltas(spec, box, (u, w), stars)
+        assert len(got) == len(stars)
+        for dj, star in zip(got, stars):
+            want = outcome(functional.window_delta, spec, box, (u, w), star)
+            if isinstance(want, str):
+                assert isinstance(dj, ValueError) and str(dj) == want
+            else:
+                assert type(dj) is float
+                assert np.float64(dj).tobytes() == np.float64(want).tobytes()
+
+
+def test_audit_factors_each_inner_ball_once(run_2d_128, monkeypatch):
+    """The 2D config's audit at seed 0: one dense solve per probe and inner
+    fraction for both mains, and one ray trace per probe."""
+    plan = run_2d_128.plan
+    probes = seeded_probes(plan.grid, plan.probe_count, plan.probe_radius, 0)
+    solves, rays = [], []
+    real_solve, real_rays = np.linalg.solve, competitors_module._ray_sources
+
+    def solve(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    def ray_sources(*args):
+        rays.append(args)
+        return real_rays(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(competitors_module, "_ray_sources", ray_sources)
+    report = audit(run_2d_128.u, run_2d_128.w, plan.spec, probes)
+    assert len(probes) == 20
+    assert len(report.entries) == 20 * 6 and not report.skipped
+    assert len(solves) == 40
+    assert all(b.shape[1] == 2 for _, b in solves)
+    assert len(rays) == 20
 
 
 def zero_pair(grid, n):

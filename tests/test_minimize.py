@@ -15,6 +15,7 @@ from phasemin.functional import (
     NONNEGATIVE,
     PerRegion,
     PowerLaw,
+    cell_marginals,
     make_field,
     make_functional_spec,
     make_partition,
@@ -23,6 +24,7 @@ from phasemin.functional import (
     restrict_support,
     total,
     total_by_parts,
+    truncate_to_sign,
 )
 from phasemin.grid import axis_centers, laplacian_apply, make_grid
 from phasemin.minimize import (
@@ -684,3 +686,71 @@ class TestJPricing:
         assert calls[-1][0] is u and calls[-1][1] is w
         assert rep.outer_j[0] == total(*init, spec)
         assert rep.outer_j[-1] == rep.j_history[-1] == total(u, w, spec)
+
+
+def reference_update_partition(spec, u, w):
+    """The sweep as a cost stack over the labels and ``np.argmin`` over it."""
+    grid = spec.grid
+    n = spec.num_phases
+    hn = grid.spacing**grid.dim
+    labels = w.labels
+    lam = cell_marginals(spec, w)
+    release = np.zeros(grid.shape)
+    bulk = np.zeros(grid.shape)
+    keep_lam = np.zeros(grid.shape)
+    for i in range(1, n + 1):
+        on_i = labels == i
+        if not np.any(on_i):
+            continue
+        vals = u.fields[i - 1].values
+        trunc = truncate_to_sign(vals, spec.sign_constraints[i - 1])
+        mass = (vals * vals * spec.f[i - 1].values - trunc * spec.g[i - 1].values) * hn
+        release[on_i] = minimize_module._release_energy(grid, vals)[on_i]
+        bulk[on_i] = mass[on_i]
+        keep_lam[on_i] = lam[i - 1][on_i] * hn
+    costs = np.empty((n + 1,) + grid.shape)
+    costs[0] = release
+    for ell in range(1, n + 1):
+        costs[ell] = release + lam[ell - 1] * hn
+    keep_cost = bulk + keep_lam
+    np.put_along_axis(costs, labels[None], keep_cost[None], axis=0)
+    return np.argmin(costs, axis=0)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Fields, coefficients and weights from small pools of values, so that
+    costs tie; values near the largest double make some costs infinite, of
+    either sign, or nan (inf - inf)."""
+    dim = draw(st.sampled_from([1, 2]))
+    shape = (draw(st.integers(3, 12)),) * dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) >= draw(st.sampled_from([0.0, 0.2]))
+    grid = make_grid(dim, shape, 1.0 / shape[0], mask=mask)
+    n = draw(st.integers(1, 3))
+    specials = draw(st.sampled_from([[], [1e300], [-1e300], [1e300, -1e300], [1.7e308]]))
+    pool = np.array([0.0, 0.0, 1.0, -1.0, 0.5, 2.0] + specials)
+
+    def field(values=pool):
+        return make_field(grid, rng.choice(values, size=shape))
+
+    signs = [draw(st.sampled_from([FREE, NONNEGATIVE])) for _ in range(n)]
+    if draw(st.booleans()):
+        volume = PowerLaw(draw(st.sampled_from([0.0, 0.5])), draw(st.sampled_from([0.0, 0.5])))
+    else:
+        volume = PerRegion(tuple(field() for _ in range(n)))
+    f = [field(pool[~(pool < 0.0)]) for _ in range(n)]
+    spec = make_functional_spec(grid, f, [field() for _ in range(n)], signs, volume)
+    u = make_phase_field(grid, [field() for _ in range(n)])
+    w = make_partition(grid, n, rng.integers(0, n + 1, shape))
+    return spec, u, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+def test_update_partition_matches_argmin_over_the_cost_stack(case):
+    spec, u, w = case
+    with np.errstate(all="ignore"):
+        want = make_partition(spec.grid, spec.num_phases, reference_update_partition(spec, u, w))
+        got = update_partition(spec, u, w)
+    assert np.array_equal(got.labels, want.labels)

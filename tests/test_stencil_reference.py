@@ -260,6 +260,8 @@ def reference_vcycle(grid, region, coeff, b):
     over ``2**(dim-1)`` and the coefficient is the child mean.  A sweep is
     ``x += OMEGA * (b - A x) / D``, restriction is the child mean and
     prolongation copies to the children; every vector is zero off the region.
+    A coarsest level of at most ``MIN_COARSE_CELLS`` region cells is solved
+    exactly, on its operator assembled from unit vectors.
     """
     box = index_box(region)
     dim = grid.dim
@@ -292,6 +294,14 @@ def reference_vcycle(grid, region, coeff, b):
         return x
 
     def cycle(k, b):
+        region = levels[k][0]
+        if k == len(levels) - 1 and np.count_nonzero(region) <= MIN_COARSE_CELLS:
+            cells = np.flatnonzero(region)
+            units = np.eye(region.size)[cells].reshape((-1,) + region.shape)
+            a = np.stack([apply(k, e).ravel()[cells] for e in units], axis=1)
+            x = np.zeros(region.size)
+            x[cells] = np.linalg.solve(a, b.ravel()[cells])
+            return x.reshape(region.shape)
         x = OMEGA * b / levels[k][1]
         if k == len(levels) - 1:
             return smooth(k, b, x, 2 * SWEEPS + COARSEST_EXTRA_SWEEPS - 1)
@@ -348,17 +358,15 @@ def extension_residual(grid, inner, data, window):
         slice(max(int(idx.min()) - 1, 0), int(idx.max()) + 2) if window else slice(None)
         for idx in np.nonzero(inner)
     )
-    x = harmonic_extension(grid, box, inner[box], data[box])
+    (x,) = harmonic_extension(grid, box, inner[box], data[box][None])
     outside = np.where(inner, 0.0, data).ravel()
     b = -(assemble(grid, grid.mask, np.zeros(grid.shape)) @ outside)[inner.ravel()]
     a_inner = restricted(assemble(grid, inner, np.zeros(grid.shape)), inner)
     return np.linalg.norm(a_inner @ x - b) / (np.linalg.norm(b) or 1.0)
 
 
-@pytest.mark.parametrize("dim,seed", CASES)
-@pytest.mark.parametrize("window", [False, True])
-def test_harmonic_extension_direct_solve(dim, seed, window):
-    # a ball of masked cells, cut by the box faces and by holes in the mask
+def extension_case(dim, seed):
+    """A masked grid and a ball of masked cells cut by box faces and holes."""
     rng = np.random.default_rng(100 + seed)
     shape = (int(rng.integers(20, 60)),) if dim == 1 else (
         int(rng.integers(16, 32)), int(rng.integers(16, 32))
@@ -370,8 +378,15 @@ def test_harmonic_extension_direct_solve(dim, seed, window):
     x0 = rng.uniform(lo, hi) if seed % 2 else lo + 0.1 * (hi - lo)
     inner = mask & (distances(grid, x0) < rng.uniform(0.15, 0.3) * np.max(hi))
     inner.flat[np.flatnonzero(mask.ravel())[0]] = True
+    return grid, inner, rng
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+@pytest.mark.parametrize("window", [False, True])
+def test_harmonic_extension_direct_solve(dim, seed, window):
+    grid, inner, rng = extension_case(dim, seed)
     assert np.count_nonzero(inner) <= DIRECT_CELLS
-    data = np.where(mask, rng.normal(size=shape), 0.0)
+    data = np.where(grid.mask, rng.normal(size=grid.shape), 0.0)
     assert extension_residual(grid, inner, data, window) <= 1e-12
 
 
@@ -382,6 +397,33 @@ def test_harmonic_extension_above_direct_cells_runs_mgcg():
     rng = np.random.default_rng(7)
     data = rng.uniform(0.0, 1.0, size=grid.shape)
     assert extension_residual(grid, inner, data, True) <= 1e-10
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_harmonic_extension_columns_match_single_solves(dim, seed):
+    # one dense solve with three right-hand sides against three solves
+    grid, inner, rng = extension_case(dim, seed)
+    box = index_box(inner)
+    box = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in box)
+    data = np.where(grid.mask, rng.normal(size=(3,) + grid.shape), 0.0)[(slice(None), *box)]
+    got = harmonic_extension(grid, box, inner[box], data)
+    assert got.shape == (3, np.count_nonzero(inner))
+    for row, d in zip(got, data):
+        (one,) = harmonic_extension(grid, box, inner[box], d[None])
+        assert np.max(np.abs(row - one)) <= 1e-15 * np.max(np.abs(one))
+
+
+def test_harmonic_extension_columns_above_direct_cells():
+    # MGCG runs once per right-hand side, so each row is the one-column solve
+    grid = make_grid(2, (128, 128), 1 / 128)
+    inner = distances(grid, np.array([0.45, 0.5])) < 0.75 * 0.3
+    box = index_box(distances(grid, np.array([0.45, 0.5])) < 0.3 + grid.spacing)
+    rng = np.random.default_rng(8)
+    data = rng.uniform(0.0, 1.0, size=(2,) + grid.shape)[(slice(None), *box)]
+    got = harmonic_extension(grid, box, inner[box], data)
+    assert got.shape[1] > DIRECT_CELLS
+    for row, d in zip(got, data):
+        assert np.array_equal(row, harmonic_extension(grid, box, inner[box], d[None])[0])
 
 
 @pytest.mark.parametrize("dim,seed", CASES)
