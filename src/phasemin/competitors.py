@@ -13,11 +13,13 @@ edit on the ball's window, returned with the exact objective change
   copied along rays from just outside the ball.
 
 The window (``grid.ball_window``) is the index box of the cells with
-``|c_a - x0_a| < r + h`` along every axis.  Only cells with d < r change,
-so it holds every changed cell, and a competitor is the box with the
-edited labels and fields on it: ``(box, (labels, fields))``, arrays of the
-box's shape.  :func:`~phasemin.functional.window_deltas` prices it exactly
-on the box grown by one cell, and checks the edit and the pair there.
+``|c_a - x0_a| < r + h`` along every axis, and a competitor is the box
+with the edited labels and fields on it: ``(box, (labels, fields))``,
+arrays of the box's shape.  Of an admissible pair a competitor changes
+only the ball's cells, d < r, so
+:func:`~phasemin.functional.cell_set_deltas` prices it exactly on those
+cells.  :func:`cutoff_competitor` and :func:`harmonic_competitor` check
+the edit on its box and the pair on the box grown by one cell.
 
 On a converged pair every competitor should (near-)fail to improve the
 objective; the audit checks the whole pair once and aggregates many such
@@ -25,8 +27,8 @@ attempts.  It prices each probe once: one construction path builds all
 of a probe's stars (two cut-offs, and each main at a = 1/2 and a = 3/4)
 from the probe's window, its pair values and its ray sources, taken once;
 each inner ball is factored once for all mains (one dense solve with a
-right-hand side per main); and one batched pass of the window identity
-prices the stars.  :func:`cutoff_competitor` and
+right-hand side per main); and one :func:`cell_set_deltas` call prices
+the stars on the ball's cells.  :func:`cutoff_competitor` and
 :func:`harmonic_competitor` are that path's one-star case.
 """
 
@@ -43,9 +45,10 @@ from .functional import (
     FunctionalSpec,
     Partition,
     PhaseField,
+    _check_arrays,
     cell_marginals,
+    cell_set_deltas,
     check_admissible,
-    window_deltas,
 )
 from .grid import (
     Grid,
@@ -108,8 +111,9 @@ class AuditReport:
 
 
 def _ramp(d: NDArray, r: float, a: float) -> NDArray:
-    """0 up to radius ``a r``, rising linearly to 1 at ``r``."""
-    return np.clip((d - a * r) / ((1.0 - a) * r), 0.0, 1.0)
+    """0 up to radius ``a r``, rising linearly to 1 at ``r``; exactly 1 from
+    ``r`` on, where the formula can round to 1 - ulp."""
+    return np.where(d >= r, 1.0, np.clip((d - a * r) / ((1.0 - a) * r), 0.0, 1.0))
 
 
 def _attempt(fn, *args):
@@ -151,10 +155,11 @@ def _probe(
     ``("harmonic", a, main)``.  The probe's window work is done once: the
     point and its window, the window values of the pair, the ray sources of
     every cell with r/2 <= d < r, one harmonic extension per inner ball for
-    all its mains, and one :func:`window_deltas` call for all the stars.
-    ``lam`` is :func:`cell_marginals` of ``w``, needed by cut-offs only.
-    Returns the window (None if no star was built), the stars and their
-    ``ΔJ``, one per try; a try that fails has the ValueError its
+    all its mains, and one :func:`cell_set_deltas` call for all the stars
+    on the ball's cells, exact where ``(u, w)`` is admissible on the
+    window.  ``lam`` is :func:`cell_marginals` of ``w``, needed by cut-offs
+    only.  Returns the window (None if no star was built), the stars and
+    their ``ΔJ``, one per try; a try that fails has the ValueError its
     construction raised in both places.
     """
     grid = spec.grid
@@ -236,16 +241,33 @@ def _probe(
                 np.maximum(vals, 0.0, out=vals)
             stars[k] = (labels, fields)
 
+    # a competitor of an admissible pair changes only the cells with d < r
+    ball = d < r
+    cells = tuple(idx + cut.start for idx, cut in zip(np.nonzero(ball), box))
     built = [star for star in stars if not isinstance(star, ValueError)]
-    priced = iter(window_deltas(spec, box, (u, w), built))
+    on_ball = [(labels[ball], [v[ball] for v in fields]) for labels, fields in built]
+    priced = iter(cell_set_deltas(spec, cells, (u, w), on_ball))
     deltas = [star if isinstance(star, ValueError) else next(priced) for star in stars]
     return box, stars, deltas
 
 
 def _competitor(u, w, spec, x0, r, kind, a, arg):
-    """One construction at one probe: ``(box, (labels, fields), ΔJ)``."""
+    """One construction at one probe: ``(box, (labels, fields), ΔJ)``.
+
+    The star is checked on its box, then the pair on the box grown by one
+    cell (within the grid); the pair is then admissible on the box, so the
+    star changes it only on the ball's cells, where :func:`_probe` priced
+    it."""
     lam = cell_marginals(spec, w) if kind == "cutoff" else None
     box, (star,), (delta,) = _probe(u, w, spec, x0, r, [(kind, a, arg)], lam)
+    if isinstance(star, ValueError):
+        raise star
+    mask = spec.grid.mask
+    # with phase counts that disagree, pricing refused the star's shape
+    if u.num_phases == w.num_phases == spec.num_phases:
+        _check_arrays(spec, mask[box], *star)
+        grown = tuple(slice(max(cut.start - 1, 0), cut.stop + 1) for cut in box)
+        _check_arrays(spec, mask[grown], w.labels[grown], [f.values[grown] for f in u.fields])
     if isinstance(delta, ValueError):
         raise delta
     return box, star, delta
@@ -280,8 +302,9 @@ def cutoff_competitor(
 
     Raises:
         ValueError: bad ``a`` or ``r``, bad phase index, a ball missing the
-            mask, or a pair inadmissible on the grown window (see
-            :func:`window_delta`).
+            mask, or an edit inadmissible on the window, then a pair
+            inadmissible on the window grown by one cell (see
+            :func:`~phasemin.functional.check_admissible`).
     """
     return _competitor(u, w, spec, x0, r, "cutoff", a, phases)
 
@@ -353,8 +376,9 @@ def harmonic_competitor(
     Raises:
         ValueError: ``a`` or ``r`` out of range, bad ``main``, the ball
             (with a one-cell safety margin) leaving the mask or bounding
-            box, or a pair inadmissible on the grown window (see
-            :func:`window_delta`).
+            box, or an edit inadmissible on the window, then a pair
+            inadmissible on the window grown by one cell (see
+            :func:`~phasemin.functional.check_admissible`).
     """
     return _competitor(u, w, spec, x0, r, "harmonic", a, main)
 

@@ -203,7 +203,8 @@ def _window(u, pt: NDArray, r: float) -> tuple[tuple[slice, ...], NDArray, Phase
     grid = u.grid
     box, _, d = ball_window(grid, pt, r + grid.spacing)
     start = tuple(o + grid.spacing * c.start for o, c in zip(grid.origin, box))
-    sub = make_grid(grid.dim, d.shape, grid.spacing, start, grid.mask[box])
+    # not make_grid: a window may hold no masked cell, which a grid may not
+    sub = Grid(grid.dim, d.shape, grid.spacing, start, grid.mask[box])
     return box, d, PhaseField(sub, tuple(ScalarField(sub, f.values[box]) for f in u.fields))
 
 

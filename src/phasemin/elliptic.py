@@ -34,7 +34,8 @@ cycle smooths with ``SWEEPS`` sweeps before the coarse correction and as
 many after it, restricts residuals by averaging the children and prolongs
 corrections by copying them to the children.  A coarsest level of at most
 ``MIN_COARSE_CELLS`` region cells is solved exactly: ``_levels`` stores the
-inverse of its operator on those cells (symmetrized, at most 8 by 8), and
+inverse of its operator on those cells (assembled densely, as the harmonic
+extension's matrix is, and symmetrized; at most 8 by 8), and
 the cycle applies it as ``np.sum`` of a product.  A coarsest level left
 with more cells by the side or the empty-region stop is smoothed instead,
 with ``2 * SWEEPS + COARSEST_EXTRA_SWEEPS`` sweeps.  Restriction is
@@ -188,23 +189,25 @@ def _levels(
         h2 *= 4.0
         levels.append(_Level(region, walls, coeff, h2))
     if np.count_nonzero(region) <= MIN_COARSE_CELLS:
-        _invert(levels[-1], region)
+        coarsest = levels[-1]
+        inverse = np.linalg.inv(_dense_operator(region, coarsest.diag, h2))
+        coarsest.cells = np.nonzero(region)
+        coarsest.inverse = 0.5 * (inverse + inverse.T)
     return box, levels
 
 
-def _invert(level: _Level, region: NDArray[np.bool_]) -> None:
-    """Store the level's region cells and the inverse of its operator on
-    them, assembled column by column with :func:`_apply`."""
-    cells = np.nonzero(region)
-    unit, column = np.zeros(region.shape), np.zeros(region.shape)
-    mat = np.empty((cells[0].size,) * 2)
-    for j, cell in enumerate(zip(*cells)):
-        unit[cell] = 1.0
-        _apply(level, unit, column)
-        mat[:, j] = column[cells]
-        unit[cell] = 0.0
-    inverse = np.linalg.inv(mat)
-    level.cells, level.inverse = cells, 0.5 * (inverse + inverse.T)
+def _dense_operator(region: NDArray[np.bool_], diag: NDArray, h2: float) -> NDArray:
+    """The region operator ``diag - N/h**2`` as a dense matrix on the
+    region's cells, in row-major order: ``diag`` on the diagonal and
+    ``-1/h**2`` for each pair of face-neighbor cells."""
+    index = np.zeros(region.shape, dtype=np.int64)
+    index[region] = np.arange(np.count_nonzero(region))
+    mat = np.diag(diag[region])
+    for left, right, _, _ in edge_slices(region.ndim):
+        pair = region[left] & region[right]
+        i, j = index[left][pair], index[right][pair]
+        mat[i, j] = mat[j, i] = -1.0 / h2
+    return mat
 
 
 def _apply(level: _Level, v: NDArray, out: NDArray) -> None:
@@ -477,11 +480,5 @@ def harmonic_extension(
             x, _, _ = _pcg(grid, region, np.zeros(grid.shape), rhs, 1e-10)
             row[...] = x[box][inner]
         return out
-    index = np.zeros(inner.shape, dtype=np.int64)
-    index[inner] = np.arange(n)
-    mat = np.diag((2 * grid.dim + wall_slot_count(grid)[box][inner]).astype(float))
-    for left, right, _, _ in edge_slices(grid.dim):
-        pair = inner[left] & inner[right]
-        i, j = index[left][pair], index[right][pair]
-        mat[i, j] = mat[j, i] = -1.0
-    return np.linalg.solve(mat, nbr.T).T
+    deg = (2 * grid.dim + wall_slot_count(grid)[box]).astype(float)
+    return np.linalg.solve(_dense_operator(inner, deg, 1.0), nbr.T).T

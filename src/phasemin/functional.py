@@ -12,13 +12,15 @@ A configuration is a pair of a :class:`PhaseField` (one scalar field per
 phase) and a :class:`Partition` (one label per cell, label 0 being the
 unassigned "trash" zone with no volume cost).  Admissibility means each
 field vanishes off its own labeled region and respects its sign
-constraint.  :func:`check_admissible` checks it on a whole pair, and
-:func:`total` runs it; :func:`total_by_parts` prices a pair known to be
-admissible by summation by parts, unchecked.  :func:`window_delta` prices
-an edit of a pair on an index box and checks it, and the pair, only on the
-box grown by one cell, and :func:`window_deltas` prices several edits of
-one box in one pass; :func:`cell_set_delta` does the same for an edit on
-a set of cells, on the cells.
+constraint.  :func:`check_admissible` checks it on a whole pair.
+
+The objective is priced one way, by summation by parts: a field ``v`` that
+vanishes off its region has energy plus mass term ``h**n * sum v ((-lap_h
++ f) v - g)``.  :func:`total_by_parts` prices a pair so, unchecked, and
+:func:`total` is the same after :func:`check_admissible`.
+:func:`cell_set_deltas` prices edits of a pair on a set of cells, each as
+``ΔJ`` on the cells and their face neighbors, and checks each edit, and
+the pair, on the cells only.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from numpy.typing import NDArray
 from .grid import (
     Grid,
     ScalarField,
-    edge_energies,
     gradient_energy,
     index_box,
     make_field,
@@ -63,9 +64,7 @@ __all__ = [
     "check_admissible",
     "total",
     "total_by_parts",
-    "window_delta",
-    "window_deltas",
-    "cell_set_delta",
+    "cell_set_deltas",
     "volume_marginal",
     "cell_marginals",
     "truncate_to_sign",
@@ -301,7 +300,7 @@ def volume_value(w: Partition, vt: VolumeTerm) -> float:
 
 
 def _check_arrays(spec: FunctionalSpec, mask: NDArray, labels: NDArray, values) -> None:
-    """Check labels and per-phase values on one index box of ``mask``'s shape.
+    """Check labels and per-phase values on cells whose mask values are ``mask``.
 
     Labels must lie in 0..N and be 0 off the mask; then phases are checked
     in order, each for its support and then its sign.  The first violation
@@ -332,24 +331,27 @@ def check_admissible(u: PhaseField, w: Partition, spec: FunctionalSpec) -> None:
 
 
 def total(u: PhaseField, w: Partition, spec: FunctionalSpec) -> float:
-    """Full objective value ``energy + mass_term + volume_value``.
+    """Full objective value ``energy + mass_term + volume_value``, checked.
+
+    :func:`total_by_parts` of the pair once :func:`check_admissible` has
+    passed it.
 
     Raises:
         ValueError: if the pair is not admissible (see :func:`check_admissible`).
     """
     check_admissible(u, w, spec)
-    return energy(u) + mass_term(u, spec) + volume_value(w, spec.volume_term)
+    return total_by_parts(u, w, spec)
 
 
 def total_by_parts(u: PhaseField, w: Partition, spec: FunctionalSpec) -> float:
-    """:func:`total` by summation by parts, for an admissible pair it does not check.
+    """The objective by summation by parts, for an admissible pair it does not check.
 
     Each phase's energy plus mass term is ``h**n * sum v ((-lap_h + f) v - g)``,
     with the stencil of :mod:`phasemin.grid`: ``h**(n-2) * sum v (deg v - N(v))``
     plus ``h**n * sum (v v f - v g)``, one neighbor sum on the index box of
     the phase's region.  The identity is exact for any field that vanishes
-    off its region, solved or not; the result equals :func:`total` but for
-    rounding.
+    off its region, solved or not; the result equals ``energy + mass_term +
+    volume_value`` but for rounding.
     """
     grid = spec.grid
     walls = wall_slot_count(grid)
@@ -367,138 +369,118 @@ def total_by_parts(u: PhaseField, w: Partition, spec: FunctionalSpec) -> float:
     return energy_and_mass + volume_value(w, spec.volume_term)
 
 
-def window_delta(
-    spec: FunctionalSpec,
-    box: tuple[slice, ...],
-    pair: tuple[PhaseField, Partition],
-    star: tuple[NDArray, Sequence[NDArray]],
-) -> float:
-    """``J(star) - J(pair)`` for an edit of ``pair`` on the index box ``box``.
-
-    ``star = (labels, fields)`` holds the edited pair's labels and one
-    field per phase on ``box``, as arrays of the box's shape; every cell
-    outside ``box`` keeps the values of ``pair``.  The change is priced on
-    the window, ``box`` grown by one cell per axis (within the grid), so
-    every face edge that touches a box cell is in it: the window sum of the
-    per-edge energy changes times ``h**(n-2)``, plus the window sum of the
-    per-cell mass changes times ``h**n``, plus the change of the volume
-    term.  It is exact: an edge or cell that the sums leave out is
-    unchanged, and so is a window-face slot that the sums count as a wall
-    although it is none; an unchanged slot has bitwise equal values on both
-    pairs and contributes exactly 0.  Per-region weights give a window sum
-    too; a power law prices the global volumes, so its change is taken
-    between the per-phase label counts of ``pair`` and those counts plus
-    the window's change.  No full-grid objective is evaluated, and the
-    result is never the difference of two totals of size |J|.  This is the
-    one-star case of :func:`window_deltas`.
-
-    Raises:
-        ValueError: if the arrays do not fit the box and the phase count;
-            then if the star's labels, then its fields, then ``pair`` on
-            the window are not admissible (see :func:`check_admissible`).
-    """
-    (delta,) = window_deltas(spec, box, pair, [star])
-    if isinstance(delta, ValueError):
-        raise delta
-    return delta
-
-
-def window_deltas(
-    spec: FunctionalSpec,
-    box: tuple[slice, ...],
-    pair: tuple[PhaseField, Partition],
-    stars: Sequence[tuple[NDArray, Sequence[NDArray]]],
-) -> list[float | ValueError]:
-    """:func:`window_delta` of each of several edits of ``pair`` on one box.
-
-    The pair's side of the window identity (its labels, fields, per-slot
-    edge energies and mass terms on the window, and its check there) is
-    formed once, and the edits are priced together on a stack of windows;
-    each result equals :func:`window_delta` of its star bit for bit.  A
-    star that :func:`window_delta` would refuse gets the ValueError it
-    would raise in place of its change.
-    """
-    grid = spec.grid
-    window, inner = [], []
-    for cut, size in zip(box, grid.shape):
-        start, stop, _ = cut.indices(size)
-        stop, lo = max(stop, start), max(start - 1, 0)
-        window.append(slice(lo, min(stop + 1, size)))
-        inner.append(slice(start - lo, stop - lo))
-    window, inner = tuple(window), tuple(inner)
-    mask = grid.mask[window]
-    out, lab0, lab1, old, new = _edited(spec, pair, stars, window, inner)
-    axes = tuple(range(1, lab1.ndim))
-    edge = np.zeros(lab1.shape[0])
-    for v0, v1 in zip(old, new):
-        for (_, e0), (_, e1) in zip(edge_energies(v0, mask), edge_energies(v1, mask)):
-            edge += np.sum(e1 - e0, axis=axes)
-    deltas = iter(_edit_delta(spec, pair[1], window, edge, lab0, lab1, old, new))
-    return [float(next(deltas)) if res is None else res for res in out]
-
-
-def cell_set_delta(
+def cell_set_deltas(
     spec: FunctionalSpec,
     cells: tuple[NDArray, ...],
     pair: tuple[PhaseField, Partition],
-    star: tuple[NDArray, Sequence[NDArray]],
-) -> float:
-    """``J(star) - J(pair)`` for an edit of ``pair`` on a set of cells.
+    stars: Sequence[tuple[NDArray, Sequence[NDArray]]],
+) -> list[float | ValueError]:
+    """``J(star) - J(pair)`` for each of several edits of ``pair`` on one set of cells.
 
     ``cells`` holds one index array per axis, as ``np.nonzero`` returns
-    them (row-major, no cell twice).  ``star = (labels, fields)`` holds
+    them (row-major, no cell twice).  Each star ``(labels, fields)`` holds
     the edited pair's labels and one field per phase, one entry per cell;
-    every other cell keeps the values of ``pair``.  The change is priced on
-    the cells by summation by parts: with ``d`` the field change and ``s``
-    the sum of the old and the new field, the energy changes by
-    ``sum d (deg s - N(s))`` times ``h**(n-2)`` (``N`` and ``deg`` as in
-    :mod:`phasemin.grid`), which reads ``s`` at the cells' face neighbors;
-    the mass and volume terms change as in :func:`window_delta`.  The work
-    is in the number of cells, not in the size of their index box.  On a
-    box it agrees with :func:`window_delta` but for rounding only, so the
-    audit keeps that one.
+    every other cell keeps the values of ``pair``.  With ``d`` the field
+    change and ``s`` the sum of the old and the new field, the energy
+    changes by ``h**(n-2) * sum d (deg s - N(s))`` (summation by parts,
+    with ``N`` and ``deg`` as in :mod:`phasemin.grid`), which reads ``s`` at
+    the cells' face neighbors; the mass term and per-region weights change
+    by cell sums, and a power law between the label counts of ``pair`` and
+    those counts plus the change on the cells.  This is exact for fields
+    that vanish off the mask.  The work is in the number of cells: one
+    neighbor lookup serves every phase and star, and each star's result is
+    bit for bit the one it gets alone.
+
+    Returns:
+        Per star its ``ΔJ``, or the ValueError that refused it: its arrays
+        do not fit the cells and the phase count, or its labels, then its
+        fields, then ``pair`` on the cells are not admissible (see
+        :func:`check_admissible`).
 
     Raises:
         ValueError: if the cells are not in row-major order without
-            repeats or leave the grid, or the arrays do not fit them and the
-            phase count; then if the star's labels, then its fields, then
-            ``pair`` on the cells are not admissible (see
-            :func:`check_admissible`).
+            repeats or leave the grid.
     """
     grid = spec.grid
     read = tuple(np.asarray(idx, dtype=np.intp) for idx in cells)
     flat = np.ravel_multi_index(read, grid.shape)
     if np.any(np.diff(flat) <= 0):
         raise ValueError("a cell set must be in row-major order, each cell once")
-    (err,), lab0, lab1, old, new = _edited(spec, pair, [star], read, ...)
-    if err is not None:
-        raise err
-    edge = sum(
-        _set_energy_change(grid, read, flat, f.values, v0, v1[0])
-        for f, v0, v1 in zip(pair[0].fields, old, new)
-    )
-    return float(_edit_delta(spec, pair[1], read, np.array([edge]), lab0, lab1, old, new)[0])
+    out, lab0, lab1, old, new = _edited(spec, pair, stars, read)
+    far, slots = _neighbor_slots(grid, read, flat)
+    deg = 2 * grid.dim + wall_slot_count(grid)[read]
+    k = lab1.shape[0]
+    edge, mass = np.zeros(k), np.zeros(k)
+    for fld, f, g, v0, v1 in zip(pair[0].fields, spec.f, spec.g, old, new):
+        s = v0 + v1
+        # s at the cells, then twice the unchanged value at each neighbor
+        # outside the set, then 0 for a neighbor beyond the box
+        outer = np.broadcast_to(2.0 * fld.values.reshape(-1)[far], (k, far.size))
+        ext = np.concatenate([s, outer, np.zeros((k, 1))], axis=1)
+        nbr = ext[:, slots[0]]
+        for slot in slots[1:]:
+            nbr += ext[:, slot]
+        edge += np.sum((v1 - v0) * (deg * s - nbr), axis=1)
+        fw, gw = f.values[read], g.values[read]
+        mass += np.sum((v1 * v1 * fw - v1 * gw) - (v0 * v0 * fw - v0 * gw), axis=1)
+    delta = edge * grid.spacing ** (grid.dim - 2) + mass * grid.cell_volume
+    term, vol = spec.volume_term, grid.cell_volume
+    if isinstance(term, PowerLaw):
+        for i, count in enumerate(pair[1]._label_counts[1:], start=1):
+            moved = np.count_nonzero(lab1 == i, axis=1) - np.count_nonzero(lab0 == i)
+            before = term.cost(float(count) * vol)
+            delta += [term.cost(float(count + m) * vol) - before for m in moved]
+    else:
+        for i, q in enumerate(term.weights, start=1):
+            qw = q.values[read]
+            gained = np.where(lab1 == i, qw, 0.0) - np.where(lab0 == i, qw, 0.0)
+            delta += np.sum(gained, axis=1) * vol
+    deltas = iter(delta.tolist())
+    return [next(deltas) if err is None else err for err in out]
 
 
-def _edited(spec: FunctionalSpec, pair, stars, read, inner):
+def _neighbor_slots(grid: Grid, cells: tuple[NDArray, ...], flat: NDArray):
+    """Where each face neighbor of a cell set, with row-major flat indices
+    ``flat``, is read from: the flat indices ``far`` of the neighbors outside
+    the set, one entry per read, and per axis and direction (upper first) a
+    slot per cell, ``j`` for the set's cell j, ``#cells + k`` for ``far[k]``
+    and -1 beyond the box."""
+    m = count = flat.size
+    far, slots = [], []
+    for axis, (idx, size) in enumerate(zip(cells, grid.shape)):
+        stride = math.prod(grid.shape[axis + 1 :])
+        for step in (1, -1):
+            nb = flat + step * stride
+            at = np.minimum(np.searchsorted(flat, nb), m - 1)
+            inside = (idx + step >= 0) & (idx + step < size)
+            hit = inside & (flat[at] == nb)
+            outside = np.flatnonzero(inside & ~hit)
+            slot = np.where(hit, at, -1)
+            slot[outside] = count + np.arange(outside.size)
+            count += outside.size
+            far.append(nb[outside])
+            slots.append(slot)
+    return np.concatenate(far), slots
+
+
+def _edited(spec: FunctionalSpec, pair, stars, read):
     """Check the edits ``stars`` of ``pair`` and the pair at the index ``read``.
 
-    Each star replaces the part ``inner`` of ``read``.  Returns the list of
-    outcomes, the ValueError that refused each star or None, then the labels
-    and fields of ``pair`` at ``read`` and, stacked along a leading axis,
-    the same after each star that passed."""
+    Each star replaces the values of ``pair`` at ``read``.  Returns the list
+    of outcomes, the ValueError that refused each star or None, then the
+    labels and fields of ``pair`` at ``read`` and, stacked along a leading
+    axis, the same after each star that passed."""
     n, mask = spec.num_phases, spec.grid.mask[read]
     u, w = pair
-    shape = mask[inner].shape
     out, passed = [], []
     for labels, fields in stars:
         labels = np.asarray(labels)
         try:
             if len(fields) != n or u.num_phases != n or w.num_phases != n or any(
-                np.shape(a) != shape for a in (labels, *fields)
+                np.shape(a) != mask.shape for a in (labels, *fields)
             ):
-                raise ValueError(f"star must hold labels and {n} fields of shape {shape}")
-            _check_arrays(spec, mask[inner], labels, fields)
+                raise ValueError(f"star must hold labels and {n} fields of shape {mask.shape}")
+            _check_arrays(spec, mask, labels, fields)
         except ValueError as err:
             out.append(err)
             continue
@@ -512,66 +494,13 @@ def _edited(spec: FunctionalSpec, pair, stars, read, inner):
         except ValueError as err:
             out = [err if res is None else res for res in out]
             passed = []
-    lab1 = np.repeat(lab0[None], len(passed), axis=0)
-    new = [np.repeat(v0[None], len(passed), axis=0) for v0 in old]
-    for k, (labels, fields) in enumerate(passed):
-        lab1[k][inner] = labels
-        for v1, vals in zip(new, fields):
-            v1[k][inner] = vals
+    shape = (len(passed), *mask.shape)
+    lab1 = np.array([labels for labels, _ in passed]).reshape(shape)
+    new = [
+        np.array([fields[i] for _, fields in passed], dtype=float).reshape(shape)
+        for i in range(n)
+    ]
     return out, lab0, lab1, old, new
-
-
-def _edit_delta(
-    spec: FunctionalSpec, w: Partition, read, edge: NDArray, lab0, lab1, old, new
-) -> NDArray:
-    """The objective changes of edits from their edge energy changes
-    ``edge`` (without ``h**(n-2)``) and the labels and fields at the index
-    ``read``, which covers every changed cell: ``lab0`` and ``old`` before,
-    ``lab1`` and ``new`` after, stacked one edit per leading entry."""
-    grid, n = spec.grid, spec.num_phases
-    axes = tuple(range(1, lab1.ndim))
-    mass = np.zeros(lab1.shape[0])
-    for v0, v1, f, g in zip(old, new, spec.f, spec.g):
-        fw, gw = f.values[read], g.values[read]
-        mass += np.sum((v1 * v1 * fw - v1 * gw) - (v0 * v0 * fw - v0 * gw), axis=axes)
-    delta = edge * grid.spacing ** (grid.dim - 2) + mass * grid.cell_volume
-    term = spec.volume_term
-    if isinstance(term, PowerLaw):
-        for i, count in enumerate(w._label_counts[1 : n + 1], start=1):
-            moved = np.count_nonzero(lab1 == i, axis=axes) - np.count_nonzero(lab0 == i)
-            v0 = float(count) * grid.cell_volume
-            delta += [
-                term.cost(float(count + m) * grid.cell_volume) - term.cost(v0) for m in moved
-            ]
-    else:
-        for i, q in enumerate(term.weights, start=1):
-            qw = q.values[read]
-            gained = np.where(lab1 == i, qw, 0.0) - np.where(lab0 == i, qw, 0.0)
-            delta += np.sum(gained, axis=axes) * grid.cell_volume
-    return delta
-
-
-def _set_energy_change(
-    grid: Grid, cells: tuple[NDArray, ...], flat: NDArray, values: NDArray,
-    old: NDArray, new: NDArray,
-) -> float:
-    """Edge energy change, without ``h**(n-2)``, of a field ``values`` that
-    takes the values ``new`` instead of ``old`` at the cells of a set, whose
-    row-major flat indices are ``flat``: ``sum d (deg s - N(s))`` with
-    ``d = new - old`` and ``s = old + new``."""
-    s = old + new
-    nbr = np.zeros_like(s)
-    everywhere = values.reshape(-1)
-    for axis, (idx, size) in enumerate(zip(cells, grid.shape)):
-        stride = math.prod(grid.shape[axis + 1 :])
-        for step in (1, -1):
-            inside = (idx + step >= 0) & (idx + step < size)
-            nb = flat[inside] + step * stride
-            at = np.minimum(np.searchsorted(flat, nb), flat.size - 1)
-            # s is twice the unchanged value at a neighbor outside the set
-            nbr[inside] += np.where(flat[at] == nb, s[at], 2.0 * everywhere[nb])
-    deg = 2 * grid.dim + wall_slot_count(grid)[cells]
-    return float(np.sum((new - old) * (deg * s - nbr)))
 
 
 def volume_marginal(w: Partition, vt: VolumeTerm, at=None) -> tuple[float, ...]:

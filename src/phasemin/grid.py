@@ -136,7 +136,8 @@ def make_grid(
         spacing: positive cell width.
         origin: finite center of the first cell; defaults to ``spacing/2``
             per axis, which places the grid box on ``(0, L)`` per axis.
-        mask: optional boolean domain mask (default: all cells inside).
+        mask: optional boolean domain mask (default: all cells inside)
+            with at least one cell inside.
 
     Raises:
         ValueError: on any violated invariant.
@@ -166,6 +167,8 @@ def make_grid(
             raise ValueError(
                 f"mask shape {mask_arr.shape} does not match grid shape {shape_t}"
             )
+        if not mask_arr.any():
+            raise ValueError("mask has no cell inside the domain; at least one is needed")
         mask_arr = mask_arr.copy()
     mask_arr.setflags(write=False)
     return Grid(dim=dim, shape=shape_t, spacing=spacing, origin=origin_t, mask=mask_arr)
@@ -527,18 +530,17 @@ def laplacian_apply(f: ScalarField) -> ScalarField:
 def edge_energies(values: NDArray, mask: NDArray[np.bool_]):
     """The face-edge energy without its ``h**(n-2)`` factor, slot by slot.
 
-    ``values`` must vanish off ``mask``; it has the mask's shape, or leading
-    axes on top of it that stack fields on the same box.  Per axis yields
-    ``(cells, energy)`` for the in-box edges, with ``cells = (left, right)``
-    and energy ``(1 + (m[left] ^ m[right])) * d**2``, then for the wall slots
-    of each box face, with ``cells = (first,)`` then ``(last,)`` and energy
-    ``2 * v**2``; ``cells`` index the mask's axes.
+    ``values`` has the mask's shape and must vanish off ``mask``.  Per axis
+    yields ``(cells, energy)`` for the in-box edges, with ``cells = (left,
+    right)`` and energy ``(1 + (m[left] ^ m[right])) * d**2``, then for the
+    wall slots of each box face, with ``cells = (first,)`` then ``(last,)``
+    and energy ``2 * v**2``.
     """
     for left, right, first, last in edge_slices(mask.ndim):
-        d = values[(Ellipsis, *right)] - values[(Ellipsis, *left)]
+        d = values[right] - values[left]
         yield (left, right), (1 + (mask[left] ^ mask[right])) * d * d
-        yield (first,), 2.0 * values[(Ellipsis, *first)] ** 2
-        yield (last,), 2.0 * values[(Ellipsis, *last)] ** 2
+        yield (first,), 2.0 * values[first] ** 2
+        yield (last,), 2.0 * values[last] ** 2
 
 
 def gradient_energy(f: ScalarField, region: NDArray[np.bool_] | None = None) -> float:

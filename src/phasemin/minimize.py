@@ -29,10 +29,10 @@ sweep never increases J for nonnegative phases; a revert safeguard in
 
 Within the loop a cycle's solved pair is priced by ``total_by_parts``
 (summation by parts, one neighbor sum per phase on its region's box: a
-pass over the labelled grid, only a cheaper one than ``total``), and its
-sweep by ``cell_set_delta`` on the cells the sweep relabelled.  ``total``
-runs on the initial pair and on the returned pair only, so the reported
-final J is the full objective of the pair returned.
+pass over the labelled grid, without ``total``'s admissibility check), and
+its sweep by ``cell_set_deltas`` on the cells the sweep relabelled.
+``total`` runs on the initial pair and on the returned pair only, so the
+reported final J is the checked objective of the pair returned.
 
 The result is a sweep fixed point that depends on the initial partition,
 not always a local minimizer.  With every volume marginal >= 0 (any power
@@ -53,7 +53,7 @@ from .functional import (
     Partition,
     PhaseField,
     cell_marginals,
-    cell_set_delta,
+    cell_set_deltas,
     make_partition,
     make_phase_field,
     region_volumes,
@@ -89,9 +89,10 @@ class SolveReport:
             ``tol_solve`` values only.  The first entry and the last (and
             the one before it when the last sweep was discarded, the same
             pair) are :func:`total`; the solve value is
-            :func:`total_by_parts` of the solved pair, and the sweep value
-            that plus :func:`cell_set_delta` of the sweep's edit on its
-            relabelled cells, each equal to ``total`` but for rounding.
+            :func:`total_by_parts` of the solved pair, the same sum
+            unchecked, and the sweep value that plus
+            :func:`cell_set_deltas` of the sweep's edit on its relabelled
+            cells, equal to ``total`` of the swept pair but for rounding.
         converged: True when the loop stopped before the iteration cap:
             the relative objective change dropped below ``tol_j``, the
             partition reached a fixed point, or the sweep was discarded.
@@ -262,12 +263,15 @@ def _sweep(
 ) -> tuple[PhaseField, Partition, int, float]:
     """One label sweep of the solved pair ``(u, w)``: the swept pair, the
     number of relabelled cells and the exact objective change, priced by
-    :func:`cell_set_delta` on those cells."""
+    :func:`cell_set_deltas` on those cells."""
     w_new = update_partition(spec, u, w)
     u_new = restrict_support(u, w_new)
     cells = np.nonzero(w_new.labels != w.labels)
     star = (w_new.labels[cells], [f.values[cells] for f in u_new.fields])
-    return u_new, w_new, cells[0].size, cell_set_delta(spec, cells, (u, w), star)
+    (delta,) = cell_set_deltas(spec, cells, (u, w), [star])
+    if isinstance(delta, ValueError):
+        raise delta
+    return u_new, w_new, cells[0].size, delta
 
 
 def minimize(

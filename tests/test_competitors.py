@@ -273,6 +273,8 @@ def audited_pairs(draw):
     mask = rng.random(shape) >= draw(st.sampled_from([0.0, 0.05, 0.2]))
     if draw(st.booleans()):
         mask |= distances(plain, x0) < r + h
+    if not mask.any():  # a grid needs a masked cell
+        mask.flat[0] = True
     grid = make_grid(dim, shape, h, mask=mask)
     n = draw(st.integers(1, 3))
     signs = [draw(st.sampled_from([FREE, NONNEGATIVE])) for _ in range(n)]
@@ -400,6 +402,36 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="phase 2 has support outside"):
             audit(u, w, spec, [(x0, r)])
 
+    def test_competitors_check_the_grown_window_corners(self):
+        # a corner cell of the window grown by one cell is no face neighbor
+        # of a window cell, so the ball's ΔJ never reads it; the competitors
+        # still refuse a pair inadmissible there, and not one cell further out
+        spec, clean, w = self.pair()
+        x0, r = (0.7, 0.6), 0.15
+        box = ball_window(spec.grid, np.array(x0), r)[0]
+        for c0, c1, out0, out1 in (
+            (box[0].start - 1, box[1].start - 1, -1, -1),
+            (box[0].start - 1, box[1].stop, -1, 1),
+            (box[0].stop, box[1].start - 1, 1, -1),
+            (box[0].stop, box[1].stop, 1, 1),
+        ):
+            stray = 3 - int(w.labels[c0, c1])
+            fields = [f.copy() for f in clean]
+            fields[stray - 1][c0, c1] = 0.5
+            u = make_phase_field(spec.grid, fields)
+            note = f"phase {stray} has support outside its labeled region"
+            with pytest.raises(ValueError, match=note):
+                cutoff_competitor(u, w, spec, x0, r, 0.5, [1, 2])
+            for main in (1, 2):
+                with pytest.raises(ValueError, match=note):
+                    harmonic_competitor(u, w, spec, x0, r, 0.5, main)
+            fields = [f.copy() for f in clean]
+            stray = 3 - int(w.labels[c0 + out0, c1 + out1])
+            fields[stray - 1][c0 + out0, c1 + out1] = 0.5
+            u = make_phase_field(spec.grid, fields)
+            cutoff_competitor(u, w, spec, x0, r, 0.5, [1, 2])
+            harmonic_competitor(u, w, spec, x0, r, 0.5, 1)
+
     def test_competitor_star_is_checked_first(self):
         # phase 2 strays onto a phase-1 corner cell of the window of
         # B((0.5, 0.5), 0.15), phase 1 onto a phase-2 corner: the harmonic
@@ -468,8 +500,8 @@ def random_stars(rng, spec, box, count):
 
 
 class TestBatchedPricing:
-    """``window_deltas`` prices several edits of one window together, bit
-    for bit as ``window_delta`` prices each."""
+    """``cell_set_deltas`` prices several edits of one cell set together,
+    bit for bit as it prices each alone, with the same refusals."""
 
     @settings(max_examples=150, deadline=None)
     @given(audited_pairs(), st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
@@ -482,11 +514,25 @@ class TestBatchedPricing:
             fields = [f.values.copy() for f in u.fields]
             fields[0][box].flat[int(rng.integers(fields[0][box].size))] += 1.0
             u = make_phase_field(spec.grid, fields)
-        stars = random_stars(rng, spec, box, count)
-        got = functional.window_deltas(spec, box, (u, w), stars)
+        # the window's cells, in row-major order, and the edits on them
+        chosen = np.zeros(spec.grid.shape, dtype=bool)
+        chosen[box] = True
+        cells = np.nonzero(chosen)
+        stars = [
+            (labels.reshape(-1), [f.reshape(-1) for f in fields])
+            for labels, fields in random_stars(rng, spec, box, count)
+        ]
+
+        def alone(star):
+            (dj,) = functional.cell_set_deltas(spec, cells, (u, w), [star])
+            if isinstance(dj, ValueError):
+                raise dj
+            return dj
+
+        got = functional.cell_set_deltas(spec, cells, (u, w), stars)
         assert len(got) == len(stars)
         for dj, star in zip(got, stars):
-            want = outcome(functional.window_delta, spec, box, (u, w), star)
+            want = outcome(alone, star)
             if isinstance(want, str):
                 assert isinstance(dj, ValueError) and str(dj) == want
             else:
@@ -576,6 +622,20 @@ class TestCutoff:
         mid = (d >= a * r) & (d < r)
         ramp = (d[mid] - a * r) / (r - a * r)
         assert np.allclose(vals[mid], ramp * old[mid], atol=1e-14)
+
+    def test_ramp_leaves_a_cell_at_distance_r_unchanged(self):
+        # r is the distance of cell 17 from x0 = 0.3, and fl(0.75 r) rounds
+        # up, so the ramp's formula gives 1 - ulp there
+        grid = make_grid(1, (32,), 1 / 32)
+        spec, u, w = solved_full_domain_pair(grid, 2.0, 0.0)
+        r = float(distances(grid, as_point(grid, (0.3,)))[17])
+        assert (r - 0.75 * r) / (0.25 * r) < 1.0
+        u2, w2, dj = cutoff_pair(u, w, spec, (0.3,), r, 0.75, [1])
+        vals, old = u2.fields[0].values, u.fields[0].values
+        assert old[17] > 0.0 and vals[17] == old[17]
+        assert np.array_equal(vals[17:], old[17:])
+        j = total(u, w, spec)
+        assert dj == pytest.approx(total(u2, w2, spec) - j, rel=1e-12, abs=1e-14)
 
     def test_trash_rule_respects_benefit(self):
         grid = make_grid(2, (16, 16), 1 / 16)
@@ -698,7 +758,7 @@ class TestHarmonic:
         outside = d >= r
         assert np.array_equal(w2.labels[outside], w.labels[outside])
         assert np.array_equal(u2.fields[0].values[outside], u.fields[0].values[outside])
-        # window_delta checked the edit for admissibility; delta is finite
+        # the edit was checked for admissibility; delta is finite
         assert np.isfinite(dj)
 
     def test_validation(self):

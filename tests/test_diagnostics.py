@@ -493,6 +493,20 @@ class TestProbeRule:
         with pytest.raises(ValueError, match=f"above 2h = {2.0 * h}"):
             radial_energy(u, CENTER, [2.0 * h])
 
+    def test_window_inside_a_mask_hole(self):
+        # a grid needs a masked cell, a probe window does not
+        mask = np.ones((64, 64), dtype=bool)
+        mask[16:48, 16:48] = False
+        grid = make_grid(2, (64, 64), 1 / 64, mask=mask)
+        u = make_phase_field(grid, [np.where(mask, 1.0, 0.0)])
+        assert phase_count_at(u, CENTER, 0.1) == 0
+        assert radial_energy(u, CENTER, [0.05, 0.1]).values == (0.0, 0.0)
+        assert acf_profile(u, Phase(1, 1), CENTER, [0.05, 0.1]).values == (0.0, 0.0)
+        report = interface_measure(u, 1, CENTER, [0.05, 0.1])
+        assert report.mu_density == (0.0, 0.0)
+        with pytest.raises(ValueError, match="no boundary cells inside the fitting ball"):
+            flatness(u, Phase(1, 1), None, CENTER, [0.05, 0.1])
+
 
 class TestLipschitz:
     def test_constant_field(self):

@@ -44,6 +44,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_grid(2, (4, 4), 0.25, mask=np.ones((3, 3), dtype=bool))
 
+    def test_make_grid_rejects_an_empty_mask(self):
+        # no cell to solve on: minimize would divide by the masked cell count
+        with pytest.raises(ValueError, match="mask has no cell"):
+            make_grid(2, (4, 4), 0.25, mask=np.zeros((4, 4), bool))
+        mask = np.zeros((4, 4), bool)
+        mask[3, 0] = True
+        assert np.count_nonzero(make_grid(2, (4, 4), 0.25, mask=mask).mask) == 1
+
     def test_default_origin_covers_unit_box(self):
         g = unit_grid_1d(8)
         assert axis_centers(g, 0)[0] == pytest.approx(1 / 16)
