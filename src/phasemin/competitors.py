@@ -15,11 +15,13 @@ edit on the ball's window, returned with the exact objective change
 The window (``grid.ball_window``) is the index box of the cells with
 ``|c_a - x0_a| < r + h`` along every axis, and a competitor is the box
 with the edited labels and fields on it: ``(box, (labels, fields))``,
-arrays of the box's shape.  Of an admissible pair a competitor changes
-only the ball's cells, d < r, so
-:func:`~phasemin.functional.cell_set_deltas` prices it exactly on those
-cells.  :func:`cutoff_competitor` and :func:`harmonic_competitor` check
-the edit on its box and the pair on the box grown by one cell.
+arrays of the box's shape.  Of an admissible pair a competitor is
+admissible (the cut-off trashes only cells where every field vanishes, the
+harmonic star masks each phase by its new labels) and changes only the
+ball's cells, d < r, so :func:`~phasemin.functional.cell_set_deltas`
+prices it there, unchecked, for admissible pairs and stars.
+:func:`cutoff_competitor` and :func:`harmonic_competitor` check the edit
+on its box and the pair on the box grown by one cell.
 
 On a converged pair every competitor should (near-)fail to improve the
 objective; the audit checks the whole pair once and aggregates many such
@@ -124,20 +126,30 @@ def _attempt(fn, *args):
         return err
 
 
-def _check_arguments(spec: FunctionalSpec, r: float, kind: str, a: float, arg) -> None:
-    """The checks a construction makes before it reads the grid."""
+def _phase_index(i, n: int, what: str) -> int:
+    """The phase in 1..n that an integral ``i`` (1, ``np.int64(1)``, 1.0) selects."""
+    if not 1 <= i <= n:
+        raise ValueError(f"{what} {i} out of range 1..{n}")
+    if i != int(i):
+        raise ValueError(f"{what} {i} is not an integer")
+    return int(i)
+
+
+def _check_arguments(spec: FunctionalSpec, r: float, kind: str, a: float, arg):
+    """The checks a construction makes before it reads the grid; returns the
+    try with its phases as ints (the sorted damped phases, or the main)."""
+    n = spec.num_phases
     if kind == "cutoff":
         if not 0.0 < a < 1.0:
             raise ValueError(f"cutoff fraction a must lie in (0,1), got {a}")
         if not (r > 0.0 and np.isfinite(r)):
             raise ValueError(f"cutoff radius r must be positive and finite, got {r}")
-        return
+        return kind, a, [_phase_index(i, n, "phase index") for i in sorted(set(arg))]
     if not 0.5 <= a < 1.0:
         raise ValueError(f"harmonic fraction a must lie in [1/2, 1), got {a}")
     if not r > 0.0:
         raise ValueError(f"harmonic radius r must be positive, got {r}")
-    if not 1 <= arg <= spec.num_phases:
-        raise ValueError(f"main phase {arg} out of range 1..{spec.num_phases}")
+    return kind, a, _phase_index(arg, n, "main phase")
 
 
 def _probe(
@@ -156,14 +168,15 @@ def _probe(
     point and its window, the window values of the pair, the ray sources of
     every cell with r/2 <= d < r, one harmonic extension per inner ball for
     all its mains, and one :func:`cell_set_deltas` call for all the stars
-    on the ball's cells, exact where ``(u, w)`` is admissible on the
-    window.  ``lam`` is :func:`cell_marginals` of ``w``, needed by cut-offs
-    only.  Returns the window (None if no star was built), the stars and
-    their ``ΔJ``, one per try; a try that fails has the ValueError its
-    construction raised in both places.
+    on the ball's cells, unchecked and exact where ``(u, w)`` is admissible
+    on the window.  ``lam`` is :func:`cell_marginals` of ``w``, needed by
+    cut-offs only.  Returns the window (None if no star was built), the
+    stars and their ``ΔJ``, one per try; a try that fails has the
+    ValueError its construction raised in both places.
     """
     grid = spec.grid
-    stars = [_attempt(_check_arguments, spec, r, *t) for t in tries]
+    tries = [_attempt(_check_arguments, spec, r, *t) for t in tries]
+    stars = [t if isinstance(t, ValueError) else None for t in tries]
     todo = [k for k, star in enumerate(stars) if star is None]
     if not todo:
         return None, stars, stars
@@ -212,13 +225,8 @@ def _probe(
             if missed:
                 stars[k] = ValueError(f"ball at {where} radius {r} misses every masked cell")
                 continue
-            chosen = sorted(set(int(i) for i in arg))
-            bad = [i for i in chosen if not 1 <= i <= spec.num_phases]
-            if bad:
-                stars[k] = ValueError(f"phase index {bad[0]} out of range 1..{spec.num_phases}")
-                continue
             ramp = _ramp(d, r, a)
-            fields = [v * ramp if i in chosen else v for i, v in enumerate(values, start=1)]
+            fields = [v * ramp if i in arg else v for i, v in enumerate(values, start=1)]
             vacated = np.logical_and.reduce([vals == 0.0 for vals in fields])
             labels = labels0.copy()
             labels[(d < a * r) & vacated & costly] = 0
@@ -254,22 +262,20 @@ def _probe(
 def _competitor(u, w, spec, x0, r, kind, a, arg):
     """One construction at one probe: ``(box, (labels, fields), ΔJ)``.
 
-    The star is checked on its box, then the pair on the box grown by one
-    cell (within the grid); the pair is then admissible on the box, so the
-    star changes it only on the ball's cells, where :func:`_probe` priced
-    it."""
+    The phase counts are checked first.  The star is checked on its box,
+    then the pair on the box grown by one cell (within the grid); the pair
+    is then admissible on the box, so the star changes it only on the
+    ball's cells, where :func:`_probe` priced it."""
+    if not u.num_phases == w.num_phases == spec.num_phases:
+        raise ValueError("phase counts of field, partition, and spec disagree")
     lam = cell_marginals(spec, w) if kind == "cutoff" else None
     box, (star,), (delta,) = _probe(u, w, spec, x0, r, [(kind, a, arg)], lam)
     if isinstance(star, ValueError):
         raise star
     mask = spec.grid.mask
-    # with phase counts that disagree, pricing refused the star's shape
-    if u.num_phases == w.num_phases == spec.num_phases:
-        _check_arrays(spec, mask[box], *star)
-        grown = tuple(slice(max(cut.start - 1, 0), cut.stop + 1) for cut in box)
-        _check_arrays(spec, mask[grown], w.labels[grown], [f.values[grown] for f in u.fields])
-    if isinstance(delta, ValueError):
-        raise delta
+    _check_arrays(spec, mask[box], *star)
+    grown = tuple(slice(max(cut.start - 1, 0), cut.stop + 1) for cut in box)
+    _check_arrays(spec, mask[grown], w.labels[grown], [f.values[grown] for f in u.fields])
     return box, star, delta
 
 

@@ -19,8 +19,9 @@ vanishes off its region has energy plus mass term ``h**n * sum v ((-lap_h
 + f) v - g)``.  :func:`total_by_parts` prices a pair so, unchecked, and
 :func:`total` is the same after :func:`check_admissible`.
 :func:`cell_set_deltas` prices edits of a pair on a set of cells, each as
-``ΔJ`` on the cells and their face neighbors, and checks each edit, and
-the pair, on the cells only.
+``ΔJ`` on the cells and their face neighbors, unchecked, for admissible
+pairs and stars: admissibility is checked where a pair enters, not where
+it is priced.
 """
 
 from __future__ import annotations
@@ -374,8 +375,9 @@ def cell_set_deltas(
     cells: tuple[NDArray, ...],
     pair: tuple[PhaseField, Partition],
     stars: Sequence[tuple[NDArray, Sequence[NDArray]]],
-) -> list[float | ValueError]:
-    """``J(star) - J(pair)`` for each of several edits of ``pair`` on one set of cells.
+) -> list[float]:
+    """``J(star) - J(pair)`` for each of several edits of ``pair`` on one set
+    of cells, unchecked, for admissible pairs and stars.
 
     ``cells`` holds one index array per axis, as ``np.nonzero`` returns
     them (row-major, no cell twice).  Each star ``(labels, fields)`` holds
@@ -389,34 +391,36 @@ def cell_set_deltas(
     those counts plus the change on the cells.  This is exact for fields
     that vanish off the mask.  The work is in the number of cells: one
     neighbor lookup serves every phase and star, and each star's result is
-    bit for bit the one it gets alone.
-
-    Returns:
-        Per star its ``ΔJ``, or the ValueError that refused it: its arrays
-        do not fit the cells and the phase count, or its labels, then its
-        fields, then ``pair`` on the cells are not admissible (see
-        :func:`check_admissible`).
+    bit for bit the one it gets alone.  Admissibility is the caller's to
+    check, as for :func:`total_by_parts`.
 
     Raises:
         ValueError: if the cells are not in row-major order without
-            repeats or leave the grid.
+            repeats or leave the grid, or a star does not hold labels and
+            one field per phase at the cells.
     """
-    grid = spec.grid
+    grid, n = spec.grid, spec.num_phases
     read = tuple(np.asarray(idx, dtype=np.intp) for idx in cells)
     flat = np.ravel_multi_index(read, grid.shape)
     if np.any(np.diff(flat) <= 0):
         raise ValueError("a cell set must be in row-major order, each cell once")
-    out, lab0, lab1, old, new = _edited(spec, pair, stars, read)
+    for labels, fields in stars:
+        if len(fields) != n or any(np.shape(a) != flat.shape for a in (labels, *fields)):
+            raise ValueError(f"star must hold labels and {n} fields of shape {flat.shape}")
+    shape = (len(stars), flat.size)
+    lab0 = pair[1].labels[read]
+    lab1 = np.array([labels for labels, _ in stars]).reshape(shape)
     far, slots = _neighbor_slots(grid, read, flat)
     deg = 2 * grid.dim + wall_slot_count(grid)[read]
-    k = lab1.shape[0]
-    edge, mass = np.zeros(k), np.zeros(k)
-    for fld, f, g, v0, v1 in zip(pair[0].fields, spec.f, spec.g, old, new):
+    edge, mass = np.zeros(shape[0]), np.zeros(shape[0])
+    for i, (fld, f, g) in enumerate(zip(pair[0].fields, spec.f, spec.g)):
+        v0 = fld.values[read]
+        v1 = np.array([fields[i] for _, fields in stars], dtype=float).reshape(shape)
         s = v0 + v1
         # s at the cells, then twice the unchanged value at each neighbor
         # outside the set, then 0 for a neighbor beyond the box
-        outer = np.broadcast_to(2.0 * fld.values.reshape(-1)[far], (k, far.size))
-        ext = np.concatenate([s, outer, np.zeros((k, 1))], axis=1)
+        outer = np.broadcast_to(2.0 * fld.values.reshape(-1)[far], (shape[0], far.size))
+        ext = np.concatenate([s, outer, np.zeros((shape[0], 1))], axis=1)
         nbr = ext[:, slots[0]]
         for slot in slots[1:]:
             nbr += ext[:, slot]
@@ -435,8 +439,7 @@ def cell_set_deltas(
             qw = q.values[read]
             gained = np.where(lab1 == i, qw, 0.0) - np.where(lab0 == i, qw, 0.0)
             delta += np.sum(gained, axis=1) * vol
-    deltas = iter(delta.tolist())
-    return [next(deltas) if err is None else err for err in out]
+    return delta.tolist()
 
 
 def _neighbor_slots(grid: Grid, cells: tuple[NDArray, ...], flat: NDArray):
@@ -461,46 +464,6 @@ def _neighbor_slots(grid: Grid, cells: tuple[NDArray, ...], flat: NDArray):
             far.append(nb[outside])
             slots.append(slot)
     return np.concatenate(far), slots
-
-
-def _edited(spec: FunctionalSpec, pair, stars, read):
-    """Check the edits ``stars`` of ``pair`` and the pair at the index ``read``.
-
-    Each star replaces the values of ``pair`` at ``read``.  Returns the list
-    of outcomes, the ValueError that refused each star or None, then the
-    labels and fields of ``pair`` at ``read`` and, stacked along a leading
-    axis, the same after each star that passed."""
-    n, mask = spec.num_phases, spec.grid.mask[read]
-    u, w = pair
-    out, passed = [], []
-    for labels, fields in stars:
-        labels = np.asarray(labels)
-        try:
-            if len(fields) != n or u.num_phases != n or w.num_phases != n or any(
-                np.shape(a) != mask.shape for a in (labels, *fields)
-            ):
-                raise ValueError(f"star must hold labels and {n} fields of shape {mask.shape}")
-            _check_arrays(spec, mask, labels, fields)
-        except ValueError as err:
-            out.append(err)
-            continue
-        out.append(None)
-        passed.append((labels, fields))
-    lab0 = w.labels[read]
-    old = [f.values[read] for f in u.fields]
-    if passed:
-        try:
-            _check_arrays(spec, mask, lab0, old)
-        except ValueError as err:
-            out = [err if res is None else res for res in out]
-            passed = []
-    shape = (len(passed), *mask.shape)
-    lab1 = np.array([labels for labels, _ in passed]).reshape(shape)
-    new = [
-        np.array([fields[i] for _, fields in passed], dtype=float).reshape(shape)
-        for i in range(n)
-    ]
-    return out, lab0, lab1, old, new
 
 
 def volume_marginal(w: Partition, vt: VolumeTerm, at=None) -> tuple[float, ...]:

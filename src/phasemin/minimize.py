@@ -29,10 +29,12 @@ sweep never increases J for nonnegative phases; a revert safeguard in
 
 Within the loop a cycle's solved pair is priced by ``total_by_parts``
 (summation by parts, one neighbor sum per phase on its region's box: a
-pass over the labelled grid, without ``total``'s admissibility check), and
-its sweep by ``cell_set_deltas`` on the cells the sweep relabelled.
-``total`` runs on the initial pair and on the returned pair only, so the
-reported final J is the checked objective of the pair returned.
+pass over the labelled grid), and its sweep by ``cell_set_deltas`` on the
+cells the sweep relabelled; both are unchecked, for admissible pairs and
+stars, since each field solve and ``restrict_support`` keep a pair
+admissible.  ``total`` runs on the initial pair and on the returned pair
+only, so the reported final J is the checked objective of the pair
+returned.
 
 The result is a sweep fixed point that depends on the initial partition,
 not always a local minimizer.  With every volume marginal >= 0 (any power
@@ -263,14 +265,13 @@ def _sweep(
 ) -> tuple[PhaseField, Partition, int, float]:
     """One label sweep of the solved pair ``(u, w)``: the swept pair, the
     number of relabelled cells and the exact objective change, priced by
-    :func:`cell_set_deltas` on those cells."""
+    :func:`cell_set_deltas` on those cells, unchecked: the field solve and
+    :func:`restrict_support` keep both pairs admissible."""
     w_new = update_partition(spec, u, w)
     u_new = restrict_support(u, w_new)
     cells = np.nonzero(w_new.labels != w.labels)
     star = (w_new.labels[cells], [f.values[cells] for f in u_new.fields])
     (delta,) = cell_set_deltas(spec, cells, (u, w), [star])
-    if isinstance(delta, ValueError):
-        raise delta
     return u_new, w_new, cells[0].size, delta
 
 

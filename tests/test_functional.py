@@ -303,7 +303,7 @@ def window_edits(draw):
 
 def box_delta(spec, box, pair, star):
     """:func:`cell_set_deltas` of one edit given on an index box, as the
-    box's cells in row-major order; a refusal is raised."""
+    box's cells in row-major order."""
     chosen = np.zeros(spec.grid.shape, dtype=bool)
     chosen[box] = True
     labels, fields = star
@@ -312,10 +312,8 @@ def box_delta(spec, box, pair, star):
 
 
 def cell_delta(spec, cells, pair, star):
-    """:func:`cell_set_deltas` of one edit; a refusal is raised."""
+    """:func:`cell_set_deltas` of one edit."""
     (delta,) = cell_set_deltas(spec, cells, pair, [star])
-    if isinstance(delta, ValueError):
-        raise delta
     return delta
 
 
@@ -342,20 +340,6 @@ class TestWindowDelta:
         want = total(*applied(pair, box, star), spec) - j
         assert abs(box_delta(spec, box, pair, star) - want) <= 1e-12 * (1.0 + abs(j))
 
-    def test_checks_the_star_first(self):
-        g = grid_1d(6)
-        spec = make_functional_spec(g, [0.0, 0.0], [1.0, 1.0], FREE, PowerLaw(0.1, 0.0))
-        w = make_partition(g, 2, np.array([1, 1, 0, 2, 2, 2]))
-        box = (slice(0, 6),)
-        # the pair puts phase 2 on a phase-1 cell, the star phase 1 on trash
-        u = make_phase_field(g, [np.zeros(6), np.array([1.0, 0, 0, 1, 1, 1])])
-        u_star = make_phase_field(g, [np.array([0, 0, 1.0, 0, 0, 0]), np.zeros(6)])
-        labels = w.labels
-        with pytest.raises(ValueError, match="phase 1 has support outside"):
-            box_delta(spec, box, (u, w), (labels, [f.values for f in u_star.fields]))
-        with pytest.raises(ValueError, match="phase 2 has support outside"):
-            box_delta(spec, box, (u, w), (labels, [np.zeros(6)] * 2))
-
     def test_checks_the_star_labels_and_shapes(self):
         mask = np.ones(6, dtype=bool)
         mask[4] = False
@@ -364,9 +348,6 @@ class TestWindowDelta:
         w = make_partition(g, 2, np.array([1, 1, 0, 2, 0, 2]))
         pair = (make_phase_field(g, [np.zeros(6)] * 2), w)
         box = (slice(2, 5),)
-        for labels in ([0, 3, 0], [-1, 0, 0], [0, 0, 1]):
-            with pytest.raises(ValueError, match=r"labels must lie in 0\.\.2 and be 0 off"):
-                box_delta(spec, box, pair, (np.array(labels), [np.zeros(3)] * 2))
         for star in ((np.zeros(4, dtype=int), [np.zeros(4)] * 2), (np.zeros(3), [np.zeros(3)])):
             with pytest.raises(ValueError, match="star must hold labels and 2 fields"):
                 box_delta(spec, box, pair, star)
