@@ -45,6 +45,8 @@ import numpy as np
 from .competitors import (
     audit,
     audit_report_csv,
+    check_radius,
+    check_seed,
     seeded_probes,
 )
 from .diagnostics import (
@@ -63,15 +65,16 @@ from .diagnostics import (
     report_text,
     weiss_profile,
 )
-from .elliptic import SolverError, solve_landscape
+from .elliptic import SolverError, check_options, solve_landscape
 from .functional import (
-    FREE,
     NONNEGATIVE,
     FunctionalSpec,
     Partition,
     PerRegion,
     PhaseField,
     PowerLaw,
+    check_reaction,
+    check_sign,
     make_functional_spec,
     make_phase_field,
     volume_marginal,
@@ -226,10 +229,10 @@ class _Reader:
             raise ConfigError(f"{unknown[0]}: unknown key")
 
 
-def _construct(key: str, build, *args):
-    """Call a validating constructor; its ValueError becomes a ConfigError."""
+def _construct(key: str, build, *args, **kwargs):
+    """Call a library constructor or value rule; its ValueError becomes a ConfigError."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as err:
         raise ConfigError(f"{key}: {err}") from err
 
@@ -284,17 +287,11 @@ def build_plan(config_path) -> RunPlan:
     f_list, g_list, signs = [], [], []
     default_sign = reader.get_str("spec.signs", NONNEGATIVE)
     for i in range(1, num_phases + 1):
-        fi = reader.get_coeff(f"spec.f.{i}", grid, "0")
-        if np.any(fi.values < 0.0):
-            raise ConfigError(f"spec.f.{i}: must be nonnegative")
-        f_list.append(fi)
+        f_list.append(reader.get_coeff(f"spec.f.{i}", grid, "0"))
+        _construct(f"spec.f.{i}", check_reaction, f_list[-1].values, f"f_{i}")
         g_list.append(reader.get_coeff(f"spec.g.{i}", grid, "0"))
-        sign = reader.get_str(f"spec.sign.{i}", default_sign)
-        if sign not in (NONNEGATIVE, FREE):
-            raise ConfigError(
-                f"spec.sign.{i}: must be '{NONNEGATIVE}' or '{FREE}', got {sign!r}"
-            )
-        signs.append(sign)
+        signs.append(reader.get_str(f"spec.sign.{i}", default_sign))
+        _construct(f"spec.sign.{i}", check_sign, signs[-1])
 
     kind = reader.get_str("volume_term.kind")
     if kind == "power_law":
@@ -328,22 +325,17 @@ def build_plan(config_path) -> RunPlan:
         raise ConfigError("pipeline.stages: diagnose/audit require minimize")
 
     max_outer = reader.get_int("pipeline.max_outer", "100")
-    if max_outer < 1:
-        raise ConfigError(f"pipeline.max_outer: must be >= 1, got {max_outer}")
     tol_j = reader.get_float("pipeline.tol_j", "1e-8")
     tol_solve = reader.get_float("pipeline.tol_solve", "1e-8")
-    if not tol_j > 0:
-        raise ConfigError("pipeline.tol_j: must be > 0")
-    if not tol_solve > 0:
-        raise ConfigError("pipeline.tol_solve: must be > 0")
+    keys = "pipeline.max_outer, pipeline.tol_j, pipeline.tol_solve"
+    _construct(keys, check_options, max_outer, tol_j=tol_j, tol_solve=tol_solve)
 
     seeds = reader.get_points("init.seeds", dim)
     if seeds is not None:
         seeds = _construct("init.seeds", initial_partition, grid, num_phases, seeds)
 
     potential = reader.get_coeff("landscape.potential", grid, "0")
-    if np.any(potential.values < 0.0):
-        raise ConfigError("landscape.potential: must be nonnegative")
+    _construct("landscape.potential", check_reaction, potential.values, "potential")
 
     diag_point = reader.get_points("diagnose.point", dim)
     if diag_point is not None:
@@ -359,11 +351,9 @@ def build_plan(config_path) -> RunPlan:
     if not 1 <= probe_count <= MAX_PROBES:
         raise ConfigError(f"probes.count: must be in [1, {MAX_PROBES}], got {probe_count}")
     probe_radius = reader.get_float("probes.radius", "0.1")
-    if not probe_radius > 0:
-        raise ConfigError(f"probes.radius: must be > 0, got {probe_radius}")
+    _construct("probes.radius", check_radius, probe_radius)
     probe_seed = reader.get_int("probes.seed", "0")
-    if probe_seed < 0:
-        raise ConfigError(f"probes.seed: must be >= 0, got {probe_seed}")
+    _construct("probes.seed", check_seed, probe_seed)
     if "audit" in stages:
         _construct(
             "probes.radius", seeded_probes, grid, probe_count, probe_radius, probe_seed
@@ -627,8 +617,8 @@ def run(config_path, out_dir, workers: int = 1, seed: int | None = None) -> int:
         plan = build_plan(config_path)
         if workers < 1:
             raise ConfigError("--workers must be >= 1")
-        if seed is not None and seed < 0:
-            raise ConfigError("--seed must be >= 0")
+        if seed is not None:
+            _construct("--seed", check_seed, seed)
     except ConfigError as err:
         print(f"phasemin: config error: {err}", file=sys.stderr)
         return 2

@@ -51,6 +51,7 @@ from .functional import (
     cell_marginals,
     cell_set_deltas,
     check_admissible,
+    phase_index,
 )
 from .grid import (
     Grid,
@@ -70,6 +71,8 @@ __all__ = [
     "audit",
     "audit_report_csv",
     "seeded_probes",
+    "check_radius",
+    "check_seed",
 ]
 
 
@@ -102,8 +105,8 @@ class AuditReport:
     Attributes:
         entries: successful evaluations in deterministic order.
         skipped: precondition failures with their reasons.
-        min_delta_j: smallest objective change seen (0.0 with no entries).
-        worst: the entry attaining ``min_delta_j`` (None with no entries).
+        min_delta_j: smallest ΔJ seen, nan if one is (0.0 with no entries).
+        worst: the first entry attaining ``min_delta_j`` (None with no entries).
     """
 
     entries: tuple[AuditEntry, ...]
@@ -126,15 +129,6 @@ def _attempt(fn, *args):
         return err
 
 
-def _phase_index(i, n: int, what: str) -> int:
-    """The phase in 1..n that an integral ``i`` (1, ``np.int64(1)``, 1.0) selects."""
-    if not 1 <= i <= n:
-        raise ValueError(f"{what} {i} out of range 1..{n}")
-    if i != int(i):
-        raise ValueError(f"{what} {i} is not an integer")
-    return int(i)
-
-
 def _check_arguments(spec: FunctionalSpec, r: float, kind: str, a: float, arg):
     """The checks a construction makes before it reads the grid; returns the
     try with its phases as ints (the sorted damped phases, or the main)."""
@@ -142,14 +136,12 @@ def _check_arguments(spec: FunctionalSpec, r: float, kind: str, a: float, arg):
     if kind == "cutoff":
         if not 0.0 < a < 1.0:
             raise ValueError(f"cutoff fraction a must lie in (0,1), got {a}")
-        if not (r > 0.0 and np.isfinite(r)):
-            raise ValueError(f"cutoff radius r must be positive and finite, got {r}")
-        return kind, a, [_phase_index(i, n, "phase index") for i in sorted(set(arg))]
+        check_radius(r, kind)
+        return kind, a, [phase_index(i, n) for i in sorted(set(arg))]
     if not 0.5 <= a < 1.0:
         raise ValueError(f"harmonic fraction a must lie in [1/2, 1), got {a}")
-    if not r > 0.0:
-        raise ValueError(f"harmonic radius r must be positive, got {r}")
-    return kind, a, _phase_index(arg, n, "main phase")
+    check_radius(r, kind)
+    return kind, a, phase_index(arg, n, "main phase")
 
 
 def _probe(
@@ -435,8 +427,8 @@ def audit(
                 skipped.append(AuditSkip(key, float(r), note, str(dj)))
             else:
                 entries.append(AuditEntry(key, float(r), kind, a, main, dj))
-    # the worst entry is the first with the smallest ΔJ
-    worst = min(entries, key=lambda e: e.delta_j) if entries else None
+    # the worst entry is the first with the smallest ΔJ or, as in np.argmin, nan
+    worst = entries[int(np.argmin([e.delta_j for e in entries]))] if entries else None
     min_dj = 0.0 if worst is None else worst.delta_j
     return AuditReport(tuple(entries), tuple(skipped), min_dj, worst)
 
@@ -472,15 +464,15 @@ def seeded_probes(grid: Grid, count: int, r: float, seed: int) -> list[tuple]:
     Args:
         grid: carrier grid.
         count: number of probes.
-        r: ball radius attached to every probe, positive and finite.
-        seed: RNG seed for reproducibility.
+        r: ball radius attached to every probe (see :func:`check_radius`).
+        seed: RNG seed for reproducibility, >= 0.
 
     Raises:
-        ValueError: if ``r`` is not positive and finite, or the safety
-            margin exhausts the bounding box.
+        ValueError: if ``r`` or ``seed`` is refused, or the safety margin
+            exhausts the bounding box.
     """
-    if not (r > 0.0 and np.isfinite(r)):
-        raise ValueError(f"probe radius r must be positive and finite, got {r}")
+    check_radius(r)
+    check_seed(seed)
     lo, hi = bounding_box(grid)
     margin = r + 2 * grid.spacing
     low = lo + margin
@@ -490,3 +482,15 @@ def seeded_probes(grid: Grid, count: int, r: float, seed: int) -> list[tuple]:
     rng = np.random.default_rng(seed)
     pts = rng.uniform(low, high, size=(count, grid.dim))
     return [(tuple(float(v) for v in p), float(r)) for p in pts]
+
+
+def check_radius(r: float, what: str = "probe") -> None:
+    """Refuse a ball radius that is not positive and finite."""
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"{what} radius r must be positive and finite, got {r}")
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a probe RNG seed below 0."""
+    if not seed >= 0:
+        raise ValueError(f"probe seed must be >= 0, got {seed}")

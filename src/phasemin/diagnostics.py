@@ -15,6 +15,9 @@ Conventions shared by all routines:
   touch an in-mask non-support face neighbor (walls do not count);
 * singular radial weights are evaluated at cell centers, with cells closer
   than ``h/2`` to the probe point excluded;
+* a phase index selects a phase by one rule: an integral value in 1..N
+  (1, ``np.int64(1)`` and 1.0 alike; ``functional.phase_index``), and any
+  other value raises a ValueError naming it;
 * every routine takes a PhaseField, and probes it by one rule: a point
   must lie in the grid's bounding box (``grid.as_point``), and a radius
   must be finite, above 2h and at most the box diameter (``_check_radii``),
@@ -47,6 +50,7 @@ from .functional import (
     Partition,
     PhaseField,
     make_phase_field,
+    phase_index,
     volume_marginal,
 )
 from .grid import (
@@ -99,16 +103,15 @@ PROFILE_KINDS = ("energy", "acf", "acf_product", "weiss", "flatness", "density")
 class Phase:
     """A signed slice of one phase: the part ``(sign * u_index)_+``.
 
-    ``sign`` must be +1 for phases constrained nonnegative (their negative
-    part is empty by construction).
+    ``index`` is any integral value >= 1, stored as an int.  ``sign`` must
+    be +1 for phases constrained nonnegative (their negative part is empty).
     """
 
     index: int
     sign: int = 1
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"phase index must be >= 1, got {self.index}")
+        object.__setattr__(self, "index", phase_index(self.index, math.inf))
         if self.sign not in (1, -1):
             raise ValueError(f"phase sign must be +1 or -1, got {self.sign}")
 
@@ -191,9 +194,7 @@ def _check_radii(grid: Grid, radii, least: float = 0.0) -> NDArray:
 
 
 def _part_values(u, phase: Phase) -> tuple[Grid, NDArray]:
-    if not 1 <= phase.index <= len(u.fields):
-        raise ValueError(f"phase index {phase.index} out of range 1..{len(u.fields)}")
-    vals = u.fields[phase.index - 1].values
+    vals = u.fields[phase_index(phase.index, len(u.fields)) - 1].values
     return u.grid, np.maximum(phase.sign * vals, 0.0)
 
 
@@ -335,12 +336,13 @@ def weiss_profile(u, i: int, lambda_i: float, x0, radii) -> RadialProfile:
     interpolated central differencing along the ray through each cell, and
     cells within h/2 of x0 excluded throughout.  Constant on exact cones.
     """
-    grid, part = _part_values(u, Phase(i, 1))  # sampled in the grid's coordinates
+    phase = Phase(i)
+    grid, part = _part_values(u, phase)  # sampled in the grid's coordinates
     pt = as_point(grid, x0)
     r_arr = _check_radii(grid, radii)
     h = grid.spacing
     box, d, uw = _window(u, pt, float(r_arr[-1]))
-    sub, vals = _part_values(uw, Phase(i, 1))
+    sub, vals = _part_values(uw, phase)
     keep = d >= 0.5 * h
     gsq = _grad_sq_cells(sub, vals)
     support = vals > 0.0
@@ -393,21 +395,22 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
         ValueError: if x0 is farther than h from the part's boundary cells.
     """
     del w  # labels do not enter: the ratios are support-based
+    phase = Phase(i)
     grid = u.grid
     pt = as_point(grid, x0)
     r = float(_check_radii(grid, r)[0])
     h = grid.spacing
     _, d, uw = _window(u, pt, r + 2.0 * h)
-    sub, vals = _part_values(uw, Phase(i, 1))
+    sub, vals = _part_values(uw, phase)
     support = vals > 0.0
-    if not np.any(free_boundary_cells(uw, Phase(i, 1)) & (d <= h * (1.0 + 1e-9))):
-        boundary = free_boundary_cells(u, Phase(i, 1))
+    if not np.any(free_boundary_cells(uw, phase) & (d <= h * (1.0 + 1e-9))):
+        boundary = free_boundary_cells(u, phase)
         if not np.any(boundary):
-            raise ValueError(f"part {i}+ has no boundary cells on this grid")
+            raise ValueError(f"part {phase.index}+ has no boundary cells on this grid")
         gap = float(np.min(distances(grid, pt)[boundary]))
         raise ValueError(
             f"probe {tuple(pt.tolist())} is {format_float(gap)} from the nearest "
-            f"boundary cell of part {i}+; within h = {format_float(h)} required"
+            f"boundary cell of part {phase.index}+; within h = {format_float(h)} required"
         )
 
     ball = (d < r) & sub.mask
@@ -450,12 +453,13 @@ def interface_measure(
     r_arr = _check_radii(grid, radii)
     h = grid.spacing
     box, d, uw = _window(u, pt, float(r_arr[-1]))
-    sub, vals = _part_values(uw, Phase(i, 1))
+    phase = Phase(i)
+    sub, vals = _part_values(uw, phase)
     lap = laplacian_apply(make_field(sub, vals)).values
     bulk = np.zeros(sub.shape)
     if spec is not None:
-        fv = spec.f[i - 1].values[box]
-        gv = spec.g[i - 1].values[box]
+        fv = spec.f[phase.index - 1].values[box]
+        gv = spec.g[phase.index - 1].values[box]
         bulk = np.where(vals > 0.0, fv * vals - 0.5 * gv, 0.0)
     dens = (lap - bulk) * grid.cell_volume
     omega = 2.0 if grid.dim == 2 else 1.0

@@ -56,7 +56,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .functional import NONNEGATIVE, FunctionalSpec, Partition
+from .functional import NONNEGATIVE, FunctionalSpec, Partition, check_reaction, phase_index
 from .grid import (
     Grid,
     ScalarField,
@@ -67,7 +67,7 @@ from .grid import (
     wall_slot_count,
 )
 
-__all__ = ["SolverError", "solve_phase", "solve_landscape", "harmonic_extension"]
+__all__ = ["SolverError", "check_options", "solve_phase", "solve_landscape", "harmonic_extension"]
 
 OMEGA = 0.8
 """Damping factor of the Jacobi smoother."""
@@ -360,6 +360,15 @@ def _pcg(
     return out, res, it
 
 
+def check_options(max_outer: int = 1, **tolerances: float) -> None:
+    """Refuse ``max_outer`` below 1, or a tolerance not above 0, naming it."""
+    if not max_outer >= 1:
+        raise ValueError(f"max_outer must be >= 1, got {max_outer}")
+    for name, tol in tolerances.items():
+        if not tol > 0.0:
+            raise ValueError(f"{name} must be > 0, got {tol}")
+
+
 def solve_phase(
     spec: FunctionalSpec,
     w: Partition,
@@ -378,7 +387,7 @@ def solve_phase(
     Args:
         spec: functional description providing f_i, g_i and the sign rule.
         w: partition whose label-i cells form the solve region.
-        i: phase index in 1..num_phases.
+        i: phase index, an integral value in 1..num_phases.
         tol: relative residual target, > 0.
         initial: optional warm-start field (values off the region ignored).
 
@@ -392,10 +401,8 @@ def solve_phase(
         SolverError: iteration cap reached before the residual target, or
             conjugate gradients broke down.
     """
-    if not 1 <= i <= spec.num_phases:
-        raise ValueError(f"phase index {i} out of range 1..{spec.num_phases}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    i = phase_index(i, spec.num_phases)
+    check_options(tol=tol)
     grid = spec.grid
     region = w.labels == i
     f_vals = spec.f[i - 1].values
@@ -432,14 +439,12 @@ def solve_landscape(
         SolverError: iteration cap reached before the residual target, or
             conjugate gradients broke down.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_options(tol=tol)
     if isinstance(potential, ScalarField):
         v = potential.values
     else:
         v = np.full(grid.shape, float(potential))
-    if not np.all((v[grid.mask] >= 0.0) & np.isfinite(v[grid.mask])):
-        raise ValueError("potential must be finite and nonnegative on the mask")
+    check_reaction(v, "potential")
     rhs = np.ones(grid.shape)
     x, _, _ = _pcg(grid, grid.mask, v, rhs, tol)
     return make_field(grid, x)

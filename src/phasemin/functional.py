@@ -54,6 +54,9 @@ __all__ = [
     "Partition",
     "NONNEGATIVE",
     "FREE",
+    "phase_index",
+    "check_reaction",
+    "check_sign",
     "make_functional_spec",
     "make_phase_field",
     "make_partition",
@@ -156,6 +159,27 @@ class Partition:
         return counts
 
 
+def phase_index(i, n, what: str = "phase index") -> int:
+    """The phase in 1..n that an integral ``i`` (1, ``np.int64(1)``, 1.0) selects."""
+    if not 1 <= i <= n:
+        raise ValueError(f"{what} {i} out of range 1..{n}")
+    if not (isinstance(i, (int, np.integer)) or float(i).is_integer()):
+        raise ValueError(f"{what} {i} is not an integer")
+    return int(i)
+
+
+def check_reaction(values: NDArray, name: str) -> None:
+    """Refuse a reaction coefficient (f_i, or a potential V) not finite and >= 0."""
+    if not np.all(np.isfinite(values) & (values >= 0.0)):
+        raise ValueError(f"{name} must be finite and nonnegative everywhere")
+
+
+def check_sign(sign: str) -> None:
+    """Refuse a sign constraint other than ``NONNEGATIVE`` and ``FREE``."""
+    if sign not in (NONNEGATIVE, FREE):
+        raise ValueError(f"sign constraint must be {NONNEGATIVE!r} or {FREE!r}, got {sign!r}")
+
+
 def make_functional_spec(
     grid: Grid,
     f: Sequence[ScalarField | float],
@@ -189,9 +213,8 @@ def make_functional_spec(
 
     f_t = tuple(as_field(v) for v in f)
     g_t = tuple(as_field(v) for v in g)
-    for i, fi in enumerate(f_t):
-        if np.any(fi.values < 0.0):
-            raise ValueError(f"f[{i}] must be nonnegative everywhere")
+    for i, fi in enumerate(f_t, start=1):
+        check_reaction(fi.values, f"f_{i}")
     if isinstance(sign_constraints, str):
         signs = (sign_constraints,) * num_phases
     else:
@@ -199,8 +222,7 @@ def make_functional_spec(
     if len(signs) != num_phases:
         raise ValueError("one sign constraint per phase required")
     for s in signs:
-        if s not in (NONNEGATIVE, FREE):
-            raise ValueError(f"unknown sign constraint {s!r}")
+        check_sign(s)
     if isinstance(volume_term, PerRegion):
         if len(volume_term.weights) != num_phases:
             raise ValueError("PerRegion needs one weight field per phase")

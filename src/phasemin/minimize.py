@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .elliptic import solve_phase
+from .elliptic import check_options, solve_phase
 from .functional import (
     FunctionalSpec,
     Partition,
@@ -308,10 +308,7 @@ def minimize(
         ValueError: nonpositive options or an init pair off this grid.
         SolverError: propagated from a failed field solve.
     """
-    if max_outer <= 0:
-        raise ValueError(f"max_outer must be positive, got {max_outer}")
-    if not (tol_j > 0.0 and tol_solve > 0.0):
-        raise ValueError(f"tolerances must be positive, got {tol_j}, {tol_solve}")
+    check_options(max_outer, tol_j=tol_j, tol_solve=tol_solve)
     grid = spec.grid
     if init is None:
         w = initial_partition(grid, spec.num_phases)

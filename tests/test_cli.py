@@ -18,9 +18,11 @@ from phasemin.cli import (
     run,
     solve_report_csv,
 )
-from phasemin.functional import PerRegion, PowerLaw, make_partition
+from phasemin.competitors import seeded_probes
+from phasemin.elliptic import solve_landscape
+from phasemin.functional import PerRegion, PowerLaw, make_functional_spec, make_partition
 from phasemin.grid import cell_centers, load_field, make_field, make_grid, save_field
-from phasemin.minimize import SolveReport, initial_partition
+from phasemin.minimize import SolveReport, initial_partition, minimize
 
 
 def write_config(path, text):
@@ -33,6 +35,14 @@ def with_line(text, line):
     key = line.split("=", 1)[0].strip()
     kept = [row for row in text.splitlines() if row.split("=", 1)[0].strip() != key]
     return "\n".join(kept + [line]) + "\n"
+
+
+LAW = PowerLaw(0.1, 0.0)
+
+
+def spec_on(grid):
+    """BASE's functional: one phase, f = g = 0."""
+    return make_functional_spec(grid, [0.0], [0.0], "nonnegative", LAW)
 
 
 BASE = """
@@ -106,6 +116,32 @@ class TestBuildPlan:
         p = write_config(tmp_path / "c.txt", with_line(BASE, override))
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             build_plan(p)
+
+    @pytest.mark.parametrize(
+        "override,library",
+        [
+            ("spec.f.1 = -2", lambda g: make_functional_spec(g, [-2.0], [0.0], "free", LAW)),
+            ("spec.sign.1 = odd", lambda g: make_functional_spec(g, [0.0], [0.0], "odd", LAW)),
+            ("pipeline.max_outer = 0", lambda g: minimize(spec_on(g), max_outer=0)),
+            ("pipeline.tol_solve = -1", lambda g: minimize(spec_on(g), tol_solve=-1.0)),
+            ("landscape.potential = -1", lambda g: solve_landscape(g, -1.0)),
+            ("probes.radius = -0.1", lambda g: seeded_probes(g, 20, -0.1, 0)),
+            ("probes.radius = inf", lambda g: seeded_probes(g, 20, np.inf, 0)),
+            ("probes.seed = -1", lambda g: seeded_probes(g, 20, 0.1, -1)),
+        ],
+    )
+    def test_one_body_per_rule(self, tmp_path, override, library):
+        # the CLI refuses a value with the library's own words after the keys
+        # the rule covers; BASE stages minimize only, so no rule waits for
+        # its stage
+        with pytest.raises(ValueError) as lib_err:
+            library(make_grid(2, (16, 16), 0.0625))
+        p = write_config(tmp_path / "c.txt", with_line(BASE, override))
+        with pytest.raises(ConfigError) as cli_err:
+            build_plan(p)
+        keys, words = str(cli_err.value).split(": ", 1)
+        assert override.split(" = ")[0] in keys.split(", ")
+        assert words == str(lib_err.value)
 
     @pytest.mark.parametrize("count", ["0", "1000001", "100000000000"])
     def test_probe_count_bound(self, tmp_path, monkeypatch, count):

@@ -874,6 +874,21 @@ class TestAudit:
         assert len(report.skipped) == 2
         assert "bounding box" in report.skipped[0].note
 
+    def test_nan_delta_j_is_the_minimum(self):
+        # ΔJ overflows to nan at the second probe only, after finite entries:
+        # the first nan entry is the worst, as np.argmin picks
+        grid = make_grid(2, (16, 16), 1 / 16)
+        spec = make_functional_spec(grid, [1.0], [0.0], NONNEGATIVE, PowerLaw(0.1, 0.0))
+        w = make_partition(grid, 1, np.ones(grid.shape, dtype=int))
+        huge = np.where(cell_centers(grid)[..., 0] > 0.6, 1e200, 1.0)
+        u = make_phase_field(grid, [huge])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = audit(u, w, spec, [((0.3, 0.5), 0.15), ((0.75, 0.5), 0.15)])
+        deltas = [e.delta_j for e in report.entries]
+        assert np.all(np.isfinite(deltas[:4])) and np.all(np.isnan(deltas[4:]))
+        assert np.isnan(report.min_delta_j)
+        assert report.worst is report.entries[4]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_radius_is_skipped(self):
         grid = make_grid(2, (16, 16), 1 / 16)

@@ -91,6 +91,47 @@ class TestTypes:
             InterfaceReport(phase_count=-1)
 
 
+def phase_index_calls():
+    """Each routine that takes a phase index, as a call of the index alone,
+    on the two-phase cone (N = 2); a result's repr shows every float bit."""
+    grid, u = two_cone(64, 1.0, 1.0)
+    w = partition_from_supports(u)
+    spec = make_functional_spec(
+        grid, [0.0, 0.0], [2.0, 2.0], NONNEGATIVE, PowerLaw(0.05, 0.0)
+    )
+    radii = [0.1, 0.2]
+    return {
+        "solve_phase": lambda i: solve_phase(spec, w, i).values.tolist(),
+        "density_report": lambda i: density_report(u, w, i, CENTER, 0.25),
+        "interface_measure": lambda i: interface_measure(u, i, CENTER, radii, spec=spec),
+        "weiss_profile": lambda i: weiss_profile(u, i, 1.0, CENTER, radii),
+        "acf_profile": lambda i: acf_profile(u, Phase(i), CENTER, radii),
+    }
+
+
+class TestPhaseIndexRule:
+    """A phase index is taken by one rule wherever one is taken: an integral
+    value in 1..N selects that phase, and any other value raises a
+    ValueError naming it."""
+
+    NAMES = ("solve_phase", "density_report", "interface_measure", "weiss_profile", "acf_profile")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_integral_values_select_the_phase(self, name):
+        call = phase_index_calls()[name]
+        want = repr(call(1))
+        for v in (1.0, np.int64(1)):
+            assert repr(call(v)) == want
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_other_values_are_refused(self, name):
+        call = phase_index_calls()[name]
+        with pytest.raises(ValueError, match=r"phase index 1\.5 is not an integer"):
+            call(1.5)
+        with pytest.raises(ValueError, match=r"phase index 3 out of range 1\.\.2"):
+            call(3)
+
+
 class TestRadialEnergy:
     def test_zero_field(self):
         grid = unit_grid(32)
