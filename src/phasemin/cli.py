@@ -260,8 +260,7 @@ class RunPlan:
         """Zero fields on the seeds' Voronoi partition; None without seeds."""
         if self.seed_partition is None:
             return None
-        zeros = [np.zeros(self.grid.shape) for _ in range(self.spec.num_phases)]
-        return make_phase_field(self.grid, zeros), self.seed_partition
+        return make_phase_field(self.grid, [0.0] * self.spec.num_phases), self.seed_partition
 
 
 def build_plan(config_path) -> RunPlan:
@@ -286,6 +285,7 @@ def build_plan(config_path) -> RunPlan:
 
     f_list, g_list, signs = [], [], []
     default_sign = reader.get_str("spec.signs", NONNEGATIVE)
+    _construct("spec.signs", check_sign, default_sign)
     for i in range(1, num_phases + 1):
         f_list.append(reader.get_coeff(f"spec.f.{i}", grid, "0"))
         _construct(f"spec.f.{i}", check_reaction, f_list[-1].values, f"f_{i}")

@@ -440,13 +440,12 @@ def solve_landscape(
             conjugate gradients broke down.
     """
     check_options(tol=tol)
-    if isinstance(potential, ScalarField):
-        v = potential.values
-    else:
-        v = np.full(grid.shape, float(potential))
-    check_reaction(v, "potential")
+    if not isinstance(potential, ScalarField):
+        check_reaction(float(potential), "potential")
+        potential = make_field(grid, potential)
+    check_reaction(potential.values, "potential")
     rhs = np.ones(grid.shape)
-    x, _, _ = _pcg(grid, grid.mask, v, rhs, tol)
+    x, _, _ = _pcg(grid, grid.mask, potential.values, rhs, tol)
     return make_field(grid, x)
 
 

@@ -241,7 +241,7 @@ def make_functional_spec(
     )
 
 
-def make_phase_field(grid: Grid, fields: Sequence[ScalarField | NDArray]) -> PhaseField:
+def make_phase_field(grid: Grid, fields: Sequence[ScalarField | NDArray | float]) -> PhaseField:
     """Bundle per-phase values into a PhaseField on one grid."""
     out = []
     for v in fields:
@@ -519,7 +519,7 @@ def cell_marginals(spec: FunctionalSpec, w: Partition) -> list[NDArray]:
     term = spec.volume_term
     if isinstance(term, PerRegion):
         return [q.values for q in term.weights]
-    return [np.full(spec.grid.shape, lam) for lam in volume_marginal(w, term)]
+    return [np.broadcast_to(lam, spec.grid.shape) for lam in volume_marginal(w, term)]
 
 
 def truncate_to_sign(values: NDArray, constraint: str) -> NDArray:

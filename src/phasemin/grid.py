@@ -115,7 +115,9 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """A 64-bit float value per grid cell; zero on unmasked cells."""
+    """A 64-bit float value per grid cell; zero on unmasked cells.  The values
+    are read-only and may be a zero-stride broadcast view (a constant from
+    :func:`make_field`): never write to them, never assume them contiguous."""
 
     grid: Grid
     values: NDArray[np.float64]
@@ -133,7 +135,7 @@ def make_grid(
     Args:
         dim: 1 or 2.
         shape: cells per axis; every entry must be at least 3.
-        spacing: positive cell width.
+        spacing: positive cell width, with a finite nonzero ``spacing**dim``.
         origin: finite center of the first cell; defaults to ``spacing/2``
             per axis, which places the grid box on ``(0, L)`` per axis.
         mask: optional boolean domain mask (default: all cells inside)
@@ -152,6 +154,8 @@ def make_grid(
     spacing = float(spacing)
     if not np.isfinite(spacing) or spacing <= 0.0:
         raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    if not 0.0 < math.prod((spacing,) * dim) < math.inf:
+        raise ValueError(f"cell volume {spacing}**{dim} must be positive and finite")
     if origin is None:
         origin_t = (spacing / 2.0,) * dim
     else:
@@ -179,18 +183,21 @@ def make_field(grid: Grid, values: NDArray | float) -> ScalarField:
 
     Args:
         grid: the carrier grid.
-        values: array of shape ``grid.shape`` or a scalar to broadcast.
+        values: array of shape ``grid.shape`` or a scalar, which on a grid
+            masked in everywhere costs one number: a read-only zero-stride
+            view (never write to it, never assume it contiguous).
 
     Raises:
         ValueError: if the shape mismatches or any masked value is not finite.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0:
-        arr = np.full(grid.shape, float(arr))
-    if arr.shape != grid.shape:
+        arr = np.broadcast_to(arr, grid.shape) if grid.mask.all() else np.where(grid.mask, arr, 0.0)
+    elif arr.shape != grid.shape:
         raise ValueError(f"values shape {arr.shape} does not match grid {grid.shape}")
-    arr = arr.copy()
-    arr[~grid.mask] = 0.0
+    else:
+        arr = arr.copy()
+        arr[~grid.mask] = 0.0
     if not np.all(np.isfinite(arr)):
         raise ValueError("field values must be finite")
     arr.setflags(write=False)

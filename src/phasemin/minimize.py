@@ -312,7 +312,7 @@ def minimize(
     grid = spec.grid
     if init is None:
         w = initial_partition(grid, spec.num_phases)
-        u = make_phase_field(grid, [np.zeros(grid.shape)] * spec.num_phases)
+        u = make_phase_field(grid, [0.0] * spec.num_phases)
     else:
         u, w = init
         if u.grid is not grid or w.grid is not grid:

@@ -110,6 +110,9 @@ class TestBuildPlan:
             ("probes.seed = -1", "probes.seed"),
             ("init.seeds = nan 0.5", "init.seeds"),
             ("diagnose.point = 5 5", "diagnose.point"),
+            ("grid.spacing = 1e300", "grid.spacing"),
+            ("grid.spacing = 1e-170", "grid.spacing"),
+            ("spec.signs = odd", "spec.signs"),
         ],
     )
     def test_errors_name_the_key(self, tmp_path, override, key):
@@ -122,6 +125,8 @@ class TestBuildPlan:
         [
             ("spec.f.1 = -2", lambda g: make_functional_spec(g, [-2.0], [0.0], "free", LAW)),
             ("spec.sign.1 = odd", lambda g: make_functional_spec(g, [0.0], [0.0], "odd", LAW)),
+            ("spec.signs = odd", lambda g: make_functional_spec(g, [0.0], [0.0], "odd", LAW)),
+            ("grid.spacing = 1e300", lambda g: make_grid(2, (16, 16), 1e300)),
             ("pipeline.max_outer = 0", lambda g: minimize(spec_on(g), max_outer=0)),
             ("pipeline.tol_solve = -1", lambda g: minimize(spec_on(g), tol_solve=-1.0)),
             ("landscape.potential = -1", lambda g: solve_landscape(g, -1.0)),
@@ -450,6 +455,8 @@ class TestRun:
                 "diagnose.point",
             ),
             (["diagnose.point = 5 5"], "diagnose.point"),
+            (["grid.spacing = 1e300"], "grid.spacing"),
+            (["spec.signs = odd"], "spec.signs"),
         ],
     )
     def test_bad_values_exit_2_naming_the_key(self, tmp_path, capsys, lines, key):

@@ -44,6 +44,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_grid(2, (4, 4), 0.25, mask=np.ones((3, 3), dtype=bool))
 
+    @pytest.mark.parametrize("dim,spacing", [(2, 1e300), (2, 1e-170)])
+    def test_make_grid_rejects_an_unrepresentable_cell_volume(self, dim, spacing):
+        # spacing**dim overflows to inf or underflows to 0 in float64
+        with pytest.raises(ValueError, match="cell volume"):
+            make_grid(dim, (4,) * dim, spacing)
+
+    @pytest.mark.parametrize("dim,spacing", [(2, 1e150), (2, 1e-150), (1, 1e300), (1, 1e-320)])
+    def test_make_grid_keeps_a_representable_cell_volume(self, dim, spacing):
+        assert make_grid(dim, (4,) * dim, spacing).cell_volume == spacing**dim
+
     def test_make_grid_rejects_an_empty_mask(self):
         # no cell to solve on: minimize would divide by the masked cell count
         with pytest.raises(ValueError, match="mask has no cell"):
