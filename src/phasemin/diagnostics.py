@@ -525,7 +525,8 @@ def el_interface_check(
 
     Raises:
         ValueError: no part present in the ball, more than two present,
-            a degenerate normal fit, or an empty regression window.
+            a degenerate normal fit, an empty regression window, or a
+            squared slope that is not finite.
     """
     grid = u.grid
     pt = as_point(grid, x0)
@@ -564,15 +565,22 @@ def el_interface_check(
         )
         slopes.append(_one_sided_slope(s_side[sel], vals.reshape(-1)[sel]))
 
+    try:
+        squares = [a**2 for a in slopes]
+    except OverflowError:  # a float's ** raises where * would give inf
+        squares = [math.inf]
+    if not all(math.isfinite(q) for q in squares):
+        shown = ", ".join(map(format_float, slopes))
+        raise ValueError(f"a squared one-sided slope is not finite (slopes {shown})")
     if len(present) == 2:
         l1 = lam[present[0][0].index - 1]
         l2 = lam[present[1][0].index - 1]
-        residual = abs(slopes[0] ** 2 - slopes[1] ** 2 - (l1 - l2))
+        residual = abs(squares[0] - squares[1] - (l1 - l2))
     else:
         i1 = present[0][0].index
         others = [lam[j] for j in range(spec.num_phases) if j != i1 - 1]
         target = lam[i1 - 1] - min([0.0] + others)
-        residual = abs(slopes[0] ** 2 - target)
+        residual = abs(squares[0] - target)
     return InterfaceReport(slopes=tuple(slopes), el_residuals=(float(residual),))
 
 

@@ -42,10 +42,10 @@ with ``2 * SWEEPS + COARSEST_EXTRA_SWEEPS`` sweeps.  Restriction is
 ``2**-dim`` times the transpose of prolongation, Jacobi sweeps from a zero
 guess apply a polynomial in ``D^-1 A`` times ``D^-1``, and the coarsest
 solve is symmetric positive definite, so the V-cycle is a symmetric
-positive-definite preconditioner.  The inner products that feed the
-iterates, ``r.z`` and ``p.Ap``, stay ``np.sum`` of a product, never
-``np.dot``/``np.vdot``, whose BLAS summation order numpy does not fix:
-reruns must write identical fields.
+positive-definite preconditioner.  The inner products ``r.z`` and ``p.Ap``
+and the residual norms stay ``np.sum`` of a product, never BLAS (``np.dot``,
+``np.linalg.norm``), whose summation order can change with the number of
+threads: reruns must write identical fields and residuals.
 """
 
 from __future__ import annotations
@@ -257,6 +257,12 @@ def _vcycle(levels: list[_Level], k: int = 0) -> None:
     _smooth(level, SWEEPS)
 
 
+def _norm(v: NDArray, work: NDArray) -> float:
+    """The 2-norm of ``v``, as ``np.sum`` of its squares in ``work``."""
+    np.multiply(v, v, out=work)
+    return math.sqrt(float(np.sum(work)))
+
+
 def _pcg(
     grid: Grid,
     region: NDArray[np.bool_],
@@ -302,7 +308,7 @@ def _pcg(
         return np.zeros(grid.shape), 0.0, 0
     scale = int(np.frexp(b_max)[1])
     np.ldexp(r, -scale, out=r)
-    b_norm = float(np.linalg.norm(r))
+    b_norm = _norm(r, t)
 
     out = np.zeros(grid.shape)
     x = out[box]
@@ -317,7 +323,7 @@ def _pcg(
     np.multiply(r, z, out=t)
     rz = float(np.sum(t))
     cap = math.ceil(50.0 * math.sqrt(int(np.count_nonzero(region))))
-    res = float(np.linalg.norm(r)) / b_norm
+    res = _norm(r, t) / b_norm
     it = 0
     failure = None
     # Written so that a nan residual enters the loop and meets the guard.
@@ -336,7 +342,7 @@ def _pcg(
         x += t
         ap *= alpha
         r -= ap
-        res = float(np.linalg.norm(r)) / b_norm
+        res = _norm(r, t) / b_norm
         _vcycle(levels)
         np.multiply(r, z, out=t)
         rz_new = float(np.sum(t))
@@ -349,7 +355,7 @@ def _pcg(
         load_rhs(p, scale)
         _apply(fine, x, t)
         p -= t
-        res = float(np.linalg.norm(p)) / b_norm
+        res = _norm(p, t) / b_norm
     if failure is not None:
         raise SolverError(
             f"conjugate gradients {failure} (true relative residual {res:.3e})",

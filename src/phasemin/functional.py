@@ -159,12 +159,12 @@ class Partition:
         return counts
 
 
-def phase_index(i, n, what: str = "phase index") -> int:
+def phase_index(i, n) -> int:
     """The phase in 1..n that an integral ``i`` (1, ``np.int64(1)``, 1.0) selects."""
     if not 1 <= i <= n:
-        raise ValueError(f"{what} {i} out of range 1..{n}")
+        raise ValueError(f"phase index {i} out of range 1..{n}")
     if not (isinstance(i, (int, np.integer)) or float(i).is_integer()):
-        raise ValueError(f"{what} {i} is not an integer")
+        raise ValueError(f"phase index {i} is not an integer")
     return int(i)
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the competitor constructions and the minimality audit.
 
-The competitors are edits on the window of the ball, priced there.
+The competitors are edits on the window of the ball, priced there, and
+``_probe`` builds every star the audit prices at one probe.
 ``reference_cutoff`` and ``reference_harmonic`` below are the full-grid
 constructions they replaced, with ``ΔJ = total(u*, w*) - total(u, w)``;
 the window edits, written into copies of the pair by ``cutoff_pair`` and
@@ -18,12 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from phasemin import functional
 from phasemin.competitors import (
+    FRACTIONS,
     AuditEntry,
     AuditSkip,
     audit,
     audit_report_csv,
-    cutoff_competitor,
-    harmonic_competitor,
     seeded_probes,
 )
 from phasemin.elliptic import DIRECT_CELLS, _pcg, solve_phase
@@ -63,16 +63,34 @@ def applied(pair, box, star):
     return make_phase_field(u.grid, new_fields), make_partition(u.grid, w.num_phases, new_labels)
 
 
-def cutoff_pair(u, w, spec, *args):
-    """``cutoff_competitor`` as ``(u*, w*, delta_j)``."""
-    box, star, dj = cutoff_competitor(u, w, spec, *args)
-    return (*applied((u, w), box, star), dj)
+def probe_outcomes(u, w, spec, x0, r):
+    """Each try ``(kind, a, main)`` of ``_probe`` at ``(x0, r)``, mapped to
+    its star as ``(u*, w*, delta_j)``, or to the message of its refusal."""
+    lam = functional.cell_marginals(spec, w)
+    box, tries, stars, deltas = competitors_module._probe(u, w, spec, x0, r, lam)
+    return {
+        t: str(star) if isinstance(star, ValueError) else (*applied((u, w), box, star), dj)
+        for t, star, dj in zip(tries, stars, deltas)
+    }
 
 
-def harmonic_pair(u, w, spec, *args):
-    """``harmonic_competitor`` as ``(u*, w*, delta_j)``."""
-    box, star, dj = harmonic_competitor(u, w, spec, *args)
-    return (*applied((u, w), box, star), dj)
+def probe_pair(u, w, spec, x0, r, kind, a, main=None):
+    """The star ``(kind, a, main)`` of ``_probe`` as ``(u*, w*, delta_j)``;
+    raises a ValueError with the message of its refusal."""
+    got = probe_outcomes(u, w, spec, x0, r)[kind, a, main]
+    if isinstance(got, str):
+        raise ValueError(got)
+    return got
+
+
+def cutoff_pair(u, w, spec, x0, r, a):
+    """The cut-off of every phase at fraction ``a``, by ``probe_pair``."""
+    return probe_pair(u, w, spec, x0, r, "cutoff", a)
+
+
+def harmonic_pair(u, w, spec, x0, r, a, main):
+    """The harmonic star of ``main`` at fraction ``a``, by ``probe_pair``."""
+    return probe_pair(u, w, spec, x0, r, "harmonic", a, main)
 
 
 # ---------------------------------------------------------------------------
@@ -302,25 +320,29 @@ def audited_pairs(draw):
 
 
 class TestWindowAgainstReference:
-    """The window constructions against the full-grid reference ones."""
+    """The window constructions against the full-grid reference ones: the
+    cut-off of every phase and each main's harmonic star, at each of the
+    audit's inner fractions."""
 
     @settings(max_examples=150, deadline=None)
-    @given(audited_pairs(), st.floats(0.05, 0.95), st.data())
-    def test_cutoff(self, case, a, data):
+    @given(audited_pairs())
+    def test_cutoff(self, case):
         spec, u, w, x0, r = case
-        phases = data.draw(st.sets(st.integers(1, spec.num_phases)))
-        got = outcome(cutoff_pair, u, w, spec, x0, r, a, phases)
-        want = outcome(reference_cutoff, u, w, spec, x0, r, a, phases)
-        assert_same_competitor(got, want, total(u, w, spec))
+        got = probe_outcomes(u, w, spec, x0, r)
+        phases = range(1, spec.num_phases + 1)
+        for a in FRACTIONS:
+            want = outcome(reference_cutoff, u, w, spec, x0, r, a, phases)
+            assert_same_competitor(got["cutoff", a, None], want, total(u, w, spec))
 
     @settings(max_examples=150, deadline=None)
-    @given(audited_pairs(), st.floats(0.5, 0.95), st.data())
-    def test_harmonic(self, case, a, data):
+    @given(audited_pairs())
+    def test_harmonic(self, case):
         spec, u, w, x0, r = case
-        main = data.draw(st.integers(1, spec.num_phases))
-        got = outcome(harmonic_pair, u, w, spec, x0, r, a, main)
-        want = outcome(reference_harmonic, u, w, spec, x0, r, a, main, 1e-13)
-        assert_same_competitor(got, want, total(u, w, spec))
+        got = probe_outcomes(u, w, spec, x0, r)
+        for main in range(1, spec.num_phases + 1):
+            for a in FRACTIONS:
+                want = outcome(reference_harmonic, u, w, spec, x0, r, a, main, 1e-13)
+                assert_same_competitor(got["harmonic", a, main], want, total(u, w, spec))
 
     @settings(max_examples=40, deadline=None)
     @given(audited_pairs(), st.data())
@@ -355,15 +377,14 @@ class TestWindowAgainstReference:
         x0, r, a = (0.45, 0.5), 0.3, 0.75
         inner = int(np.count_nonzero(distances(grid, np.array(x0)) < a * r))
         assert inner > DIRECT_CELLS
+        got = probe_outcomes(u, w, spec, x0, r)
         for main in (1, 2):
-            got = harmonic_pair(u, w, spec, x0, r, a, main)
             want = reference_harmonic(u, w, spec, x0, r, a, main)
-            assert_same_competitor(got, want, total(u, w, spec))
+            assert_same_competitor(got["harmonic", a, main], want, total(u, w, spec))
 
 
 class TestAdmissibility:
-    """The audit refuses an inadmissible pair once, wherever its fault is; a
-    competitor checks its edit and the pair on its grown window."""
+    """The audit refuses an inadmissible pair once, wherever its fault is."""
 
     def pair(self):
         grid = make_grid(2, (32, 32), 1 / 32)
@@ -381,71 +402,6 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="phase 2 has support outside its labeled region"):
             audit(u, w, spec, [((0.7, 0.6), 0.15)])
 
-    def test_competitors_raise(self):
-        # the ball B((0.7, 0.6), 0.15) has the window of cells 17..27 by
-        # 13..24; grown by one cell it starts at column 16, which is phase 2's
-        spec, fields, w = self.pair()
-        fields[0][16, 19] = 0.5
-        u = make_phase_field(spec.grid, fields)
-        note = "phase 1 has support outside its labeled region"
-        x0, r = (0.7, 0.6), 0.15
-        with pytest.raises(ValueError, match=note):
-            cutoff_competitor(u, w, spec, x0, r, 0.5, [1, 2])
-        for main in (1, 2):
-            with pytest.raises(ValueError, match=note):
-                harmonic_competitor(u, w, spec, x0, r, 0.5, main)
-        # one column further out (phase 1's), a fault is the audit's to find
-        fields[0][16, 19] = 0.0
-        fields[1][15, 19] = 0.5
-        u = make_phase_field(spec.grid, fields)
-        cutoff_competitor(u, w, spec, x0, r, 0.5, [1, 2])
-        with pytest.raises(ValueError, match="phase 2 has support outside"):
-            audit(u, w, spec, [(x0, r)])
-
-    def test_competitors_check_the_grown_window_corners(self):
-        # a corner cell of the window grown by one cell is no face neighbor
-        # of a window cell, so the ball's ΔJ never reads it; the competitors
-        # still refuse a pair inadmissible there, and not one cell further out
-        spec, clean, w = self.pair()
-        x0, r = (0.7, 0.6), 0.15
-        box = ball_window(spec.grid, np.array(x0), r)[0]
-        for c0, c1, out0, out1 in (
-            (box[0].start - 1, box[1].start - 1, -1, -1),
-            (box[0].start - 1, box[1].stop, -1, 1),
-            (box[0].stop, box[1].start - 1, 1, -1),
-            (box[0].stop, box[1].stop, 1, 1),
-        ):
-            stray = 3 - int(w.labels[c0, c1])
-            fields = [f.copy() for f in clean]
-            fields[stray - 1][c0, c1] = 0.5
-            u = make_phase_field(spec.grid, fields)
-            note = f"phase {stray} has support outside its labeled region"
-            with pytest.raises(ValueError, match=note):
-                cutoff_competitor(u, w, spec, x0, r, 0.5, [1, 2])
-            for main in (1, 2):
-                with pytest.raises(ValueError, match=note):
-                    harmonic_competitor(u, w, spec, x0, r, 0.5, main)
-            fields = [f.copy() for f in clean]
-            stray = 3 - int(w.labels[c0 + out0, c1 + out1])
-            fields[stray - 1][c0 + out0, c1 + out1] = 0.5
-            u = make_phase_field(spec.grid, fields)
-            cutoff_competitor(u, w, spec, x0, r, 0.5, [1, 2])
-            harmonic_competitor(u, w, spec, x0, r, 0.5, 1)
-
-    def test_competitor_star_is_checked_first(self):
-        # phase 2 strays onto a phase-1 corner cell of the window of
-        # B((0.5, 0.5), 0.15), phase 1 onto a phase-2 corner: the harmonic
-        # competitor for main 2 drops phase 1's stray value and keeps phase
-        # 2's, so its edit names phase 2 where the pair would name phase 1
-        spec, fields, w = self.pair()
-        fields[1][10, 10] = 0.5
-        fields[0][21, 21] = 0.5
-        u = make_phase_field(spec.grid, fields)
-        with pytest.raises(ValueError, match="phase 2 has support"):
-            harmonic_competitor(u, w, spec, (0.5, 0.5), 0.15, 0.5, 2)
-        with pytest.raises(ValueError, match="phase 1 has support"):
-            harmonic_competitor(u, w, spec, (0.5, 0.5), 0.15, 0.5, 1)
-
     def test_competitors_refuse_phase_counts_that_disagree(self):
         # a one-field pair, or a one-phase partition, against a two-phase spec
         spec, fields, w = self.pair()
@@ -453,13 +409,9 @@ class TestAdmissibility:
         one = make_phase_field(spec.grid, fields[:1])
         w_one = make_partition(spec.grid, 1, np.minimum(w.labels, 1))
         note = "phase counts of field, partition, and spec disagree"
-        x0, r = (0.7, 0.6), 0.15
         for u, part in ((one, w), (two, w_one), (one, w_one)):
             with pytest.raises(ValueError, match=note):
-                cutoff_competitor(u, part, spec, x0, r, 0.5, [1, 2])
-            for main in (1, 2):
-                with pytest.raises(ValueError, match=note):
-                    harmonic_competitor(u, part, spec, x0, r, 0.5, main)
+                audit(u, part, spec, [((0.7, 0.6), 0.15)])
 
     def test_audit_checks_once_and_builds_no_whole_pair(self, monkeypatch):
         spec, fields, w = self.pair()
@@ -542,12 +494,8 @@ class TestStarInvariant:
     @given(audited_pairs())
     def test_stars_are_admissible_and_change_only_the_ball(self, case):
         spec, u, w, x0, r = case
-        phases = tuple(range(1, spec.num_phases + 1))
-        tries = [("cutoff", a, phases) for a in (0.5, 0.75)] + [
-            ("harmonic", a, m) for m in phases for a in (0.5, 0.75)
-        ]
         lam = functional.cell_marginals(spec, w)
-        box, stars, _ = competitors_module._probe(u, w, spec, x0, r, tries, lam)
+        box, _, stars, _ = competitors_module._probe(u, w, spec, x0, r, lam)
         built = [star for star in stars if not isinstance(star, ValueError)]
         if not built:
             return
@@ -608,23 +556,15 @@ class TestCutoff:
         grid = make_grid(2, (16, 16), 1 / 16)
         spec = make_functional_spec(grid, [0.0], [1.0], NONNEGATIVE, PowerLaw(0.1, 0.0))
         u, w = zero_pair(grid, 1)
-        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 0.25, 0.5, [1])
+        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 0.25, 0.5)
         assert dj == 0.0
         assert np.all(u2.fields[0].values == 0.0)
-
-    def test_empty_phase_selection_is_identity(self):
-        grid = make_grid(2, (16, 16), 1 / 16)
-        spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
-        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 0.25, 0.5, [])
-        assert dj == 0.0
-        assert np.array_equal(u2.fields[0].values, u.fields[0].values)
-        assert np.array_equal(w2.labels, w.labels)
 
     def test_whole_grid_cutoff_is_empty_competitor(self):
         grid = make_grid(2, (24, 24), 1 / 24)
         spec, u, w = solved_full_domain_pair(grid, 4.0, 0.1)
         j = total(u, w, spec)
-        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 100.0, 0.5, [1])
+        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 100.0, 0.5)
         assert np.all(u2.fields[0].values == 0.0)
         assert np.all(w2.labels == 0)
         assert dj == pytest.approx(-j, rel=1e-12, abs=1e-15)
@@ -633,7 +573,7 @@ class TestCutoff:
         grid = make_grid(2, (32, 32), 1 / 32)
         spec, u, w = solved_full_domain_pair(grid, 2.0, 0.0)
         x0, r, a = (0.5, 0.5), 0.25, 0.5
-        u2, w2, dj = cutoff_pair(u, w, spec, x0, r, a, [1])
+        u2, w2, dj = cutoff_pair(u, w, spec, x0, r, a)
         d = np.sqrt(np.sum((cell_centers(grid) - np.array(x0)) ** 2, axis=-1))
         inner = d < a * r
         outer = d >= r
@@ -651,7 +591,7 @@ class TestCutoff:
         spec, u, w = solved_full_domain_pair(grid, 2.0, 0.0)
         r = float(distances(grid, as_point(grid, (0.3,)))[17])
         assert (r - 0.75 * r) / (0.25 * r) < 1.0
-        u2, w2, dj = cutoff_pair(u, w, spec, (0.3,), r, 0.75, [1])
+        u2, w2, dj = cutoff_pair(u, w, spec, (0.3,), r, 0.75)
         vals, old = u2.fields[0].values, u.fields[0].values
         assert old[17] > 0.0 and vals[17] == old[17]
         assert np.array_equal(vals[17:], old[17:])
@@ -666,42 +606,42 @@ class TestCutoff:
         spec = make_functional_spec(grid, [0.0], [2.0], NONNEGATIVE, PerRegion((q,)))
         w = make_partition(grid, 1, np.ones(grid.shape, dtype=int))
         u = make_phase_field(grid, [solve_phase(spec, w, 1, 1e-10).values])
-        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 100.0, 0.5, [1])
+        u2, w2, dj = cutoff_pair(u, w, spec, (0.5, 0.5), 100.0, 0.5)
         assert np.all(u2.fields[0].values == 0.0)
         assert np.array_equal(w2.labels, w.labels)
         # Positive weight: now every vacated cell is trashed.
         q2 = make_field(grid, np.ones(grid.shape) * 0.05)
         spec2 = make_functional_spec(grid, [0.0], [2.0], NONNEGATIVE, PerRegion((q2,)))
-        u3, w3, dj3 = cutoff_pair(u, w, spec2, (0.5, 0.5), 100.0, 0.5, [1])
+        u3, w3, dj3 = cutoff_pair(u, w, spec2, (0.5, 0.5), 100.0, 0.5)
         assert np.all(w3.labels == 0)
 
     def test_validation(self):
-        grid = make_grid(2, (16, 16), 1 / 16)
-        spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
-        with pytest.raises(ValueError):
-            cutoff_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.0, [1])
-        with pytest.raises(ValueError):
-            cutoff_competitor(u, w, spec, (0.5, 0.5), 0.25, 1.0, [1])
-        with pytest.raises(ValueError):
-            cutoff_competitor(u, w, spec, (9.0, 9.0), 0.25, 0.5, [1])
-        with pytest.raises(ValueError):
-            cutoff_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.5, [2])
+        # a ball that misses every masked cell has no cut-off
+        mask = cell_centers(make_grid(2, (16, 16), 1 / 16))[..., 0] < 0.5
+        grid = make_grid(2, (16, 16), 1 / 16, mask=mask)
+        spec = make_functional_spec(grid, [0.0], [2.0], NONNEGATIVE, PowerLaw(0.05, 0.0))
+        w = make_partition(grid, 1, mask.astype(int))
+        u = make_phase_field(grid, [solve_phase(spec, w, 1, 1e-10).values])
+        for a in FRACTIONS:
+            with pytest.raises(ValueError, match="misses every masked cell"):
+                cutoff_pair(u, w, spec, (0.8, 0.5), 0.2, a)
+        cutoff_pair(u, w, spec, (0.6, 0.5), 0.2, 0.5)
 
     def test_point_outside_the_box_rejected(self):
         grid = make_grid(2, (32, 32), 1 / 32)
         spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
         for x0 in ((5.0, 5.0), (0.5, -0.01)):
-            with pytest.raises(ValueError, match="outside the bounding box"):
-                cutoff_competitor(u, w, spec, x0, 0.25, 0.5, [1])
-            with pytest.raises(ValueError, match="outside the bounding box"):
-                harmonic_competitor(u, w, spec, x0, 0.25, 0.5, 1)
+            got = probe_outcomes(u, w, spec, x0, 0.25)
+            assert len(got) == 4
+            for note in got.values():
+                assert "outside the bounding box" in note
 
     def test_radius_must_be_positive_and_finite(self):
         grid = make_grid(2, (16, 16), 1 / 16)
         spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
         for r in (0.0, -0.01, np.inf, np.nan):
-            with pytest.raises(ValueError, match="radius r must be positive and finite"):
-                cutoff_competitor(u, w, spec, (0.5, 0.5), r, 0.5, [1])
+            with pytest.raises(ValueError, match="cutoff radius r must be positive and finite"):
+                cutoff_pair(u, w, spec, (0.5, 0.5), r, 0.5)
 
 
 class TestHarmonic:
@@ -779,25 +719,25 @@ class TestHarmonic:
         outside = d >= r
         assert np.array_equal(w2.labels[outside], w.labels[outside])
         assert np.array_equal(u2.fields[0].values[outside], u.fields[0].values[outside])
-        # the edit was checked for admissibility; delta is finite
+        functional.check_admissible(u2, w2, spec)
         assert np.isfinite(dj)
 
     def test_validation(self):
+        # a ball that, with a margin of h, leaves the bounding box has no
+        # harmonic star, and still has its cut-offs
         grid = make_grid(2, (32, 32), 1 / 32)
         spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
-        with pytest.raises(ValueError):
-            harmonic_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.3, 1)
-        with pytest.raises(ValueError):
-            harmonic_competitor(u, w, spec, (0.5, 0.5), 0.25, 0.5, 0)
-        with pytest.raises(ValueError):  # ball leaves the bounding box
-            harmonic_competitor(u, w, spec, (0.1, 0.5), 0.25, 0.5, 1)
+        got = probe_outcomes(u, w, spec, (0.1, 0.5), 0.25)
+        for a in FRACTIONS:
+            assert "(+margin h) leaves the bounding box" in got["harmonic", a, 1]
+            assert not isinstance(got["cutoff", a, None], str)
 
     def test_nonpositive_radius_rejected(self):
         grid = make_grid(2, (32, 32), 1 / 32)
         spec, u, w = solved_full_domain_pair(grid, 2.0, 0.05)
         for r in (0.0, -0.01):
-            with pytest.raises(ValueError, match="must be positive"):
-                harmonic_competitor(u, w, spec, (0.5, 0.5), r, 0.5, 1)
+            with pytest.raises(ValueError, match="harmonic radius r must be positive"):
+                harmonic_pair(u, w, spec, (0.5, 0.5), r, 0.5, 1)
 
     def test_masked_hole_rejected(self):
         mask = np.ones((32, 32), dtype=bool)
@@ -807,45 +747,8 @@ class TestHarmonic:
         labels = np.where(mask, 1, 0).astype(int)
         w = make_partition(grid, 1, labels)
         u = make_phase_field(grid, [solve_phase(spec, w, 1, 1e-10).values])
-        with pytest.raises(ValueError):
-            harmonic_competitor(u, w, spec, (0.5, 0.5), 0.2, 0.5, 1)
-
-
-class TestPhaseIndex:
-    """A phase index given as an integral value (1, ``np.int64(1)``, 1.0)
-    selects that phase; any other value is refused, naming it."""
-
-    def test_integral_values_select_the_phase(self):
-        spec, fields, w = TestAdmissibility().pair()
-        u = make_phase_field(spec.grid, fields)
-        x0, r = (0.45, 0.5), 0.2
-        for i in (1, 2):
-            want = [
-                cutoff_competitor(u, w, spec, x0, r, 0.5, [i]),
-                harmonic_competitor(u, w, spec, x0, r, 0.5, i),
-            ]
-            for v in (np.int64(i), float(i), np.float64(i)):
-                got = [
-                    cutoff_competitor(u, w, spec, x0, r, 0.5, [v]),
-                    harmonic_competitor(u, w, spec, x0, r, 0.5, v),
-                ]
-                for (box1, (l1, f1), d1), (box0, (l0, f0), d0) in zip(got, want):
-                    assert box1 == box0 and d1 == d0 and np.array_equal(l1, l0)
-                    assert all(np.array_equal(a, b) for a, b in zip(f1, f0))
-
-    def test_fractional_values_are_refused(self):
-        spec, fields, w = TestAdmissibility().pair()
-        u = make_phase_field(spec.grid, fields)
-        x0, r = (0.45, 0.5), 0.2
-        for v in (1.5, np.float64(1.5)):
-            with pytest.raises(ValueError, match=r"phase index 1\.5 is not an integer"):
-                cutoff_competitor(u, w, spec, x0, r, 0.5, [v])
-            with pytest.raises(ValueError, match=r"phase index 1\.5 is not an integer"):
-                cutoff_competitor(u, w, spec, x0, r, 0.5, [2, v])
-            with pytest.raises(ValueError, match=r"main phase 1\.5 is not an integer"):
-                harmonic_competitor(u, w, spec, x0, r, 0.5, v)
-        with pytest.raises(ValueError, match=r"main phase 0\.5 out of range 1\.\.2"):
-            harmonic_competitor(u, w, spec, x0, r, 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"\(\+margin h\) leaves the mask"):
+            harmonic_pair(u, w, spec, (0.5, 0.5), 0.2, 0.5, 1)
 
 
 class TestAudit:

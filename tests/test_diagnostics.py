@@ -350,6 +350,16 @@ class TestElInterfaceCheck:
         with pytest.raises(ValueError):
             el_interface_check(u, w, spec, CENTER, 0.1)
 
+    def test_squared_slope_overflow_rejected(self):
+        # slopes near 1e200 square past the largest float
+        grid, u = two_cone(64, 1e200, 1e200)
+        w = partition_from_supports(u)
+        spec = make_functional_spec(
+            grid, [0.0, 0.0], [0.0, 0.0], NONNEGATIVE, PowerLaw(0.3, 0.0)
+        )
+        with pytest.raises(ValueError, match="squared one-sided slope is not finite"):
+            el_interface_check(u, w, spec, CENTER, 0.2)
+
 
 class TestFlatness:
     def test_planar_interface(self):

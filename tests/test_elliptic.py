@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -245,3 +250,33 @@ class TestMultigridWork:
         its = self.landscape_iterations(monkeypatch, 1, (256, 1024, 4096))
         assert max(its) <= 30
 
+
+SOLVE_256 = """
+import hashlib
+import numpy as np
+from phasemin.elliptic import _pcg
+from phasemin.grid import cell_centers, make_grid
+grid = make_grid(2, (256, 256), 1 / 256)
+c = cell_centers(grid)
+rhs = 1.0 + np.sin(7 * c[..., 0]) * np.cos(3 * c[..., 1])
+x, res, it = _pcg(grid, np.ones(grid.shape, dtype=bool), np.zeros(grid.shape), rhs, 1e-8)
+print(repr(res), it, hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def test_solve_is_independent_of_blas_threads():
+    """A 256^2 solve, each in a fresh interpreter with 1 and with 2 BLAS
+    threads, returns the same residual, bit for bit, and the same bytes of
+    x.  On a machine with one CPU, BLAS may run one thread either way, and
+    then the test cannot tell the two apart."""
+    src = str(Path(elliptic.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        done = subprocess.run(
+            [sys.executable, "-c", SOLVE_256], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
