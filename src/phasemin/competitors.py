@@ -333,11 +333,17 @@ def audit_report_csv(report: AuditReport) -> str:
 def seeded_probes(grid: Grid, count: int, r: float, seed: int) -> list[tuple]:
     """Deterministic probe centers away from the boundary by ``r + 2h``.
 
+    The centers are the numbers ``np.random.default_rng(seed).uniform(low,
+    high, size=(count, grid.dim))`` gives on NumPy 2.4, bit for bit, drawn
+    from phasemin's own replica of that stream (:func:`_unit_draws`), so
+    ``numpy.random`` is never loaded and the probes do not change with
+    NumPy's version.
+
     Args:
         grid: carrier grid.
         count: number of probes.
         r: ball radius attached to every probe (see :func:`check_radius`).
-        seed: RNG seed for reproducibility, >= 0.
+        seed: RNG seed for reproducibility (see :func:`check_seed`).
 
     Raises:
         ValueError: if ``r`` or ``seed`` is refused, or the safety margin
@@ -347,13 +353,81 @@ def seeded_probes(grid: Grid, count: int, r: float, seed: int) -> list[tuple]:
     check_seed(seed)
     lo, hi = bounding_box(grid)
     margin = r + 2 * grid.spacing
-    low = lo + margin
-    high = hi - margin
-    if np.any(low >= high):
+    low = (lo + margin).tolist()
+    high = (hi - margin).tolist()
+    if any(a >= b for a, b in zip(low, high)):
         raise ValueError(f"radius {r} leaves no interior room for probes")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(low, high, size=(count, grid.dim))
-    return [(tuple(float(v) for v in p), float(r)) for p in pts]
+    draws = _unit_draws(seed)
+    span = [b - a for a, b in zip(low, high)]
+    return [
+        (tuple(a + s * next(draws) for a, s in zip(low, span)), float(r))
+        for _ in range(count)
+    ]
+
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's 32-bit hash: xor with a running constant, advance the
+    constant by ``mult``, multiply by it and fold the high half down."""
+
+    def hash_word(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hash_word
+
+
+def _unit_draws(seed: int):
+    """Yield the doubles in [0, 1) of ``np.random.default_rng(seed).random()``.
+
+    NumPy's ``SeedSequence(seed)`` hashes the seed's 32-bit words (least
+    significant first) into a pool of 4 words and expands the pool to the
+    128-bit state and increment of PCG64, a 128-bit LCG with XSL-RR output
+    (O'Neill, HMC-CS-2014-0905); a double is the top 53 bits of one output
+    times 2**-53.  Python ints keep every step exact.
+    """
+    words = []
+    n = int(seed)
+    while True:
+        words.append(n & _MASK32)
+        n >>= 32
+        if not n:
+            break
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return x ^ x >> 16
+
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): 8 words of 32 bits, paired low word first
+    expand = _hasher(0x8B51F9DD, 0x58F38DED)
+    w32 = [expand(pool[i % 4]) for i in range(8)]
+    s = [w32[2 * k] | w32[2 * k + 1] << 32 for k in range(4)]
+    # seeding steps from state 0, adds the state seed and steps again
+    inc = (s[2] << 65 | s[3] << 1 | 1) & _MASK128
+    state = ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _MASK128
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        yield (word >> 11) * 2.0**-53
 
 
 def check_radius(r: float, what: str = "probe") -> None:
@@ -363,6 +437,12 @@ def check_radius(r: float, what: str = "probe") -> None:
 
 
 def check_seed(seed: int) -> None:
-    """Refuse a probe RNG seed below 0."""
+    """Refuse a probe RNG seed that is not an integer >= 0.
+
+    A Python int of any width (a bool included) or a NumPy integer is an
+    integer; a float is not, even with an integral value.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"probe seed must be an integer, got {seed!r}")
     if not seed >= 0:
         raise ValueError(f"probe seed must be >= 0, got {seed}")

@@ -392,7 +392,8 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
     between cell centers.
 
     Raises:
-        ValueError: if x0 is farther than h from the part's boundary cells.
+        ValueError: if x0 is farther than h from the part's boundary cells,
+            or the mean square is not finite.
     """
     del w  # labels do not enter: the ratios are support-based
     phase = Phase(i)
@@ -415,7 +416,14 @@ def density_report(u, w: Partition, i: int, x0, r: float) -> InterfaceReport:
 
     ball = (d < r) & sub.mask
     hn = grid.cell_volume
-    mean_sq = float(np.sum(vals[ball] ** 2)) * hn / _ball_volume(grid.dim, r) / r**2
+    with np.errstate(over="ignore"):
+        sum_sq = float(np.sum(vals[ball] ** 2))
+    mean_sq = sum_sq * hn / _ball_volume(grid.dim, r) / r**2
+    if not math.isfinite(mean_sq):
+        raise ValueError(
+            f"the mean square of part {phase.index}+ over the ball is not finite "
+            f"(largest |v| {format_float(float(np.max(np.abs(vals[ball]))))})"
+        )
     pos_vol = float(np.count_nonzero(ball & support)) * hn / r**grid.dim
     comp_vol = float(np.count_nonzero(ball & ~support)) * hn / r**grid.dim
 

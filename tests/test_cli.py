@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +29,9 @@ from phasemin.elliptic import solve_landscape
 from phasemin.functional import PerRegion, PowerLaw, make_functional_spec, make_partition
 from phasemin.grid import cell_centers, load_field, make_field, make_grid, save_field
 from phasemin.minimize import SolveReport, initial_partition, minimize
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, text):
@@ -108,6 +117,7 @@ class TestBuildPlan:
             ("grid.shape = 16 inf", "grid.shape"),
             ("pipeline.tol_j = nan", "pipeline.tol_j"),
             ("probes.seed = -1", "probes.seed"),
+            ("probes.seed = 1.5", "probes.seed"),
             ("init.seeds = nan 0.5", "init.seeds"),
             ("diagnose.point = 5 5", "diagnose.point"),
             ("grid.spacing = 1e300", "grid.spacing"),
@@ -507,6 +517,14 @@ class TestRun:
         assert main(args) == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_fractional_seed_flag_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.txt", BASE)
+        args = ["run", str(cfg), "--out", str(tmp_path / "out"), "--seed", "1.5"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_main_cli_surface(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.txt", BASE)
         code = main(["run", str(cfg), "--out", str(tmp_path / "out"), "--workers", "1"])
@@ -616,3 +634,33 @@ probes.radius = 0.1
         a = (out1 / "audit_report.csv").read_bytes()
         b = (out2 / "audit_report.csv").read_bytes()
         assert a == b
+
+
+FOOTPRINT = """
+import json, sys
+import numpy
+bare = "numpy.random" in sys.modules
+from phasemin import cli
+status = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
+loaded = [m for m in ("numpy.random", "secrets", "_hashlib") if m in sys.modules]
+print(json.dumps({"bare": bare, "status": status, "loaded": loaded}))
+"""
+
+
+def test_run_never_loads_numpy_random(tmp_path):
+    """The 2D config's minimize, diagnose and audit, in a fresh interpreter,
+    leave numpy.random and the hashing it pulls in (secrets, _hashlib)
+    unloaded: the audit draws its probes from phasemin's own stream."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    config = CONFIG_DIR / "two_phase_2d_h128.txt"
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, str(config), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if result["bare"]:
+        pytest.skip(f"a bare import of numpy {np.__version__} already loads numpy.random")
+    assert result["status"] == 0
+    assert "audit entries" in (tmp_path / "out" / "summary.txt").read_text()
+    assert result["loaded"] == []

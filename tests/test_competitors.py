@@ -11,7 +11,9 @@ the window edits, written into copies of the pair by ``cutoff_pair`` and
 from __future__ import annotations
 
 import importlib
+import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -842,7 +844,76 @@ class TestAudit:
             assert len(ln.split(",")) == 7
 
 
+STREAM_SEEDS = [*range(200), 2**32 - 1, 2**32, 2**64 + 3, 2**70]
+
+# the probe centers of configs/two_phase_2d_h128.txt at seed 0
+PROBES_2D_H128_SEED0 = [
+    "(0.605289297128368, 0.32302353620597535)",
+    "(0.1471233965259497, 0.12833061981255675)",
+    "(0.7408264963852095, 0.8173058500322485)",
+    "(0.5819762526210196, 0.6764254812564487)",
+    "(0.5335367121890439, 0.8344619257868469)",
+    "(0.7428124197309278, 0.11773022200580135)",
+    "(0.774754537626694, 0.14144391101607573)",
+    "(0.6765476244430195, 0.25066025833821726)",
+    "(0.7791937965564754, 0.5318733130664893)",
+    "(0.34602851585061456, 0.4405658012957)",
+    "(0.13739574719307465, 0.2111677688090398)",
+    "(0.6311675187957283, 0.6131519370227048)",
+    "(0.588702304451214, 0.41057711983882295)",
+    "(0.882230138137956, 0.8696421666842269)",
+    "(0.642635400569534, 0.6156655686308838)",
+    "(0.6448684241264102, 0.41460834468393604)",
+    "(0.21948043823597863, 0.6702691615242004)",
+    "(0.5194911354032143, 0.3541234418359472)",
+    "(0.4891109321019379, 0.799418772655794)",
+    "(0.833670952891367, 0.3906800574700977)",
+]
+
+
+def box_grid(dim):
+    """A stand-in grid of 1 to 3 axes: ``seeded_probes`` reads only its box."""
+    return SimpleNamespace(
+        dim=dim, origin=(0.1, -2.0, 0.3)[:dim], spacing=0.05, shape=(20, 22, 24)[:dim]
+    )
+
+
+def numpy_probes(grid, count, r, seed):
+    """The centers ``np.random.default_rng(seed).uniform`` draws on the probe box."""
+    lo, hi = bounding_box(grid)
+    margin = r + 2 * grid.spacing
+    pts = np.random.default_rng(seed).uniform(lo + margin, hi - margin, size=(count, grid.dim))
+    return [tuple(p.tolist()) for p in pts]
+
+
 class TestSeededProbes:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_numpy_stream(self, dim):
+        grid = box_grid(dim)
+        for seed in STREAM_SEEDS:
+            for count in range(1, 34):
+                got = [x0 for x0, _ in seeded_probes(grid, count, 0.1, seed)]
+                assert got == numpy_probes(grid, count, 0.1, seed), (seed, count)
+
+    def test_shipped_2d_probes_are_pinned(self, run_2d_128):
+        plan = run_2d_128.plan
+        probes = seeded_probes(plan.grid, plan.probe_count, plan.probe_radius, 0)
+        assert [repr(x0) for x0, _ in probes] == PROBES_2D_H128_SEED0
+        assert {r for _, r in probes} == {0.1}
+
+    @pytest.mark.parametrize("seed", [True, np.int64(3), np.uint64(2**63 + 5)])
+    def test_integer_seed_types(self, seed):
+        grid = box_grid(2)
+        got = [x0 for x0, _ in seeded_probes(grid, 5, 0.1, seed)]
+        assert got == numpy_probes(grid, 5, 0.1, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        grid = make_grid(2, (16, 16), 1 / 16)
+        message = f"probe seed must be an integer, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            seeded_probes(grid, 4, 0.1, seed)
+
     def test_deterministic_and_in_bounds(self):
         grid = make_grid(2, (64, 64), 1 / 64)
         p1 = seeded_probes(grid, 20, 0.1, seed=7)

@@ -259,6 +259,14 @@ class TestDensityReport:
         with pytest.raises(ValueError):
             density_report(u, w, 1, CENTER, 0.1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mean_square_overflow_rejected(self):
+        # values near 1e200 square past the largest float
+        _, u = one_cone(64, 1e200)
+        w = partition_from_supports(u)
+        with pytest.raises(ValueError, match=r"mean square of part 1\+ over the ball is not finite"):
+            density_report(u, w, 1, CENTER, 0.25)
+
 
 class TestInterfaceMeasure:
     def test_cone_density_equals_slope(self):
