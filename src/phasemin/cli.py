@@ -75,6 +75,7 @@ from .functional import (
     PowerLaw,
     check_reaction,
     check_sign,
+    check_source,
     make_functional_spec,
     make_phase_field,
     volume_marginal,
@@ -110,6 +111,7 @@ __all__ = [
 STAGES = ("landscape", "minimize", "diagnose", "audit")
 # far above any audit that finishes, yet its probe centers fit in memory
 MAX_PROBES = 1_000_000
+GRAY_LEVELS = [str(k) for k in range(256)]  # the text of each graymap level
 
 
 class ConfigError(ValueError):
@@ -290,6 +292,7 @@ def build_plan(config_path) -> RunPlan:
         f_list.append(reader.get_coeff(f"spec.f.{i}", grid, "0"))
         _construct(f"spec.f.{i}", check_reaction, f_list[-1].values, f"f_{i}")
         g_list.append(reader.get_coeff(f"spec.g.{i}", grid, "0"))
+        _construct(f"spec.g.{i}", check_source, g_list[-1].values, grid, f"g_{i}")
         signs.append(reader.get_str(f"spec.sign.{i}", default_sign))
         _construct(f"spec.sign.{i}", check_sign, signs[-1])
 
@@ -400,7 +403,7 @@ def export_raster(obj: ScalarField | Partition, path) -> None:
         Path(str(path) + ".meta.txt").write_text(meta, encoding="ascii")
     pixels = np.atleast_2d(pixels)
     height, width = pixels.shape
-    text = f"P2\n{width} {height}\n255\n" + text_rows(pixels, str)
+    text = f"P2\n{width} {height}\n255\n" + text_rows(pixels, GRAY_LEVELS.__getitem__)
     Path(path).write_text(text, encoding="ascii")
 
 

@@ -70,7 +70,6 @@ from .grid import (
     make_field,
     make_grid,
     neighbor_sum,
-    sample_many,
     sample_mesh,
     squared_distance_transform,
 )
@@ -354,8 +353,8 @@ def weiss_profile(u, i: int, lambda_i: float, x0, radii) -> RadialProfile:
     rho_hat = (centers[sel] - pt) / d_flat[sel][:, None]
     lo, hi = bounding_box(grid)
     field = ScalarField(grid, part)
-    up = sample_many(field, np.clip(centers[sel] + h * rho_hat, lo, hi))
-    dn = sample_many(field, np.clip(centers[sel] - h * rho_hat, lo, hi))
+    up = sample_mesh([field], np.clip(centers[sel] + h * rho_hat, lo, hi).T)[0]
+    dn = sample_mesh([field], np.clip(centers[sel] - h * rho_hat, lo, hi).T)[0]
     dr_sq = np.zeros(d.size)
     dr_sq[sel] = ((up - dn) / (2.0 * h)) ** 2
     dr_sq = dr_sq.reshape(d.shape)

@@ -6,11 +6,15 @@ operator ``-lap + coefficient`` restricted to a cell set, with homogeneous
 Dirichlet data outside it: zero at the neighbor center for in-mask cells
 outside the set (full edge), and zero at the cell face for box faces and
 unmasked neighbors (half-spacing wall, weight 2).  The system is solved
-matrix-free, on the bounding box of the cell set, by conjugate gradients
-preconditioned with one symmetric geometric multigrid V-cycle per iteration
-(MGCG).  The harmonic extension has the same operator with zero
-coefficient; a small ball is solved densely instead (see
-``DIRECT_CELLS``).
+matrix-free by conjugate gradients preconditioned with one symmetric
+geometric multigrid V-cycle per iteration (MGCG).  The MGCG core,
+``_levels`` and ``_pcg``, knows no grid: it takes arrays of one box shape
+(wall slot counts, region, coefficient, right-hand side, start), runs on the
+region's index box within them and returns an ``x`` of their shape, so a
+solve's work and memory are bounded by its box.  Fields vanish off the
+region, so the box operator with zero beyond its edges equals the full-grid
+one.  The harmonic extension has the same operator with zero coefficient; a
+small ball is solved densely instead (see ``DIRECT_CELLS``).
 
 Multigrid levels
 ----------------
@@ -163,20 +167,13 @@ def _child_reduce(op, a: NDArray, shape: tuple[int, ...], out=None) -> NDArray:
 
 
 def _levels(
-    grid: Grid, region: NDArray[np.bool_], coeff: NDArray
-) -> tuple[tuple[slice, ...], list[_Level]]:
-    """Crop the solve to the region's bounding box and build its levels.
-
-    Returns the box and the levels, finest first.  The box holds every
-    region cell, and fields vanish off the region, so the box operator with
-    zero beyond its edges equals the full-grid one.
-    """
-    box = index_box(region)
-    dim = grid.dim
-    region = region[box]
-    walls = wall_slot_count(grid)[box].astype(float)
-    coeff = coeff[box]
-    h2 = grid.spacing**2
+    walls: NDArray, spacing: float, region: NDArray[np.bool_], coeff: NDArray
+) -> list[_Level]:
+    """The multigrid levels, finest first, of a solve on the box of its
+    arrays: the wall slot counts, region and coefficient; ``spacing`` is h."""
+    dim = region.ndim
+    walls = walls.astype(float)
+    h2 = spacing**2
     levels = [_Level(region, walls, coeff, h2)]
     while min(region.shape) > 2 and np.count_nonzero(region) > MIN_COARSE_CELLS:
         shape = tuple(n // 2 for n in region.shape)
@@ -193,7 +190,7 @@ def _levels(
         inverse = np.linalg.inv(_dense_operator(region, coarsest.diag, h2))
         coarsest.cells = np.nonzero(region)
         coarsest.inverse = 0.5 * (inverse + inverse.T)
-    return box, levels
+    return levels
 
 
 def _dense_operator(region: NDArray[np.bool_], diag: NDArray, h2: float) -> NDArray:
@@ -264,7 +261,8 @@ def _norm(v: NDArray, work: NDArray) -> float:
 
 
 def _pcg(
-    grid: Grid,
+    walls: NDArray,
+    spacing: float,
     region: NDArray[np.bool_],
     coeff: NDArray,
     rhs: NDArray,
@@ -273,14 +271,15 @@ def _pcg(
 ) -> tuple[NDArray, float, int]:
     """Solve (-lap + coeff) x = rhs on ``region`` by multigrid-preconditioned CG.
 
-    ``coeff`` and ``rhs`` are full-shape arrays read on the region only.
-    The iteration runs on the region's bounding box, with one V-cycle (see
-    the module docstring) as preconditioner, on the system scaled by the
-    power of two that brings ``max |rhs|`` into [1/2, 1), so tiny or huge
+    Every array has the shape of ``region`` (see the module docstring);
+    ``coeff``, ``rhs`` and the start ``x0`` are read on the region only.
+    The iteration runs on the region's index box within them, with one
+    V-cycle as preconditioner, on the system scaled by the power of two
+    that brings ``max |rhs|`` into [1/2, 1), so tiny or huge
     but finite sources neither underflow nor overflow ``r.z``; the scaling
     is exact and undone on exit.  Returns ``(x, relative_residual,
-    iterations)``; ``x`` is full-shape and zero off the region, and an
-    empty region or a zero source gives ``(zeros, 0.0, 0)``.  Convergence
+    iterations)``; ``x`` has the shape of ``region`` and is zero off it, and
+    an empty region or a zero source gives ``(zeros, 0.0, 0)``.  Convergence
     is decided on the recursively updated residual, which in finite
     precision can fall below the true one once the latter reaches its
     rounding floor; the returned residual is the true
@@ -288,9 +287,11 @@ def _pcg(
     SolverError, carrying that true residual, past the iteration cap
     ``ceil(50 * sqrt(#region cells))`` or on breakdown.
     """
+    out = np.zeros(region.shape)
     if not np.any(region):
-        return np.zeros(grid.shape), 0.0, 0
-    box, levels = _levels(grid, region, coeff)
+        return out, 0.0, 0
+    box = index_box(region)
+    levels = _levels(walls[box], spacing, region[box], coeff[box])
     fine = levels[0]
     r, z, t = fine.rhs, fine.out, fine.work
     off = ~region[box]
@@ -305,12 +306,11 @@ def _pcg(
     load_rhs(r, 0)
     b_max = float(np.max(np.abs(r)))
     if b_max == 0.0:
-        return np.zeros(grid.shape), 0.0, 0
+        return out, 0.0, 0
     scale = int(np.frexp(b_max)[1])
     np.ldexp(r, -scale, out=r)
     b_norm = _norm(r, t)
 
-    out = np.zeros(grid.shape)
     x = out[box]
     if x0 is not None:
         np.copyto(x, x0[box], where=~off)
@@ -411,10 +411,14 @@ def solve_phase(
     check_options(tol=tol)
     grid = spec.grid
     region = w.labels == i
-    f_vals = spec.f[i - 1].values
-    rhs = 0.5 * spec.g[i - 1].values
-    x0 = initial.values if initial is not None else None
-    x, _, _ = _pcg(grid, region, f_vals, rhs, tol, x0)
+    out = np.zeros(grid.shape)
+    if not np.any(region):
+        return make_field(grid, out)
+    box = index_box(region)
+    region, walls = region[box], wall_slot_count(grid)[box]
+    f_vals, rhs = spec.f[i - 1].values[box], 0.5 * spec.g[i - 1].values[box]
+    x0 = initial.values[box] if initial is not None else None
+    x, _, _ = _pcg(walls, grid.spacing, region, f_vals, rhs, tol, x0)
     if spec.sign_constraints[i - 1] == NONNEGATIVE:
         for _ in range(10):
             negative = region & (x < -1e-12)
@@ -422,9 +426,10 @@ def solve_phase(
                 break
             region = region & ~negative
             x = np.maximum(x, 0.0)
-            x, _, _ = _pcg(grid, region, f_vals, rhs, tol, x)
+            x, _, _ = _pcg(walls, grid.spacing, region, f_vals, rhs, tol, x)
         x = np.where(x > 0.0, x, 0.0)
-    return make_field(grid, x)
+    out[box] = x
+    return make_field(grid, out)
 
 
 def solve_landscape(
@@ -450,8 +455,8 @@ def solve_landscape(
         check_reaction(float(potential), "potential")
         potential = make_field(grid, potential)
     check_reaction(potential.values, "potential")
-    rhs = np.ones(grid.shape)
-    x, _, _ = _pcg(grid, grid.mask, potential.values, rhs, tol)
+    rhs = make_field(grid, 1.0).values
+    x, _, _ = _pcg(wall_slot_count(grid), grid.spacing, grid.mask, potential.values, rhs, tol)
     return make_field(grid, x)
 
 
@@ -471,24 +476,21 @@ def harmonic_extension(
     A set of at most :data:`DIRECT_CELLS` cells is solved exactly, by one
     dense solve with ``k`` right-hand sides of the system times ``h**2``:
     ``deg = 2*dim + walls`` on the diagonal and -1 for each pair of
-    face-neighbor inner cells.  A larger set runs :func:`_pcg` to a relative
-    residual of 1e-10 on the full grid, once per data set.
+    face-neighbor inner cells.  A larger set runs :func:`_pcg` on the window
+    to a relative residual of 1e-10, once per data set.
 
     Returns:
         An array of shape ``(k, #inner)``: row j is the extension of
         ``data[j]`` at the inner cells, in row-major order of the window.
     """
     nbr = np.stack([neighbor_sum(np.where(inner, 0.0, d))[inner] for d in data])
-    n = nbr.shape[1]
-    if n > DIRECT_CELLS:
-        region = np.zeros(grid.shape, dtype=bool)
-        region[box] = inner
+    walls = wall_slot_count(grid)[box]
+    if nbr.shape[1] > DIRECT_CELLS:
         out = np.empty_like(nbr)
+        rhs, zero = np.zeros((2,) + inner.shape)
         for row, b in zip(out, nbr):
-            rhs = np.zeros(grid.shape)
-            rhs[box][inner] = b / grid.spacing**2
-            x, _, _ = _pcg(grid, region, np.zeros(grid.shape), rhs, 1e-10)
-            row[...] = x[box][inner]
+            rhs[inner] = b / grid.spacing**2
+            row[...] = _pcg(walls, grid.spacing, inner, zero, rhs, 1e-10)[0][inner]
         return out
-    deg = (2 * grid.dim + wall_slot_count(grid)[box]).astype(float)
+    deg = (2 * grid.dim + walls).astype(float)
     return np.linalg.solve(_dense_operator(inner, deg, 1.0), nbr.T).T

@@ -37,11 +37,12 @@ from numpy.typing import NDArray
 from .grid import (
     Grid,
     ScalarField,
+    as_point,
     gradient_energy,
     index_box,
     make_field,
     neighbor_sum,
-    sample,
+    sample_mesh,
     wall_slot_count,
 )
 
@@ -56,6 +57,7 @@ __all__ = [
     "FREE",
     "phase_index",
     "check_reaction",
+    "check_source",
     "check_sign",
     "make_functional_spec",
     "make_phase_field",
@@ -174,6 +176,21 @@ def check_reaction(values: NDArray, name: str) -> None:
         raise ValueError(f"{name} must be finite and nonnegative everywhere")
 
 
+def check_source(values: NDArray, grid: Grid, name: str) -> None:
+    """Refuse a source g_i above the magnitude at which J could overflow.
+
+    Fields solved from g, or built from solved ones, are at most ``U =
+    max|g| L**2 / 8`` (L the shortest box side; maximum principle); a cell
+    adds at most ``24 dim U**2`` to the edge sum of J or of a ΔJ, so ``64
+    dim #cells U**2 max(1, h**(dim-2))`` must be finite."""
+    top, side = float(np.max(np.abs(values))), min(grid.shape) * grid.spacing
+    room = math.log(np.finfo(float).max / (64 * grid.dim * grid.num_cells))
+    room -= max(0.0, (grid.dim - 2) * math.log(grid.spacing))
+    limit = math.log(8.0) - 2.0 * math.log(side) + 0.5 * room
+    if top > 0.0 and math.log(top) > limit:
+        raise ValueError(f"{name} must be at most {math.exp(limit):.3g} in magnitude, got {top:.3g}")
+
+
 def check_sign(sign: str) -> None:
     """Refuse a sign constraint other than ``NONNEGATIVE`` and ``FREE``."""
     if sign not in (NONNEGATIVE, FREE):
@@ -213,8 +230,9 @@ def make_functional_spec(
 
     f_t = tuple(as_field(v) for v in f)
     g_t = tuple(as_field(v) for v in g)
-    for i, fi in enumerate(f_t, start=1):
+    for i, (fi, gi) in enumerate(zip(f_t, g_t), start=1):
         check_reaction(fi.values, f"f_{i}")
+        check_source(gi.values, grid, f"g_{i}")
     if isinstance(sign_constraints, str):
         signs = (sign_constraints,) * num_phases
     else:
@@ -510,7 +528,8 @@ def volume_marginal(w: Partition, vt: VolumeTerm, at=None) -> tuple[float, ...]:
     if isinstance(vt, PerRegion):
         if at is None:
             raise ValueError("PerRegion marginal requires an evaluation point `at`")
-        return tuple(float(sample(q, at)) for q in vt.weights)
+        pt = as_point(vt.weights[0].grid, at)
+        return tuple(float(v[0]) for v in sample_mesh(vt.weights, pt[:, np.newaxis]))
     raise ValueError(f"unknown volume term {vt!r}")
 
 

@@ -61,8 +61,6 @@ __all__ = [
     "ball_window",
     "index_box",
     "squared_distance_transform",
-    "sample",
-    "sample_many",
     "sample_mesh",
     "edge_slices",
     "neighbor_sum",
@@ -393,36 +391,14 @@ def bounding_box(grid: Grid) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return lo, hi
 
 
-def sample(f: ScalarField, x: float | Sequence[float]) -> float:
-    """Multilinear interpolation of a field at a physical point.
-
-    Between the outermost cell centers and the bounding-box face the stencil
-    clamps to the edge cell (constant extrapolation over the half-cell rim).
-
-    Args:
-        f: the field.
-        x: point inside the grid's physical bounding box.
-
-    Raises:
-        ValueError: if ``x`` is not a point of the box (:func:`as_point`).
-    """
-    pt = as_point(f.grid, x)
-    return float(sample_many(f, pt[np.newaxis, :])[0])
-
-
-def sample_many(f: ScalarField, pts: NDArray) -> NDArray[np.float64]:
-    """Multilinear interpolation of a field at each row of ``pts``, shape
-    ``(k, dim)``, by the stencil of :func:`sample`; points are not
-    range-checked, so callers keep them inside the bounding box."""
-    return sample_mesh([f], pts.T)[0]
-
-
 def sample_mesh(fields: Sequence[ScalarField], coords: Sequence[NDArray]) -> list[NDArray]:
-    """:func:`sample_many` of fields on one grid, at points given per axis.
+    """Multilinear interpolation of fields on one grid, at points given per axis.
 
     ``coords`` holds one coordinate array per axis, broadcasting together:
     of one length for scattered points, or an open mesh (``np.ix_``) for a
     tensor grid, whose stencils are built per axis.  One array per field.
+    Past the outermost cell centers the stencil clamps to the edge cell;
+    points are not range-checked (:func:`as_point` checks one).
     """
     grid = fields[0].grid
     stencils = []

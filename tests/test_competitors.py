@@ -48,6 +48,7 @@ from phasemin.grid import (
     distances,
     laplacian_apply,
     make_grid,
+    wall_slot_count,
 )
 from phasemin.minimize import initial_partition, minimize
 
@@ -206,7 +207,8 @@ def reference_harmonic(u, w, spec, x0, r, a, main, tol=1e-10):
         vals = np.where(labels == i, ramp * u.fields[i - 1].values, 0.0)
         fields.append(vals)
     rhs = laplacian_apply(make_field(grid, np.where(inner, 0.0, main_vals)))
-    extension, _, _ = _pcg(grid, inner, np.zeros(grid.shape), rhs.values, tol)
+    walls = wall_slot_count(grid)
+    extension, _, _ = _pcg(walls, grid.spacing, inner, np.zeros(grid.shape), rhs.values, tol)
     vals = fields[main - 1]
     vals[inner] = extension[inner]
     if spec.sign_constraints[main - 1] == NONNEGATIVE:

@@ -5,13 +5,20 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phasemin import elliptic
-from phasemin.elliptic import SolverError, solve_landscape, solve_phase
+from phasemin.elliptic import (
+    DIRECT_CELLS,
+    SolverError,
+    harmonic_extension,
+    solve_landscape,
+    solve_phase,
+)
 from phasemin.functional import (
     FREE,
     NONNEGATIVE,
@@ -21,7 +28,14 @@ from phasemin.functional import (
     make_phase_field,
     total,
 )
-from phasemin.grid import ScalarField, axis_centers, make_field, make_grid
+from phasemin.grid import (
+    ScalarField,
+    axis_centers,
+    ball_window,
+    make_field,
+    make_grid,
+    wall_slot_count,
+)
 
 from torsion_series import torsion_square_reference
 
@@ -222,6 +236,52 @@ class TestSolveLandscape:
             solve_landscape(grid, value)
 
 
+class TestBoxMemory:
+    """A solve's memory is bounded by its index box, not by the grid: on a
+    1024² grid one float array of the grid's shape is 8 MiB."""
+
+    @staticmethod
+    def grid_and_peak(solve):
+        """A 1024² grid, and the peak traced memory of ``solve(grid)``; the
+        grid's wall slots, built once per grid, are built before tracing."""
+        grid = make_grid(2, (1024, 1024), 1 / 1024)
+        wall_slot_count(grid)
+        prepared = solve(grid)
+        tracemalloc.start()
+        try:
+            prepared()
+            return grid, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_harmonic_extension_above_direct_cells(self):
+        def solve(grid):
+            r = 20 * grid.spacing
+            box, _, d = ball_window(grid, np.array([0.5, 0.5]), r)
+            inner = d < 0.75 * r
+            assert np.count_nonzero(inner) > DIRECT_CELLS
+            data = np.random.default_rng(3).uniform(size=(2,) + inner.shape)
+            return lambda: harmonic_extension(grid, box, inner, data)
+
+        grid, peak = self.grid_and_peak(solve)
+        assert peak < 8 * grid.num_cells
+
+    def test_solve_phase_on_a_small_region(self):
+        # a mixed-sign source under the nonnegative constraint, so the
+        # active-set rounds run too; the result and make_field's copy of it
+        # are the two grid-sized arrays
+        def solve(grid):
+            x = axis_centers(grid, 0)
+            g = make_field(grid, np.broadcast_to(np.sin(300 * x)[:, None], grid.shape))
+            labels = np.zeros(grid.shape, dtype=int)
+            labels[500:532, 600:632] = 1
+            spec, w = one_phase_spec(grid, 0.0, g), make_partition(grid, 1, labels)
+            return lambda: solve_phase(spec, w, 1)
+
+        grid, peak = self.grid_and_peak(solve)
+        assert peak < 3 * 8 * grid.num_cells
+
+
 class TestMultigridWork:
     """CG iterations per solve do not grow with 1/h."""
 
@@ -255,11 +315,12 @@ SOLVE_256 = """
 import hashlib
 import numpy as np
 from phasemin.elliptic import _pcg
-from phasemin.grid import cell_centers, make_grid
+from phasemin.grid import cell_centers, make_grid, wall_slot_count
 grid = make_grid(2, (256, 256), 1 / 256)
 c = cell_centers(grid)
 rhs = 1.0 + np.sin(7 * c[..., 0]) * np.cos(3 * c[..., 1])
-x, res, it = _pcg(grid, np.ones(grid.shape, dtype=bool), np.zeros(grid.shape), rhs, 1e-8)
+region = np.ones(grid.shape, dtype=bool)
+x, res, it = _pcg(wall_slot_count(grid), grid.spacing, region, np.zeros(grid.shape), rhs, 1e-8)
 print(repr(res), it, hashlib.sha256(x.tobytes()).hexdigest())
 """
 

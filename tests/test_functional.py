@@ -12,6 +12,7 @@ from phasemin.functional import (
     PerRegion,
     PowerLaw,
     cell_set_deltas,
+    check_source,
     energy,
     make_functional_spec,
     make_partition,
@@ -25,7 +26,9 @@ from phasemin.functional import (
     volume_marginal,
     volume_value,
 )
+from phasemin.competitors import audit, seeded_probes
 from phasemin.grid import axis_centers, make_field, make_grid
+from phasemin.minimize import initial_partition, minimize
 
 
 def grid_1d(n: int):
@@ -202,6 +205,50 @@ class TestVolumeMarginal:
         with pytest.raises(ValueError):
             volume_marginal(w, vt)
         assert volume_marginal(w, vt, at=0.5) == (-1.0,)
+
+
+def source_limit(grid):
+    """check_source's bound on max|g|, from its docstring's formula."""
+    side = min(grid.shape) * grid.spacing
+    scale = max(1.0, grid.spacing ** (grid.dim - 2))
+    return 8.0 / side**2 * np.sqrt(np.finfo(float).max / (64 * grid.dim * grid.num_cells * scale))
+
+
+class TestCheckSource:
+    CASES = [(1, (256,), 1 / 256), (2, (16, 16), 1 / 16), (2, (24, 8), 0.5)]
+
+    @pytest.mark.parametrize("dim,shape,h", CASES)
+    def test_refused_just_past_the_limit(self, dim, shape, h):
+        grid = make_grid(dim, shape, h)
+        limit = source_limit(grid)
+        check_source(np.full(shape, 0.999 * limit), grid, "g_1")
+        check_source(np.full(shape, -0.999 * limit), grid, "g_1")
+        values = np.zeros(shape)
+        values.flat[-1] = -1.001 * limit
+        with pytest.raises(ValueError, match="g_2 must be at most"):
+            check_source(values, grid, "g_2")
+        g = [0.0, make_field(grid, values)]
+        with pytest.raises(ValueError, match="g_2 must be at most"):
+            make_functional_spec(grid, [0.0, 0.0], g, FREE, PowerLaw(0.1, 0.0))
+
+    def test_zero_source_on_a_grid_too_wide_for_any_other(self):
+        grid = make_grid(1, (8,), 1e300)
+        check_source(np.zeros(8), grid, "g_1")
+        with pytest.raises(ValueError, match="g_1"):
+            check_source(np.full(8, 1e-300), grid, "g_1")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim,shape,h", CASES[:2])
+    def test_objective_and_audit_finite_at_the_limit(self, dim, shape, h):
+        grid = make_grid(dim, shape, h)
+        top = 0.999 * source_limit(grid)
+        spec = make_functional_spec(grid, [0.0, 0.0], [top, top], NONNEGATIVE, PowerLaw(0.1, 0.0))
+        sites = [(0.25,), (0.75,)] if dim == 1 else [(0.25, 0.5), (0.75, 0.5)]
+        init = make_phase_field(grid, [0.0, 0.0]), initial_partition(grid, 2, sites)
+        u, w, report = minimize(spec, init=init)
+        assert np.all(np.isfinite(report.j_history))
+        entries = audit(u, w, spec, seeded_probes(grid, 4, 0.3, 0)).entries
+        assert entries and np.all(np.isfinite([e.delta_j for e in entries]))
 
 
 class TestHelpers:

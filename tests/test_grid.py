@@ -17,7 +17,7 @@ from phasemin.grid import (
     make_field,
     make_grid,
     neighbor_sum,
-    sample,
+    sample_mesh,
     save_field,
     wall_slot_count,
 )
@@ -288,6 +288,12 @@ class TestSummationByParts:
         h = g.spacing
         lhs = float(np.sum(f.values * lap.values)) * g.cell_volume
         assert lhs == pytest.approx(-gradient_energy(f), rel=1e-10, abs=1e-12)
+
+
+def sample(f, x):
+    """``f`` at the point ``x`` of its grid's bounding box, as
+    ``functional.volume_marginal`` samples a weight."""
+    return float(sample_mesh([f], as_point(f.grid, x)[:, np.newaxis])[0][0])
 
 
 class TestSample:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -749,7 +750,10 @@ def sweep_cases(draw):
     else:
         volume = PerRegion(tuple(field() for _ in range(n)))
     f = [field(pool[~(pool < 0.0)]) for _ in range(n)]
-    spec = make_functional_spec(grid, f, [field() for _ in range(n)], signs, volume)
+    g = tuple(field() for _ in range(n))
+    # make_functional_spec refuses g beyond check_source's limit, so the
+    # spec takes its sources after construction
+    spec = replace(make_functional_spec(grid, f, [0.0] * n, signs, volume), g=g)
     u = make_phase_field(grid, [field() for _ in range(n)])
     w = make_partition(grid, n, rng.integers(0, n + 1, shape))
     return spec, u, w

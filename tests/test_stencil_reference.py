@@ -174,7 +174,8 @@ def precondition(levels, v):
 @pytest.mark.parametrize("dim,kind,seed", MG_CASES)
 def test_vcycle_is_symmetric_positive_definite(dim, kind, seed):
     grid, region, coeff, rng = multigrid_case(dim, kind, seed)
-    box, levels = _levels(grid, region, coeff)
+    box = index_box(region)
+    levels = _levels(wall_slot_count(grid)[box], grid.spacing, region[box], coeff[box])
     inside = region[box]
     assert inside.shape == tuple(s.stop - s.start for s in box)
     assert all(n % 2 == 1 for n in inside.shape)
@@ -320,7 +321,8 @@ def reference_vcycle(grid, region, coeff, b):
 @pytest.mark.parametrize("dim,kind,seed", MG_CASES)
 def test_vcycle_matches_reference(dim, kind, seed):
     grid, region, coeff, rng = multigrid_case(dim, kind, seed)
-    box, levels = _levels(grid, region, coeff)
+    box = index_box(region)
+    levels = _levels(wall_slot_count(grid)[box], grid.spacing, region[box], coeff[box])
     inside = region[box]
     for _ in range(3):
         b = np.where(inside, rng.normal(size=inside.shape), 0.0)
@@ -336,7 +338,7 @@ def test_cropped_pcg_residual(dim, kind, seed):
     grid, region, coeff, rng = multigrid_case(dim, kind, seed)
     rhs = rng.uniform(-1.0, 1.0, size=grid.shape)
     x0 = rng.normal(size=grid.shape) if seed % 2 else None
-    x, res, _ = _pcg(grid, region, coeff, rhs, 1e-12, x0)
+    x, res, _ = _pcg(wall_slot_count(grid), grid.spacing, region, coeff, rhs, 1e-12, x0)
     assert x.shape == grid.shape
     assert np.all(x[~region] == 0.0)
     a = assemble(grid, region, coeff)
